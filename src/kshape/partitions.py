@@ -227,20 +227,6 @@ def add_cells(lam: Partition, new: Iterable[Cell]) -> Partition:
     return partition(rows)
 
 
-def remove_cells(lam: Partition, old: Iterable[Cell]) -> Partition:
-    rows = list(lam)
-    by_row: dict[int, list[int]] = {}
-    for i, j in old:
-        by_row.setdefault(i, []).append(j)
-    for i, js in by_row.items():
-        js.sort(reverse=True)
-        for j in js:
-            if i > len(rows) or rows[i - 1] != j:
-                raise ValueError(f"cell ({i},{j}) is not at the end of a row of {lam}")
-            rows[i - 1] = j - 1
-    return partition(rows)
-
-
 def union_shape(a: Partition, b: Partition) -> Partition:
     """Componentwise max; its cells are exactly cells(a) | cells(b)."""
     n = max(len(a), len(b))
@@ -286,16 +272,3 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
 
-
-def partitions_in_box(max_len: int, max_part: int) -> Iterator[Partition]:
-    """All partitions with at most max_len rows, each at most max_part."""
-
-    def rec(rows_left: int, cap: int) -> Iterator[Partition]:
-        yield ()
-        if rows_left == 0:
-            return
-        for first in range(cap, 0, -1):
-            for rest in rec(rows_left - 1, first):
-                yield (first,) + rest
-
-    yield from rec(max_len, max_part)

@@ -22,15 +22,16 @@ from .partitions import (
     addable_corners,
     boundary_size,
     cell_in,
+    col_shape,
     conjugate,
     contains,
     diag,
     format_partition,
     k_interior,
-    partitions_in_box,
     row_shape,
     skew_cells,
 )
+from .weak_tableaux import standard_shapes
 
 ROW = "row"
 COLUMN = "column"
@@ -66,12 +67,8 @@ def is_k_shape(lam: Partition, k: int) -> bool:
     rs = row_shape(lam, k)
     if any(rs[i] < rs[i + 1] for i in range(len(rs) - 1)):
         return False
-    cs = col_shape_cached(lam, k)
+    cs = col_shape(lam, k)
     return all(cs[i] >= cs[i + 1] for i in range(len(cs) - 1))
-
-
-def col_shape_cached(lam: Partition, k: int) -> tuple[int, ...]:
-    return row_shape(conjugate(lam), k)
 
 
 def _delta(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -101,7 +98,7 @@ def classify_string(inner: Partition, outer: Partition, k: int) -> StringOfCells
         if abs(diag(a) - diag(b)) not in (k, k + 1):
             return None
     drs = _delta(row_shape(outer, k), row_shape(inner, k))
-    dcs = _delta(col_shape_cached(outer, k), col_shape_cached(inner, k))
+    dcs = _delta(col_shape(outer, k), col_shape(inner, k))
     kinds = []
     if all(x == 0 for x in drs):
         kinds.append(ROW)
@@ -446,18 +443,31 @@ class KShapePoset:
 def kshapes_of_size(k: int, size: int) -> tuple[Partition, ...]:
     """All k-shapes with k-boundary of the given size.
 
-    Every row and column of a k-shape holds at least one boundary cell,
-    so candidates live in a size x size box.
+    The maximal elements of the poset of k-shapes are exactly the
+    (k+1)-cores (Lam-Lapointe-Morse-Shimozono, *The poset of k-shapes and
+    branching rules for k-Schur functions*), so every k-shape of this
+    size is reached by moves from a (k+1)-core of the same boundary size.
+    The vertex set is built as that closure, at a cost that tracks the
+    vertices and edges returned.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2: {k}")
+    if size < 0:
+        raise ValueError(f"size must be nonnegative: {size}")
     if size == 0:
         return ((),)
-    found = [
-        lam
-        for lam in partitions_in_box(size, size)
-        if boundary_size(lam, k) == size and is_k_shape(lam, k)
-    ]
+    found = set(standard_shapes(k, size))
+    frontier = list(found)
+    while frontier:
+        for m in enumerate_moves(frontier.pop(), k):
+            if m.target in found:
+                continue
+            if boundary_size(m.target, k) != size:
+                raise IntegrityError(
+                    f"move {m.source} -> {m.target} changed the {k}-boundary size"
+                )
+            found.add(m.target)
+            frontier.append(m.target)
     return tuple(sorted(found))
 
 

@@ -138,10 +138,14 @@ class VerificationReport:
 
 
 def _worker_count() -> int:
+    raw = os.environ.get("KSHAPE_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("KSHAPE_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"KSHAPE_WORKERS must be a positive integer: {raw!r}")
+    return workers
 
 
 def _map_instances(fn: Callable, items: list) -> list:
@@ -153,20 +157,22 @@ def _map_instances(fn: Callable, items: list) -> list:
 
 
 def _run(name, params, instance_fn, instances, conjecture=False) -> VerificationReport:
-    start = time.time()
+    start = time.perf_counter()
     items = list(instances)
     failures: list[str] = []
     count = 0
     for sub_count, sub_failures in _map_instances(instance_fn, items):
         count += sub_count
         failures.extend(sub_failures)
+    if count == 0:
+        failures.append("no instances ran")
     return VerificationReport(
         name=name,
         params=params,
         instances=count,
         passed=not failures,
         failures=failures,
-        elapsed=time.time() - start,
+        elapsed=time.perf_counter() - start,
         conjecture=conjecture,
     )
 

@@ -231,6 +231,8 @@ def enumerate_standard_k_tableaux(lam: Partition, k: int) -> tuple[WeakTableau, 
 
 def standard_shapes(k: int, n: int) -> tuple[Partition, ...]:
     """Shapes of standard k-tableaux on n letters ((k+1)-cores, boundary n)."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative: {n}")
     shapes = {()}
     for _ in range(n):
         shapes = {nxt for nu in shapes for nxt in standard_successors(nu, k)}

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kshape.cli import main
 
 
@@ -17,6 +19,13 @@ def test_poset_command(tmp_path, capsys):
     text = dot.read_text()
     assert text.startswith("digraph")
     assert '"4,2,1" -> "4,3,2,1" [label="c (1,3)"];' in text
+
+
+def test_poset_negative_size(capsys):
+    code, out, err = run(capsys, "poset", "--k", "2", "--size", "-1")
+    assert code == 2
+    assert "vertices" not in out
+    assert "size must be nonnegative" in err
 
 
 def test_paths_command(capsys):
@@ -100,3 +109,19 @@ def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--check", "no-such-check")
     assert code == 2
     assert "unknown check" in err
+
+
+def test_verify_zero_instances_fails(capsys):
+    code, out, _ = run(capsys, "verify", "--check", "theorem-additivity", "--n-max", "-3")
+    assert code == 1
+    assert "FAIL theorem-additivity instances=0" in out
+    assert "no instances ran" in out
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_verify_bad_worker_count(capsys, monkeypatch, value):
+    monkeypatch.setenv("KSHAPE_WORKERS", value)
+    code, out, err = run(capsys, "verify", "--check", "paths-fixture")
+    assert code == 2
+    assert "KSHAPE_WORKERS" in err
+    assert out == ""

@@ -1,7 +1,9 @@
+from typing import Iterator
+
 import pytest
 
 from kshape.errors import IntegrityError
-from kshape.partitions import is_p_core
+from kshape.partitions import Partition, boundary_size, is_p_core
 from kshape.poset import (
     COVER,
     ROW,
@@ -19,6 +21,33 @@ from kshape.poset import (
     path_classes,
     row_shape,
 )
+from kshape.weak_tableaux import standard_shapes
+
+
+def partitions_in_box(max_len: int, max_part: int) -> Iterator[Partition]:
+    """All partitions with at most max_len rows, each at most max_part."""
+
+    def rec(rows_left: int, cap: int) -> Iterator[Partition]:
+        yield ()
+        if rows_left == 0:
+            return
+        for first in range(cap, 0, -1):
+            for rest in rec(rows_left - 1, first):
+                yield (first,) + rest
+
+    yield from rec(max_len, max_part)
+
+
+def kshapes_by_box_scan(k: int, size: int) -> tuple[Partition, ...]:
+    """Reference enumeration: every row and column of a k-shape holds a
+    boundary cell, so all k-shapes of this size fit in a size x size box."""
+    return tuple(
+        sorted(
+            lam
+            for lam in partitions_in_box(size, size)
+            if boundary_size(lam, k) == size and is_k_shape(lam, k)
+        )
+    )
 
 
 def test_is_k_shape_fixture():
@@ -37,6 +66,34 @@ def test_cores_are_k_shapes():
         for k in (3, 4):
             if is_p_core(lam, k) or is_p_core(lam, k + 1):
                 assert is_k_shape(lam, k)
+
+
+def test_kshapes_of_size_matches_box_scan():
+    for k in range(2, 6):
+        for size in range(0, 9):
+            assert kshapes_of_size(k, size) == kshapes_by_box_scan(k, size), (k, size)
+
+
+def test_negative_size_rejected():
+    with pytest.raises(ValueError):
+        kshapes_of_size(2, -1)
+    with pytest.raises(ValueError):
+        standard_shapes(2, -1)
+
+
+def test_closure_rejects_move_that_changes_boundary_size(monkeypatch):
+    import kshape.poset as poset
+
+    bogus = poset.Move(
+        orientation=ROW, rank=1, length=1, strings=(), source=(), target=(1,)
+    )
+    monkeypatch.setattr(poset, "enumerate_moves", lambda lam, k: (bogus,))
+    poset.kshapes_of_size.cache_clear()
+    try:
+        with pytest.raises(IntegrityError):
+            poset.kshapes_of_size(2, 3)
+    finally:
+        poset.kshapes_of_size.cache_clear()
 
 
 def test_classify_string_examples():
