@@ -149,21 +149,6 @@ def classical_sigma(chain: Sequence[Partition], i: int) -> tuple[Partition, ...]
     return rsk_insert(sigma_word(reading_word(chain), i))
 
 
-def classical_sort_to_dominant(chain: Sequence[Partition]) -> tuple[Partition, ...]:
-    cur = tuple(tuple(c) for c in chain)
-    while True:
-        word = reading_word(cur)
-        counts: dict[int, int] = {}
-        for x in word:
-            counts[x] = counts.get(x, 0) + 1
-        n = max(counts) if counts else 0
-        wt = [counts.get(j, 0) for j in range(1, n + 1)]
-        idx = next((j for j in range(len(wt) - 1) if wt[j] < wt[j + 1]), None)
-        if idx is None:
-            return cur
-        cur = classical_sigma(cur, idx + 1)
-
-
 @lru_cache(maxsize=None)
 def standard_young_tableaux(shape: Partition) -> tuple[tuple[Partition, ...], ...]:
     """All standard Young tableaux of a shape, as chains."""

@@ -2,7 +2,12 @@
 bijection, and the verification sweeps.
 
 Exit codes: 0 success, 1 failed gating check, 2 usage or domain error.
-KSHAPE_WORKERS sets the sweep worker count.
+Exit 2 also covers a tableau grid that is not a chain of partitions
+(an entry below 1, a row that decreases, letters that do not stack),
+a ``verify`` parameter the named check does not take, a group run
+(``gating``, ``all``) given a parameter no check in it takes, and
+``--vars`` below 1.  A group run passes each check only the parameters
+it declares.  KSHAPE_WORKERS sets the sweep worker count.
 """
 from __future__ import annotations
 
@@ -18,13 +23,14 @@ from .kshape_tableaux import (
     kshape_tableau_from_filling,
 )
 from .pushout import descend, weak_bijection_standard
-from .verify import CHECKS, GATING_CHECKS, run_check
+from .verify import CHECKS, resolve_params, run_check
 from .weak_tableaux import (
     charge_any_weight,
     charge_dominant_semistandard,
     charge_standard,
     cocharge_standard,
     parse_tableau_text,
+    split_tableau_text,
 )
 
 
@@ -74,12 +80,7 @@ def _cmd_paths(args) -> int:
 def _cmd_charge(args) -> int:
     text = _read_tableau_text(args.tableau)
     if args.kshape:
-        rows = [
-            [int(tok) for tok in part.split()]
-            for part in text.strip().split("/")
-            if part.strip()
-        ]
-        t = kshape_tableau_from_filling(args.k, rows)
+        t = kshape_tableau_from_filling(args.k, split_tableau_text(text))
         value = cocharge_kshape(t) if args.cocharge else charge_kshape(t)
         print(value)
         return 0
@@ -116,24 +117,28 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.check == "gating":
-        names = list(GATING_CHECKS)
-    elif args.check == "all":
-        names = list(CHECKS)
+    given = {
+        p: getattr(args, p)
+        for p in ("n_max", "k_max", "variables", "size_max")
+        if getattr(args, p) is not None
+    }
+    if args.check in ("gating", "all"):
+        names = [n for n, c in CHECKS.items() if c.gating or args.check == "all"]
+        taken = set().union(*(CHECKS[n].defaults for n in names))
+        unused = sorted(set(given) - taken)
+        if unused:
+            raise ValueError(f"no check in {args.check!r} takes {', '.join(unused)}")
+        runs = [
+            (n, {p: v for p, v in given.items() if p in CHECKS[n].defaults})
+            for n in names
+        ]
     else:
-        names = [args.check]
-    params = {}
-    if args.n_max is not None:
-        params["n_max"] = args.n_max
-    if args.k_max is not None:
-        params["k_max"] = args.k_max
-    if args.vars is not None:
-        params["variables"] = args.vars
-    if args.size_max is not None:
-        params["size_max"] = args.size_max
+        runs = [(args.check, given)]
+    for name, params in runs:
+        resolve_params(name, **params)  # reject bad input before any sweep runs
     failed = False
     reports = []
-    for name in names:
+    for name, params in runs:
         report = run_check(name, **params)
         reports.append(report)
         print(report.line())
@@ -191,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--vars", type=int, default=None)
+    p.add_argument("--vars", dest="variables", type=int, default=None)
     p.add_argument("--size-max", type=int, default=None)
     p.add_argument("--report", metavar="FILE.json")
     p.set_defaults(fn=_cmd_verify)

@@ -25,6 +25,7 @@ from .partitions import (
     skew_cells,
 )
 from .poset import COVER, StringOfCells, classify_string, corner_chains, is_k_shape
+from .weak_tableaux import chain_of_filling
 
 
 @dataclass(frozen=True)
@@ -155,15 +156,7 @@ def make_kshape_tableau(k: int, chain: Sequence[Partition]) -> KShapeTableau:
 
 
 def kshape_tableau_from_filling(k: int, rows: Sequence[Sequence[int]]) -> KShapeTableau:
-    rows = [list(r) for r in rows if r]
-    if not rows:
-        return make_kshape_tableau(k, [()])
-    n = max(max(r) for r in rows)
-    chain = [()]
-    for letter in range(1, n + 1):
-        widths = [sum(1 for x in r if 0 < x <= letter) for r in rows]
-        chain.append(tuple(w for w in widths if w))
-    return make_kshape_tableau(k, chain)
+    return make_kshape_tableau(k, chain_of_filling(rows))
 
 
 def chain_characterization(chain: Sequence[Partition], k: int) -> tuple[bool, bool]:
@@ -290,33 +283,11 @@ def interval_oo(lam, k, r, rp) -> int:
 
 def charge_kshape(t: KShapeTableau) -> int:
     """Charge driven by connected-row intervals on the previous shape."""
-    total = 0
-    ch = 0
-    for n in range(2, t.letters + 1):
-        shape = t.chain[n - 1]
-        r = t.up(n - 1)[0] + 1
-        rp = t.up(n)[0]
-        if r >= rp:
-            ch = ch + interval_co(shape, t.k, r, rp)
-        else:
-            ch = ch - interval_oc(shape, t.k, rp, r)
-        total += ch
-    return total
+    return sum(letter_charges(t))
 
 
 def cocharge_kshape(t: KShapeTableau) -> int:
-    total = 0
-    co = 0
-    for n in range(2, t.letters + 1):
-        shape = t.chain[n - 1]
-        r = t.down(n - 1)[0] + 1
-        rp = t.down(n)[0]
-        if r > rp:
-            co = co - interval_oo(shape, t.k, r, rp)
-        else:
-            co = co + interval_cc(shape, t.k, rp, r)
-        total += co
-    return total
+    return sum(letter_cocharges(t))
 
 
 def letter_charges(t: KShapeTableau) -> tuple[int, ...]:

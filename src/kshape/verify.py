@@ -1,6 +1,9 @@
 """Verification sweeps: independent oracles, theorem checks, and the
 named check registry behind the command line.
 
+Each check is declared once, in ``CHECKS``, with the parameters it takes
+and their defaults; ``run_check`` rejects any other parameter.
+
 Gating checks re-derive both sides of each identity through unrelated
 code paths (classical word charge vs. chain recursions, counting vs.
 bijection).  Conjecture checks never gate; they only report findings.
@@ -19,9 +22,12 @@ from .errors import IntegrityError
 from .partitions import (
     Partition,
     boundary_size,
+    col_shape,
     format_partition,
     is_p_core,
+    k_interior,
     partitions_of,
+    row_shape,
 )
 from .poset import (
     build_poset,
@@ -37,6 +43,7 @@ from .kshape_tableaux import (
     charge_kshape,
     cocharge_kshape,
     enumerate_kshape_tableaux,
+    kshape_tableau_from_filling,
     letter_charges,
     letter_cocharges,
 )
@@ -51,8 +58,10 @@ from .weak_tableaux import (
     enumerate_weak_tableaux,
     is_standard_step,
     make_weak_tableau,
+    parse_tableau_text,
     sigma_involution,
     standard_shapes,
+    word_charges,
 )
 
 classical_charge = classical.classical_charge
@@ -181,29 +190,22 @@ def _run(name, params, instance_fn, instances, conjecture=False) -> Verification
 # fixture checks (exact values transcribed from worked examples)
 
 
-def check_kshape_fixture(**_params) -> VerificationReport:
-    def inst(_):
-        fails = []
-        from .partitions import row_shape, col_shape
-
-        lam = (8, 4, 3, 2, 1, 1, 1)
-        if not is_k_shape(lam, 4):
-            fails.append("(8,4,3,2,1,1,1) should be a 4-shape")
-        if row_shape(lam, 4) != (4, 2, 2, 1, 1, 1, 1):
-            fails.append(f"row profile {row_shape(lam, 4)}")
-        if col_shape(lam, 4) != (3, 2, 2, 1, 1, 1, 1, 1):
-            fails.append(f"col profile {col_shape(lam, 4)}")
-        if boundary_size(lam, 4) != 12:
-            fails.append(f"boundary {boundary_size(lam, 4)}")
-        if is_k_shape((3, 3, 1), 4):
-            fails.append("(3,3,1) should not be a 4-shape")
-        from .partitions import row_shape as rs
-
-        if rs((3, 3, 1), 4) != (2, 3, 1):
-            fails.append(f"row profile of (3,3,1): {rs((3, 3, 1), 4)}")
-        return 6, fails
-
-    return _run("kshape-fixture", {}, inst, [0])
+def _kshape_fixture_instance(_):
+    fails = []
+    lam = (8, 4, 3, 2, 1, 1, 1)
+    if not is_k_shape(lam, 4):
+        fails.append("(8,4,3,2,1,1,1) should be a 4-shape")
+    if row_shape(lam, 4) != (4, 2, 2, 1, 1, 1, 1):
+        fails.append(f"row profile {row_shape(lam, 4)}")
+    if col_shape(lam, 4) != (3, 2, 2, 1, 1, 1, 1, 1):
+        fails.append(f"col profile {col_shape(lam, 4)}")
+    if boundary_size(lam, 4) != 12:
+        fails.append(f"boundary {boundary_size(lam, 4)}")
+    if is_k_shape((3, 3, 1), 4):
+        fails.append("(3,3,1) should not be a 4-shape")
+    if row_shape((3, 3, 1), 4) != (2, 3, 1):
+        fails.append(f"row profile of (3,3,1): {row_shape((3, 3, 1), 4)}")
+    return 6, fails
 
 
 POSET_2_4_EDGES = {
@@ -235,124 +237,105 @@ POSET_3_5_COMPOSITE_EDGES = {
 }
 
 
-def check_poset_fixture(**_params) -> VerificationReport:
-    def inst(_):
-        fails = []
-        p = build_poset(2, 4)
-        edges = {
-            (v, m.target, m.orientation) for v in p.vertices for m in p.edges[v]
-        }
-        if set(p.vertices) != {e[0] for e in POSET_2_4_EDGES} | {(4, 3, 2, 1)}:
-            fails.append(f"poset(2,4) vertices: {p.vertices}")
-        if edges != POSET_2_4_EDGES:
-            fails.append(f"poset(2,4) edges: {sorted(edges)}")
-        if len(p.vertices) != 6 or p.edge_count != 6:
-            fails.append(f"poset(2,4) counts {len(p.vertices)}/{p.edge_count}")
+def _poset_fixture_instance(_):
+    fails = []
+    p = build_poset(2, 4)
+    edges = {
+        (v, m.target, m.orientation) for v in p.vertices for m in p.edges[v]
+    }
+    if set(p.vertices) != {e[0] for e in POSET_2_4_EDGES} | {(4, 3, 2, 1)}:
+        fails.append(f"poset(2,4) vertices: {p.vertices}")
+    if edges != POSET_2_4_EDGES:
+        fails.append(f"poset(2,4) edges: {sorted(edges)}")
+    if len(p.vertices) != 6 or p.edge_count != 6:
+        fails.append(f"poset(2,4) counts {len(p.vertices)}/{p.edge_count}")
 
-        p3 = build_poset(3, 5)
-        want_vertices = {
-            (2, 2, 1, 1, 1), (3, 1, 1, 1), (3, 2, 1), (4, 1, 1), (5, 2),
-            (3, 2, 1, 1), (4, 2, 1),
-            (3, 2, 2, 1, 1), (4, 2, 1, 1), (5, 3, 1),
-        }
-        edges3 = {
-            (v, m.target, m.orientation) for v in p3.vertices for m in p3.edges[v]
-        }
-        if set(p3.vertices) != want_vertices:
-            fails.append(f"poset(3,5) vertices: {p3.vertices}")
-        if edges3 != POSET_3_5_DIAGRAM_EDGES | POSET_3_5_COMPOSITE_EDGES:
-            fails.append(f"poset(3,5) edges: {sorted(edges3)}")
+    p3 = build_poset(3, 5)
+    want_vertices = {
+        (2, 2, 1, 1, 1), (3, 1, 1, 1), (3, 2, 1), (4, 1, 1), (5, 2),
+        (3, 2, 1, 1), (4, 2, 1),
+        (3, 2, 2, 1, 1), (4, 2, 1, 1), (5, 3, 1),
+    }
+    edges3 = {
+        (v, m.target, m.orientation) for v in p3.vertices for m in p3.edges[v]
+    }
+    if set(p3.vertices) != want_vertices:
+        fails.append(f"poset(3,5) vertices: {p3.vertices}")
+    if edges3 != POSET_3_5_DIAGRAM_EDGES | POSET_3_5_COMPOSITE_EDGES:
+        fails.append(f"poset(3,5) edges: {sorted(edges3)}")
 
-        for p_, kk in ((p, 2), (p3, 3)):
-            if set(p_.maximal_vertices()) != {
-                v for v in p_.vertices if is_p_core(v, kk + 1)
-            }:
-                fails.append(f"maximal vertices of ({kk}) poset")
-            if set(p_.minimal_vertices()) != {
-                v for v in p_.vertices if is_p_core(v, kk)
-            }:
-                fails.append(f"minimal vertices of ({kk}) poset")
-        p0 = build_poset(2, 0)
-        if p0.vertices != ((),) or p0.edge_count != 0:
-            fails.append("poset(2,0) is not the single empty vertex")
-        return 3, fails
-
-    return _run("poset-fixture", {}, inst, [0])
+    for p_, kk in ((p, 2), (p3, 3)):
+        if set(p_.maximal_vertices()) != {
+            v for v in p_.vertices if is_p_core(v, kk + 1)
+        }:
+            fails.append(f"maximal vertices of ({kk}) poset")
+        if set(p_.minimal_vertices()) != {
+            v for v in p_.vertices if is_p_core(v, kk)
+        }:
+            fails.append(f"minimal vertices of ({kk}) poset")
+    p0 = build_poset(2, 0)
+    if p0.vertices != ((),) or p0.edge_count != 0:
+        fails.append("poset(2,0) is not the single empty vertex")
+    return 3, fails
 
 
-def check_paths_fixture(**_params) -> VerificationReport:
-    def inst(_):
-        fails = []
-        paths = enumerate_paths((3, 1, 1), (4, 3, 2, 1), 2)
-        if sorted(p.charge() for p in paths) != [2, 3]:
-            fails.append(f"charges {sorted(p.charge() for p in paths)}")
-        cls = path_classes((3, 1, 1), (4, 3, 2, 1), 2)
-        if len(cls) != 2:
-            fails.append(f"{len(cls)} classes for the 2-shape pair")
-        paths3 = enumerate_paths((3, 2, 1), (4, 2, 1, 1), 3)
-        if sorted(p.charge() for p in paths3) != [1, 1]:
-            fails.append(f"charges {sorted(p.charge() for p in paths3)}")
-        cls3 = path_classes((3, 2, 1), (4, 2, 1, 1), 3)
-        if len(cls3) != 1:
-            fails.append(f"{len(cls3)} classes for the 3-shape pair")
-        self_paths = enumerate_paths((3, 1, 1), (3, 1, 1), 2)
-        if len(self_paths) != 1 or self_paths[0].moves:
-            fails.append("self paths are not exactly the empty path")
-        return 3, fails
-
-    return _run("paths-fixture", {}, inst, [0])
+def _paths_fixture_instance(_):
+    fails = []
+    paths = enumerate_paths((3, 1, 1), (4, 3, 2, 1), 2)
+    if sorted(p.charge() for p in paths) != [2, 3]:
+        fails.append(f"charges {sorted(p.charge() for p in paths)}")
+    cls = path_classes((3, 1, 1), (4, 3, 2, 1), 2)
+    if len(cls) != 2:
+        fails.append(f"{len(cls)} classes for the 2-shape pair")
+    paths3 = enumerate_paths((3, 2, 1), (4, 2, 1, 1), 3)
+    if sorted(p.charge() for p in paths3) != [1, 1]:
+        fails.append(f"charges {sorted(p.charge() for p in paths3)}")
+    cls3 = path_classes((3, 2, 1), (4, 2, 1, 1), 3)
+    if len(cls3) != 1:
+        fails.append(f"{len(cls3)} classes for the 3-shape pair")
+    self_paths = enumerate_paths((3, 1, 1), (3, 1, 1), 2)
+    if len(self_paths) != 1 or self_paths[0].moves:
+        fails.append("self paths are not exactly the empty path")
+    return 3, fails
 
 
-def check_charge_fixture(**_params) -> VerificationReport:
-    def inst(_):
-        from .weak_tableaux import parse_tableau_text
-        from .kshape_tableaux import kshape_tableau_from_filling
-
-        fails = []
-        t = parse_tableau_text(4, "1 2 3 5 7 9 10 / 4 6 10 / 5 7 / 8 / 10")
-        if charge_standard(t) != 25:
-            fails.append(f"charge {charge_standard(t)} != 25")
-        if cocharge_standard(t) != 16:
-            fails.append(f"cocharge {cocharge_standard(t)} != 16")
-        u = kshape_tableau_from_filling(
-            4, [[1, 2, 4, 6, 8, 9], [3, 5, 7], [4, 6, 9], [7], [9]]
-        )
-        if charge_kshape(u) != 16:
-            fails.append(f"k-shape charge {charge_kshape(u)} != 16")
-        if cocharge_kshape(u) != 15:
-            fails.append(f"k-shape cocharge {cocharge_kshape(u)} != 15")
-        n = u.letters
-        from .partitions import k_interior
-
-        if charge_kshape(u) != n * (n - 1) // 2 - cocharge_kshape(u) - sum(
-            k_interior(u.shape, 4)
-        ):
-            fails.append("duality instance 16 = 36 - 15 - 5")
-        single = parse_tableau_text(3, "1")
-        if charge_standard(single) != 0 or cocharge_standard(single) != 0:
-            fails.append("single-cell charges")
-        return 4, fails
-
-    return _run("charge-fixture", {}, inst, [0])
+def _charge_fixture_instance(_):
+    fails = []
+    t = parse_tableau_text(4, "1 2 3 5 7 9 10 / 4 6 10 / 5 7 / 8 / 10")
+    if charge_standard(t) != 25:
+        fails.append(f"charge {charge_standard(t)} != 25")
+    if cocharge_standard(t) != 16:
+        fails.append(f"cocharge {cocharge_standard(t)} != 16")
+    u = kshape_tableau_from_filling(
+        4, [[1, 2, 4, 6, 8, 9], [3, 5, 7], [4, 6, 9], [7], [9]]
+    )
+    if charge_kshape(u) != 16:
+        fails.append(f"k-shape charge {charge_kshape(u)} != 16")
+    if cocharge_kshape(u) != 15:
+        fails.append(f"k-shape cocharge {cocharge_kshape(u)} != 15")
+    n = u.letters
+    if charge_kshape(u) != n * (n - 1) // 2 - cocharge_kshape(u) - sum(
+        k_interior(u.shape, 4)
+    ):
+        fails.append("duality instance 16 = 36 - 15 - 5")
+    single = parse_tableau_text(3, "1")
+    if charge_standard(single) != 0 or cocharge_standard(single) != 0:
+        fails.append("single-cell charges")
+    return 4, fails
 
 
-def check_word_charge_fixture(**_params) -> VerificationReport:
-    def inst(_):
-        from .weak_tableaux import parse_tableau_text, word_charges
-
-        fails = []
-        t = parse_tableau_text(
-            4, "1 1 2 3 4 4 5 5 6 / 2 3 5 5 6 / 3 4 7 / 5 6 / 6 / 7"
-        )
-        if t.weight != (2, 2, 2, 2, 2, 2, 1):
-            fails.append(f"weight {t.weight}")
-        if word_charges(t) != (5, 7):
-            fails.append(f"word charges {word_charges(t)}")
-        if charge_dominant_semistandard(t) != 12:
-            fails.append(f"charge {charge_dominant_semistandard(t)}")
-        return 1, fails
-
-    return _run("word-charge-fixture", {}, inst, [0])
+def _word_charge_fixture_instance(_):
+    fails = []
+    t = parse_tableau_text(
+        4, "1 1 2 3 4 4 5 5 6 / 2 3 5 5 6 / 3 4 7 / 5 6 / 6 / 7"
+    )
+    if t.weight != (2, 2, 2, 2, 2, 2, 1):
+        fails.append(f"weight {t.weight}")
+    if word_charges(t) != (5, 7):
+        fails.append(f"word charges {word_charges(t)}")
+    if charge_dominant_semistandard(t) != 12:
+        fails.append(f"charge {charge_dominant_semistandard(t)}")
+    return 1, fails
 
 
 # ---------------------------------------------------------------------------
@@ -374,18 +357,6 @@ def _additivity_instance(args):
     return count, fails
 
 
-def check_theorem_additivity(n_max: int = 7, **_params) -> VerificationReport:
-    items = [
-        (k, lam)
-        for n in range(1, n_max + 1)
-        for k in range(2, n + 1)
-        for lam in standard_shapes(k, n)
-    ]
-    return _run(
-        "theorem-additivity", {"n_max": n_max}, _additivity_instance, items
-    )
-
-
 def _descent_instance(lam):
     fails = []
     count = 0
@@ -403,11 +374,6 @@ def _descent_instance(lam):
     return count, fails
 
 
-def check_descent_classical(n_max: int = 6, **_params) -> VerificationReport:
-    items = [lam for n in range(1, n_max + 1) for lam in partitions_of(n)]
-    return _run("descent-classical", {"n_max": n_max}, _descent_instance, items)
-
-
 def _duality_instance(args):
     k, n = args
     fails = []
@@ -423,18 +389,6 @@ def _duality_instance(args):
     return count, fails
 
 
-def check_charge_cocharge_duality(
-    n_max: int = 6, k_max: int = 3, **_params
-) -> VerificationReport:
-    items = [(k, n) for k in range(2, k_max + 1) for n in range(1, n_max + 1)]
-    return _run(
-        "charge-cocharge-duality",
-        {"n_max": n_max, "k_max": k_max},
-        _duality_instance,
-        items,
-    )
-
-
 def _stability_instance(args):
     k, lam = args
     fails = []
@@ -448,20 +402,6 @@ def _stability_instance(args):
             fails.append(f"cocharge stability: k={k} {t.text()}")
         count += 1
     return count, fails
-
-
-def check_charge_k_stability(
-    n_max: int = 7, k_max: int = 4, **_params
-) -> VerificationReport:
-    items = [
-        (k, lam)
-        for k in range(2, k_max + 1)
-        for n in range(1, n_max + 1)
-        for lam in standard_shapes(k, n)
-    ]
-    return _run(
-        "charge-k-stability", {"n_max": n_max, "k_max": k_max}, _stability_instance, items
-    )
 
 
 def _is_standard_chain(chain, k: int) -> bool:
@@ -494,18 +434,6 @@ def _characterization_instance(args):
     return count, fails
 
 
-def check_cover_characterization(
-    n_max: int = 6, k_max: int = 3, **_params
-) -> VerificationReport:
-    items = [(k, n) for k in range(2, k_max + 1) for n in range(0, n_max + 1)]
-    return _run(
-        "cover-characterization",
-        {"n_max": n_max, "k_max": k_max},
-        _characterization_instance,
-        items,
-    )
-
-
 def _classical_agreement_instance(lam):
     fails = []
     count = 0
@@ -527,13 +455,6 @@ def _classical_agreement_instance(lam):
     return count, fails
 
 
-def check_classical_agreement(size_max: int = 6, **_params) -> VerificationReport:
-    items = [lam for n in range(1, size_max + 1) for lam in partitions_of(n)]
-    return _run(
-        "classical-agreement", {"size_max": size_max}, _classical_agreement_instance, items
-    )
-
-
 def _bijection_count_instance(args):
     k, lam = args
     n = boundary_size(lam, k)
@@ -549,20 +470,6 @@ def _bijection_count_instance(args):
             f"count mismatch at k={k} shape {format_partition(lam)}: {left} vs {right}"
         )
     return 1, fails
-
-
-def check_bijection_counting(
-    n_max: int = 7, k_max: int = 4, **_params
-) -> VerificationReport:
-    items = [
-        (k, lam)
-        for k in range(2, k_max + 1)
-        for n in range(1, n_max + 1)
-        for lam in standard_shapes(k, n)
-    ]
-    return _run(
-        "bijection-counting", {"n_max": n_max, "k_max": k_max}, _bijection_count_instance, items
-    )
 
 
 def _t1_branching_instance(args):
@@ -584,23 +491,6 @@ def _t1_branching_instance(args):
             f" lhs {lhs.at_t(1)} rhs {rhs.at_t(1)}"
         )
     return 1, fails
-
-
-def check_t1_branching(
-    n_max: int = 6, k_max: int = 3, variables: int = 4, **_params
-) -> VerificationReport:
-    items = [
-        (k, lam, variables)
-        for k in range(2, k_max + 1)
-        for n in range(0, n_max + 1)
-        for lam in k1_cores_of_boundary(k, n)
-    ]
-    return _run(
-        "t1-branching",
-        {"n_max": n_max, "k_max": k_max, "variables": variables},
-        _t1_branching_instance,
-        items,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -639,25 +529,6 @@ def _sigma_conjecture_instance(args):
     return count, fails
 
 
-def check_sigma_involution(
-    n_max: int = 5, k_max: int = 3, **_params
-) -> VerificationReport:
-    items = [
-        (k, lam, letters)
-        for k in range(2, k_max + 1)
-        for n in range(1, n_max + 1)
-        for lam in standard_shapes(k, n)
-        for letters in range(1, n + 1)
-    ]
-    return _run(
-        "sigma-involution",
-        {"n_max": n_max, "k_max": k_max},
-        _sigma_conjecture_instance,
-        items,
-        conjecture=True,
-    )
-
-
 def _generic_t_instance(args):
     k, lam, variables = args
     n = boundary_size(lam, k)
@@ -676,24 +547,6 @@ def _generic_t_instance(args):
             f"generic-t branching differs at k={k} shape {format_partition(lam)}"
         )
     return 1, fails
-
-
-def check_generic_t_branching(
-    n_max: int = 5, k_max: int = 3, variables: int = 3, **_params
-) -> VerificationReport:
-    items = [
-        (k, lam, variables)
-        for k in range(2, k_max + 1)
-        for n in range(0, n_max + 1)
-        for lam in k1_cores_of_boundary(k, n)
-    ]
-    return _run(
-        "generic-t-branching",
-        {"n_max": n_max, "k_max": k_max, "variables": variables},
-        _generic_t_instance,
-        items,
-        conjecture=True,
-    )
 
 
 def _sigma_commutation_instance(args):
@@ -717,61 +570,146 @@ def _sigma_commutation_instance(args):
     return count, fails
 
 
-def check_sigma_bijection_commutation(
-    n_max: int = 4, k_max: int = 3, **_params
-) -> VerificationReport:
-    items = [
+# ---------------------------------------------------------------------------
+# the registry: each check's instance function, item builder, parameters
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named check.  ``items`` receives exactly the parameters in
+    ``defaults``; ``instance`` maps one item to (count, failures) and is
+    module-level so that worker processes can pickle it."""
+
+    instance: Callable[[object], tuple[int, list[str]]]
+    items: Callable[..., list]
+    defaults: dict[str, int] = field(default_factory=dict)
+    gating: bool = True
+
+
+def _single_item() -> list:
+    return [0]
+
+
+def _partitions_up_to(n_max: int) -> list:
+    return [lam for n in range(1, n_max + 1) for lam in partitions_of(n)]
+
+
+def _standard_shape_items(n_max: int, k_max: int) -> list:
+    return [
         (k, lam)
         for k in range(2, k_max + 1)
         for n in range(1, n_max + 1)
         for lam in standard_shapes(k, n)
     ]
-    return _run(
-        "sigma-bijection-commutation",
-        {"n_max": n_max, "k_max": k_max},
+
+
+def _branching_items(n_max: int, k_max: int, variables: int) -> list:
+    return [
+        (k, lam, variables)
+        for k in range(2, k_max + 1)
+        for n in range(0, n_max + 1)
+        for lam in k1_cores_of_boundary(k, n)
+    ]
+
+
+CHECKS: dict[str, Check] = {
+    "kshape-fixture": Check(_kshape_fixture_instance, _single_item),
+    "poset-fixture": Check(_poset_fixture_instance, _single_item),
+    "paths-fixture": Check(_paths_fixture_instance, _single_item),
+    "charge-fixture": Check(_charge_fixture_instance, _single_item),
+    "word-charge-fixture": Check(_word_charge_fixture_instance, _single_item),
+    "theorem-additivity": Check(
+        _additivity_instance,
+        lambda n_max: [
+            (k, lam)
+            for n in range(1, n_max + 1)
+            for k in range(2, n + 1)
+            for lam in standard_shapes(k, n)
+        ],
+        {"n_max": 7},
+    ),
+    "descent-classical": Check(_descent_instance, _partitions_up_to, {"n_max": 6}),
+    "charge-cocharge-duality": Check(
+        _duality_instance,
+        lambda n_max, k_max: [
+            (k, n) for k in range(2, k_max + 1) for n in range(1, n_max + 1)
+        ],
+        {"n_max": 6, "k_max": 3},
+    ),
+    "charge-k-stability": Check(
+        _stability_instance, _standard_shape_items, {"n_max": 7, "k_max": 4}
+    ),
+    "cover-characterization": Check(
+        _characterization_instance,
+        lambda n_max, k_max: [
+            (k, n) for k in range(2, k_max + 1) for n in range(0, n_max + 1)
+        ],
+        {"n_max": 6, "k_max": 3},
+    ),
+    "classical-agreement": Check(
+        _classical_agreement_instance,
+        lambda size_max: _partitions_up_to(size_max),
+        {"size_max": 6},
+    ),
+    "bijection-counting": Check(
+        _bijection_count_instance, _standard_shape_items, {"n_max": 7, "k_max": 4}
+    ),
+    "t1-branching": Check(
+        _t1_branching_instance,
+        _branching_items,
+        {"n_max": 6, "k_max": 3, "variables": 4},
+    ),
+    "sigma-involution": Check(
+        _sigma_conjecture_instance,
+        lambda n_max, k_max: [
+            (k, lam, letters)
+            for k in range(2, k_max + 1)
+            for n in range(1, n_max + 1)
+            for lam in standard_shapes(k, n)
+            for letters in range(1, n + 1)
+        ],
+        {"n_max": 5, "k_max": 3},
+        gating=False,
+    ),
+    "generic-t-branching": Check(
+        _generic_t_instance,
+        _branching_items,
+        {"n_max": 5, "k_max": 3, "variables": 3},
+        gating=False,
+    ),
+    "sigma-bijection-commutation": Check(
         _sigma_commutation_instance,
-        items,
-        conjecture=True,
-    )
-
-
-CHECKS = {
-    "kshape-fixture": check_kshape_fixture,
-    "poset-fixture": check_poset_fixture,
-    "paths-fixture": check_paths_fixture,
-    "charge-fixture": check_charge_fixture,
-    "word-charge-fixture": check_word_charge_fixture,
-    "theorem-additivity": check_theorem_additivity,
-    "descent-classical": check_descent_classical,
-    "charge-cocharge-duality": check_charge_cocharge_duality,
-    "charge-k-stability": check_charge_k_stability,
-    "cover-characterization": check_cover_characterization,
-    "classical-agreement": check_classical_agreement,
-    "bijection-counting": check_bijection_counting,
-    "t1-branching": check_t1_branching,
-    "sigma-involution": check_sigma_involution,
-    "generic-t-branching": check_generic_t_branching,
-    "sigma-bijection-commutation": check_sigma_bijection_commutation,
+        _standard_shape_items,
+        {"n_max": 4, "k_max": 3},
+        gating=False,
+    ),
 }
 
-GATING_CHECKS = (
-    "kshape-fixture",
-    "poset-fixture",
-    "paths-fixture",
-    "charge-fixture",
-    "word-charge-fixture",
-    "theorem-additivity",
-    "descent-classical",
-    "charge-cocharge-duality",
-    "charge-k-stability",
-    "cover-characterization",
-    "classical-agreement",
-    "bijection-counting",
-    "t1-branching",
-)
+
+def resolve_params(name: str, **params) -> dict:
+    """The parameters a run of ``name`` uses: ``params`` over its defaults.
+
+    Raises KeyError for an unknown check and ValueError for a parameter
+    the check does not declare or a variable count below 1.
+    """
+    if name not in CHECKS:
+        raise KeyError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
+    defaults = CHECKS[name].defaults
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        takes = ", ".join(defaults) or "no parameters"
+        raise ValueError(
+            f"check {name!r} does not take {', '.join(unknown)}; it takes {takes}"
+        )
+    params = {**defaults, **params}
+    if params.get("variables", 1) < 1:
+        raise ValueError(f"variables must be at least 1: {params['variables']}")
+    return params
 
 
 def run_check(name: str, **params) -> VerificationReport:
-    if name not in CHECKS:
-        raise KeyError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
-    return CHECKS[name](**params)
+    params = resolve_params(name, **params)
+    check = CHECKS[name]
+    return _run(
+        name, params, check.instance, check.items(**params), conjecture=not check.gating
+    )

@@ -22,6 +22,7 @@ from .partitions import (
     contains,
     diag_count,
     is_p_core,
+    partition,
     removable_corners,
     residue,
     row_shape,
@@ -123,29 +124,41 @@ def make_weak_tableau(k: int, chain: Sequence[Partition]) -> WeakTableau:
     return WeakTableau(k=k, chain=chain, weight=tuple(weight))
 
 
-def weak_tableau_from_filling(k: int, rows: Sequence[Sequence[int]]) -> WeakTableau:
-    """Build the chain from a letter grid given bottom row first."""
+def chain_of_filling(rows: Sequence[Sequence[int]]) -> tuple[Partition, ...]:
+    """The chain of shapes filled by letters 1..n of a grid, bottom row first.
+
+    Rejects entries below 1, rows that are not weakly increasing, and grids
+    where the cells of letters 1..m do not form a partition for some m.
+    """
     rows = [list(r) for r in rows if r]
-    if not rows:
-        return make_weak_tableau(k, [()])
     for r in rows:
+        if min(r) < 1:
+            raise ValueError(f"row {r} has an entry below 1")
         if any(r[i] > r[i + 1] for i in range(len(r) - 1)):
             raise ValueError(f"row {r} is not weakly increasing")
-    n = max(max(r) for r in rows)
-    chain = [()]
-    for letter in range(1, n + 1):
-        widths = [sum(1 for x in r if x <= letter) for r in rows]
-        chain.append(tuple(w for w in widths if w))
-    return make_weak_tableau(k, chain)
+    n = max((max(r) for r in rows), default=0)
+    return ((),) + tuple(
+        partition(sum(1 for x in r if x <= letter) for r in rows)
+        for letter in range(1, n + 1)
+    )
 
 
-def parse_tableau_text(k: int, text: str) -> WeakTableau:
-    rows = [
+def weak_tableau_from_filling(k: int, rows: Sequence[Sequence[int]]) -> WeakTableau:
+    """Build the weak tableau of a letter grid given bottom row first."""
+    return make_weak_tableau(k, chain_of_filling(rows))
+
+
+def split_tableau_text(text: str) -> list[list[int]]:
+    """Rows of the text form "1 2 3 / 4 5", bottom row first."""
+    return [
         [int(tok) for tok in part.split()]
         for part in text.strip().split("/")
         if part.strip()
     ]
-    return weak_tableau_from_filling(k, rows)
+
+
+def parse_tableau_text(k: int, text: str) -> WeakTableau:
+    return weak_tableau_from_filling(k, split_tableau_text(text))
 
 
 def is_standard_step(inner: Partition, outer: Partition, k: int) -> bool:

@@ -125,3 +125,65 @@ def test_verify_bad_worker_count(capsys, monkeypatch, value):
     assert code == 2
     assert "KSHAPE_WORKERS" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--check", "theorem-additivity", "--size-max", "3"], "size_max"),
+        (["--check", "t1-branching", "--vars", "0"], "variables"),
+        (["--check", "all", "--vars", "0"], "variables"),
+    ],
+)
+def test_verify_bad_parameters(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""  # rejected before any sweep ran
+
+
+def test_verify_group_rejects_parameter_no_check_takes(capsys, monkeypatch):
+    import kshape.cli as cli
+
+    fixtures = {n: c for n, c in cli.CHECKS.items() if not c.defaults}
+    monkeypatch.setattr(cli, "CHECKS", fixtures)
+    code, out, err = run(capsys, "verify", "--check", "gating", "--n-max", "3")
+    assert code == 2
+    assert "n_max" in err
+    assert out == ""
+
+
+def test_verify_group_passes_only_declared_parameters(capsys, monkeypatch):
+    import kshape.cli as cli
+
+    calls = []
+    real = cli.run_check
+
+    def spy(name, **params):
+        calls.append((name, params))
+        return real(name, **params)
+
+    monkeypatch.setattr(cli, "run_check", spy)
+    code, out, _ = run(
+        capsys, "verify", "--check", "all",
+        "--n-max", "2", "--k-max", "2", "--size-max", "1", "--vars", "1",
+    )
+    assert code == 0
+    given = {"n_max": 2, "k_max": 2, "size_max": 1, "variables": 1}
+    assert [name for name, _ in calls] == list(cli.CHECKS)
+    for name, params in calls:
+        declared = cli.CHECKS[name].defaults
+        assert params == {p: v for p, v in given.items() if p in declared}, name
+    assert out.count("PASS") == len(cli.CHECKS)
+
+
+@pytest.mark.parametrize("kshape", [False, True])
+@pytest.mark.parametrize("grid", ["2 / 1", "2 1", "0 1"])
+def test_charge_rejects_bad_grid(tmp_path, capsys, grid, kshape):
+    f = tmp_path / "t.txt"
+    f.write_text(grid + "\n")
+    argv = ["charge", "--k", "3", "--tableau", str(f)] + (["--kshape"] if kshape else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err

@@ -230,3 +230,10 @@ def test_grounded_residue_connectivity():
                         if diag((rp, jj)) >= diag((r, j))
                     ]
                     assert 0 in gaps, (lam, r, rp, j)
+
+
+@pytest.mark.parametrize("rows", [[[2], [1]], [[2, 1]], [[0, 1]], [[1], [1, 2]]])
+def test_kshape_filling_rejects_bad_grid(rows):
+    with pytest.raises(ValueError):
+        kshape_tableau_from_filling(3, rows)
+

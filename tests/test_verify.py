@@ -1,0 +1,77 @@
+import pytest
+
+from kshape.verify import CHECKS, run_check
+
+GATING = {
+    "kshape-fixture",
+    "poset-fixture",
+    "paths-fixture",
+    "charge-fixture",
+    "word-charge-fixture",
+    "theorem-additivity",
+    "descent-classical",
+    "charge-cocharge-duality",
+    "charge-k-stability",
+    "cover-characterization",
+    "classical-agreement",
+    "bijection-counting",
+    "t1-branching",
+}
+
+CONJECTURE = {"sigma-involution", "generic-t-branching", "sigma-bijection-commutation"}
+
+# every check in run order, with the parameters it takes and their defaults
+DEFAULTS = {
+    "kshape-fixture": {},
+    "poset-fixture": {},
+    "paths-fixture": {},
+    "charge-fixture": {},
+    "word-charge-fixture": {},
+    "theorem-additivity": {"n_max": 7},
+    "descent-classical": {"n_max": 6},
+    "charge-cocharge-duality": {"n_max": 6, "k_max": 3},
+    "charge-k-stability": {"n_max": 7, "k_max": 4},
+    "cover-characterization": {"n_max": 6, "k_max": 3},
+    "classical-agreement": {"size_max": 6},
+    "bijection-counting": {"n_max": 7, "k_max": 4},
+    "t1-branching": {"n_max": 6, "k_max": 3, "variables": 4},
+    "sigma-involution": {"n_max": 5, "k_max": 3},
+    "generic-t-branching": {"n_max": 5, "k_max": 3, "variables": 3},
+    "sigma-bijection-commutation": {"n_max": 4, "k_max": 3},
+}
+
+
+def test_gating_and_conjecture_sets():
+    assert {n for n, c in CHECKS.items() if c.gating} == GATING
+    assert {n for n, c in CHECKS.items() if not c.gating} == CONJECTURE
+
+
+def test_defaults_and_order():
+    assert list(CHECKS) == list(DEFAULTS)
+    assert {n: c.defaults for n, c in CHECKS.items()} == DEFAULTS
+
+
+@pytest.mark.parametrize("name", list(DEFAULTS))
+def test_undeclared_parameter_rejected(name):
+    with pytest.raises(ValueError, match="bogus"):
+        run_check(name, bogus=1)
+
+
+@pytest.mark.parametrize("name", ["t1-branching", "generic-t-branching"])
+def test_variables_below_one_rejected(name):
+    with pytest.raises(ValueError, match="variables"):
+        run_check(name, variables=0)
+
+
+def test_unknown_check_rejected():
+    with pytest.raises(KeyError, match="unknown check"):
+        run_check("no-such-check")
+
+
+def test_given_parameters_override_defaults():
+    report = run_check("t1-branching", n_max=2, k_max=2)
+    assert report.params == {"n_max": 2, "k_max": 2, "variables": 4}
+    assert report.passed and report.instances > 0
+    assert run_check("paths-fixture").params == {}
+    conjecture = run_check("sigma-bijection-commutation", n_max=2, k_max=2)
+    assert conjecture.conjecture and conjecture.instances > 0

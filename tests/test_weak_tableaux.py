@@ -1,6 +1,7 @@
 import pytest
 
 from kshape.classical import (
+    chain_from_grid,
     classical_charge,
     classical_cocharge,
     classical_sigma,
@@ -9,6 +10,7 @@ from kshape.classical import (
 )
 from kshape.partitions import partitions_of
 from kshape.weak_tableaux import (
+    chain_of_filling,
     charge_any_weight,
     charge_dominant_semistandard,
     charge_standard,
@@ -20,6 +22,7 @@ from kshape.weak_tableaux import (
     parse_tableau_text,
     sigma_involution,
     sort_to_dominant,
+    split_tableau_text,
     standard_shapes,
     weak_tableau_from_filling,
     word_charges,
@@ -192,3 +195,28 @@ def test_charge_multiset_permutation_invariant():
                     if base is None:
                         base = charges
                     assert charges == base
+
+
+BAD_GRIDS = [
+    [[2], [1]],  # letter 1 sits above an empty first row
+    [[2, 1]],  # row decreases
+    [[0, 1]],  # entry below 1
+    [[1], [1, 2]],  # rows of letters 1..2 are not a partition
+]
+
+
+@pytest.mark.parametrize("rows", BAD_GRIDS)
+def test_filling_rejects_bad_grid(rows):
+    with pytest.raises(ValueError):
+        chain_of_filling(rows)
+    with pytest.raises(ValueError):
+        weak_tableau_from_filling(3, rows)
+
+
+def test_chain_of_filling_matches_classical_oracle():
+    assert split_tableau_text(" 1 1 2 /  2 / ") == [[1, 1, 2], [2]]
+    assert chain_of_filling([]) == ((),)
+    for lam, wt in (((3, 2), (2, 2, 1)), ((4, 2, 1), (3, 2, 1, 1)), ((2, 2), (1, 1, 1, 1))):
+        for ch in semistandard_tableaux(lam, wt):
+            rows = make_weak_tableau(max(sum(lam), 1), ch).filling()
+            assert chain_of_filling(rows) == chain_from_grid(rows) == ch
