@@ -28,7 +28,7 @@ from .poset import COVER, StringOfCells, classify_string, corner_chains, is_k_sh
 from .weak_tableaux import chain_of_filling
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cover:
     """A cover-type string between two k-shapes."""
 
@@ -44,6 +44,7 @@ class Cover:
         return len(self.string.cells)
 
 
+@lru_cache(maxsize=None)
 def make_cover(inner: Partition, outer: Partition, k: int) -> Cover:
     if not (is_k_shape(inner, k) and is_k_shape(outer, k)):
         raise ValueError(f"{inner} -> {outer} does not join {k}-shapes")
@@ -291,24 +292,26 @@ def cocharge_kshape(t: KShapeTableau) -> int:
 
 
 def letter_charges(t: KShapeTableau) -> tuple[int, ...]:
+    ups = [t.up(n)[0] for n in range(1, t.letters + 1)]  # each letter read once
     out = [0]
     ch = 0
     for n in range(2, t.letters + 1):
         shape = t.chain[n - 1]
-        r = t.up(n - 1)[0] + 1
-        rp = t.up(n)[0]
+        r = ups[n - 2] + 1
+        rp = ups[n - 1]
         ch = ch + (interval_co(shape, t.k, r, rp) if r >= rp else -interval_oc(shape, t.k, rp, r))
         out.append(ch)
     return tuple(out)
 
 
 def letter_cocharges(t: KShapeTableau) -> tuple[int, ...]:
+    downs = [t.down(n)[0] for n in range(1, t.letters + 1)]  # each letter read once
     out = [0]
     co = 0
     for n in range(2, t.letters + 1):
         shape = t.chain[n - 1]
-        r = t.down(n - 1)[0] + 1
-        rp = t.down(n)[0]
+        r = downs[n - 2] + 1
+        rp = downs[n - 1]
         co = co + (-interval_oo(shape, t.k, r, rp) if r > rp else interval_cc(shape, t.k, rp, r))
         out.append(co)
     return tuple(out)

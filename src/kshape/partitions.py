@@ -79,13 +79,20 @@ def cell_in(lam: Partition, cell: Cell) -> bool:
     return 1 <= i <= len(lam) and 1 <= j <= lam[i - 1]
 
 
+@lru_cache(maxsize=None)
+def _row_cells(i: int, width: int) -> tuple[Cell, ...]:
+    """Cells (i, 1) .. (i, width); shared so that the strings held by the
+    cover and move memo tables reuse one tuple per cell."""
+    return tuple((i, j) for j in range(1, width + 1))
+
+
 def skew_cells(outer: Partition, inner: Partition) -> tuple[Cell, ...]:
     if not contains(outer, inner):
         raise ValueError(f"{inner} is not contained in {outer}")
     out = []
     for i, part in enumerate(outer, start=1):
         lo = inner[i - 1] if i <= len(inner) else 0
-        out.extend((i, j) for j in range(lo + 1, part + 1))
+        out.extend(_row_cells(i, part)[lo:])
     return tuple(out)
 
 
@@ -111,6 +118,7 @@ def hook_length(lam: Partition, cell: Cell) -> int:
     return arm(lam, cell) + leg(lam, cell) + 1
 
 
+@lru_cache(maxsize=None)
 def is_p_core(lam: Partition, p: int) -> bool:
     """True iff no cell of lam has hook length exactly p."""
     if p < 2:
@@ -233,31 +241,6 @@ def union_shape(a: Partition, b: Partition) -> Partition:
     return partition(
         max(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)
     )
-
-
-def partition_sum(a: Partition, b: Partition) -> Partition:
-    n = max(len(a), len(b))
-    return partition(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def partition_union(a: Partition, b: Partition) -> Partition:
-    """Reorder the concatenation of the parts."""
-    return partition(sorted(a + b, reverse=True))
-
-
-def dominates(a: Partition, b: Partition) -> bool:
-    """Dominance order: equal degree and prefix sums of a weakly above b's."""
-    if sum(a) != sum(b):
-        return False
-    sa = sb = 0
-    for i in range(max(len(a), len(b))):
-        sa += a[i] if i < len(a) else 0
-        sb += b[i] if i < len(b) else 0
-        if sa < sb:
-            return False
-    return True
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -39,7 +39,7 @@ COVER = "cover"
 COCOVER = "cocover"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringOfCells:
     """A contiguity chain of cells between two shapes, with its type."""
 
@@ -60,6 +60,7 @@ class StringOfCells:
         return self.cells[-1]
 
 
+@lru_cache(maxsize=None)
 def is_k_shape(lam: Partition, k: int) -> bool:
     """True iff both k-boundary profiles of lam are partitions."""
     if k < 2:
@@ -171,7 +172,7 @@ def _string_signature(s: StringOfCells, k: int):
     return bullets, circles, row_segs, col_segs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """A rank-r stack of translated strings joining two k-shapes."""
 
@@ -308,6 +309,7 @@ def enumerate_moves(lam: Partition, k: int) -> tuple[Move, ...]:
     return tuple(sorted(rows + cols, key=Move.sort_key))
 
 
+@lru_cache(maxsize=None)
 def _parse_row_move(source: Partition, cells: frozenset[Cell], k: int) -> Move:
     """Reconstruct a row move from its cell set, validating every condition."""
     n = len(cells)

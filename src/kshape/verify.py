@@ -106,7 +106,8 @@ def k_cores_of_boundary(k: int, size: int) -> tuple[Partition, ...]:
 
 
 def k1_cores_of_boundary(k: int, size: int) -> tuple[Partition, ...]:
-    return tuple(v for v in kshapes_of_size(k, size) if is_p_core(v, k + 1))
+    """The (k+1)-cores of k-boundary ``size``: the shapes of standard k-tableaux."""
+    return standard_shapes(k, size)
 
 
 # ---------------------------------------------------------------------------

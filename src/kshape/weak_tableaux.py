@@ -53,6 +53,7 @@ def _is_vertical_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def is_weak_strip(inner: Partition, outer: Partition, k: int) -> bool:
     """True iff outer/inner is a valid single-letter step between cores."""
     if not contains(outer, inner):
@@ -137,10 +138,18 @@ def chain_of_filling(rows: Sequence[Sequence[int]]) -> tuple[Partition, ...]:
         if any(r[i] > r[i + 1] for i in range(len(r) - 1)):
             raise ValueError(f"row {r} is not weakly increasing")
     n = max((max(r) for r in rows), default=0)
-    return ((),) + tuple(
-        partition(sum(1 for x in r if x <= letter) for r in rows)
-        for letter in range(1, n + 1)
-    )
+    chain: list[Partition] = [()]
+    for letter in range(1, n + 1):
+        lengths = tuple(sum(1 for x in r if x <= letter) for r in rows)
+        try:
+            chain.append(partition(lengths))
+        except ValueError:
+            grid = " / ".join(" ".join(str(x) for x in r) for r in rows)
+            raise ValueError(
+                f"letter {letter}: the cells of letters 1..{letter} in {grid!r}"
+                f" do not form a partition (row lengths {lengths}, bottom row first)"
+            ) from None
+    return tuple(chain)
 
 
 def weak_tableau_from_filling(k: int, rows: Sequence[Sequence[int]]) -> WeakTableau:

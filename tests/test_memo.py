@@ -1,0 +1,146 @@
+"""The memo tables are transparent: a cached predicate returns what its
+uncached body returns, never stores an exception, and hands out values
+that are immutable and survive pickling."""
+import pickle
+
+import pytest
+
+from kshape.errors import IntegrityError
+from kshape.kshape_tableaux import Cover, enumerate_covers, make_cover
+from kshape.partitions import _row_cells, conjugate, is_p_core, partitions_of
+from kshape.poset import (
+    ROW,
+    Move,
+    StringOfCells,
+    _conjugate_cells,
+    _parse_row_move,
+    enumerate_moves,
+    is_k_shape,
+    kshapes_of_size,
+    move_from_cells,
+)
+from kshape.weak_tableaux import is_weak_strip, standard_shapes, standard_successors
+
+KS = (2, 3, 4)
+SIZES = range(0, 7)
+
+
+def _kshapes():
+    return [(k, lam) for k in KS for s in SIZES for lam in kshapes_of_size(k, s)]
+
+
+def _covers():
+    return [(k, c) for k, lam in _kshapes() for c in enumerate_covers(lam, k)]
+
+
+def _moves():
+    return [(k, m) for k, lam in _kshapes() for m in enumerate_moves(lam, k)]
+
+
+def _same_move(a: Move, b: Move) -> bool:
+    fields = lambda m: (m.orientation, m.rank, m.length, m.strings, m.source, m.target)
+    return fields(a) == fields(b)
+
+
+def test_is_k_shape_matches_uncached():
+    for k in KS:
+        for n in range(0, 9):
+            for lam in partitions_of(n):
+                assert is_k_shape(lam, k) == is_k_shape.__wrapped__(lam, k)
+
+
+def test_is_p_core_matches_uncached():
+    for k, lam in _kshapes():
+        for p in (k, k + 1):
+            assert is_p_core(lam, p) == is_p_core.__wrapped__(lam, p)
+
+
+def test_make_cover_matches_uncached():
+    covers = _covers()
+    assert covers
+    for k, c in covers:
+        assert make_cover(c.inner, c.outer, k) == make_cover.__wrapped__(c.inner, c.outer, k) == c
+
+
+def test_parse_row_move_matches_uncached():
+    moves = _moves()
+    assert any(m.orientation == ROW for _, m in moves)
+    assert any(m.orientation != ROW for _, m in moves)
+    for k, m in moves:
+        if m.orientation == ROW:
+            source, cells = m.source, m.cells
+        else:
+            source, cells = conjugate(m.source), frozenset(_conjugate_cells(m.cells))
+        assert _same_move(_parse_row_move(source, cells, k), _parse_row_move.__wrapped__(source, cells, k))
+        assert _same_move(move_from_cells(m.source, m.cells, m.orientation, k), m)
+
+
+def test_is_weak_strip_matches_uncached():
+    pairs = [(c.inner, c.outer, k) for k, c in _covers()]
+    pairs += [
+        (nu, xi, k)
+        for k in KS
+        for n in range(0, 6)
+        for nu in standard_shapes(k, n)
+        for xi in standard_successors(nu, k)
+    ]
+    assert any(is_weak_strip(*p) for p in pairs) and not all(is_weak_strip(*p) for p in pairs)
+    for inner, outer, k in pairs:
+        assert is_weak_strip(inner, outer, k) == is_weak_strip.__wrapped__(inner, outer, k)
+
+
+def test_row_cells_matches_uncached():
+    for i in range(1, 8):
+        for width in range(0, 8):
+            assert _row_cells(i, width) == _row_cells.__wrapped__(i, width)
+
+
+BAD_CALLS = [
+    (is_p_core, ((2, 1), 1), ValueError),
+    (is_k_shape, ((1,), 1), ValueError),
+    (make_cover, ((), (2,), 3), ValueError),  # two cells in one row
+    (make_cover, ((), (3, 1), 2), ValueError),  # (3,1) is not a 2-shape
+    (_parse_row_move, ((2, 1), frozenset({(1, 3), (3, 1)}), 2), IntegrityError),
+    (is_weak_strip, ((), (1,), 0), ValueError),
+]
+
+
+@pytest.mark.parametrize("fn,args,exc", BAD_CALLS)
+def test_invalid_input_raises_every_time(fn, args, exc):
+    size = fn.cache_info().currsize
+    with pytest.raises(exc) as first:
+        fn(*args)
+    with pytest.raises(exc) as second:
+        fn(*args)
+    assert type(first.value) is type(second.value)
+    assert str(first.value) == str(second.value)
+    assert fn.cache_info().currsize == size
+
+
+def _values():
+    cover = make_cover((1,), (1, 1), 2)
+    move = next(m for _, m in _moves() if m.rank > 1 or m.length > 1)
+    return [cover, cover.string, move, move.strings[0]]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_cached_values_pickle(index):
+    value = _values()[index]
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value)
+    assert back == value
+    if isinstance(value, Move):
+        assert _same_move(back, value)
+
+
+@pytest.mark.parametrize("cls,field", [(Cover, "inner"), (Move, "source"), (StringOfCells, "cells")])
+def test_cached_value_types_are_frozen_and_slotted(cls, field):
+    value = next(v for v in _values() if type(v) is cls)
+    assert not hasattr(value, "__dict__")
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, ())
+    # a new name: frozen dataclasses with slots raise TypeError (Python 3.10-3.12)
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = 1
+    assert getattr(value, field) == before

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kshape.partitions import (
+    Partition,
     addable_corners,
     boundary_size,
     cells,
@@ -10,7 +11,6 @@ from kshape.partitions import (
     conjugate,
     corners,
     diag_count,
-    dominates,
     format_partition,
     hook_length,
     is_p_core,
@@ -18,13 +18,38 @@ from kshape.partitions import (
     k_interior,
     parse_partition,
     partition,
-    partition_sum,
-    partition_union,
     removable_corners,
     residue,
     row_shape,
     union_shape,
 )
+
+
+# Helpers used only by these tests; nothing in the library needs them.
+def partition_sum(a: Partition, b: Partition) -> Partition:
+    n = max(len(a), len(b))
+    return partition(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def partition_union(a: Partition, b: Partition) -> Partition:
+    """Reorder the concatenation of the parts."""
+    return partition(sorted(a + b, reverse=True))
+
+
+def dominates(a: Partition, b: Partition) -> bool:
+    """Dominance order: equal degree and prefix sums of a weakly above b's."""
+    if sum(a) != sum(b):
+        return False
+    sa = sb = 0
+    for i in range(max(len(a), len(b))):
+        sa += a[i] if i < len(a) else 0
+        sb += b[i] if i < len(b) else 0
+        if sa < sb:
+            return False
+    return True
+
 
 partitions_st = st.lists(st.integers(1, 8), max_size=7).map(
     lambda xs: tuple(sorted(xs, reverse=True))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kshape.kshape_tableaux import (
     cover_status,
@@ -21,9 +23,10 @@ from kshape.pushout import (
 )
 from kshape.classical import (
     classical_charge,
+    classical_cocharge,
     standard_young_tableaux,
 )
-from kshape.partitions import partitions_of
+from kshape.partitions import partition, partitions_of, removable_corners
 from kshape.weak_tableaux import (
     charge_standard,
     cocharge_standard,
@@ -286,6 +289,29 @@ def test_full_descent_small():
                     x == tuple(range(i, 0, -1))
                     for i, x in enumerate(final)
                 )
+
+
+@st.composite
+def standard_young_tableaux_of_size(draw, lo: int, hi: int):
+    """A standard Young tableau as its chain: a shape of size lo..hi, then
+    one removable corner after another down to the empty shape."""
+    shape = draw(st.sampled_from([lam for n in range(lo, hi + 1) for lam in partitions_of(n)]))
+    chain = [shape]
+    while chain[-1]:
+        i, _ = draw(st.sampled_from(removable_corners(chain[-1])))
+        rows = list(chain[-1])
+        rows[i - 1] -= 1
+        chain.append(partition(rows))
+    return tuple(reversed(chain))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(standard_young_tableaux_of_size(9, 12))
+def test_full_descent_matches_classical_past_exhaustive_range(ch):
+    rec = full_descent(ch)
+    assert rec.total_charge == classical_charge(ch)
+    assert rec.total_cocharge == classical_cocharge(ch)
+    assert len(rec.levels) == len(ch) - 2
 
 
 def test_descent_record_serialization():

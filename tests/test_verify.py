@@ -1,6 +1,8 @@
 import pytest
 
-from kshape.verify import CHECKS, run_check
+from kshape.partitions import is_p_core
+from kshape.poset import kshapes_of_size
+from kshape.verify import CHECKS, k1_cores_of_boundary, run_check
 
 GATING = {
     "kshape-fixture",
@@ -75,3 +77,11 @@ def test_given_parameters_override_defaults():
     assert run_check("paths-fixture").params == {}
     conjecture = run_check("sigma-bijection-commutation", n_max=2, k_max=2)
     assert conjecture.conjecture and conjecture.instances > 0
+
+
+def test_k1_cores_match_closure_filter():
+    # oracle: the whole k-shape closure, filtered down to the (k+1)-cores
+    for k in range(2, 5):
+        for n in range(0, 9):
+            closure = tuple(v for v in kshapes_of_size(k, n) if is_p_core(v, k + 1))
+            assert k1_cores_of_boundary(k, n) == closure

@@ -213,6 +213,17 @@ def test_filling_rejects_bad_grid(rows):
         weak_tableau_from_filling(3, rows)
 
 
+def test_bad_grid_message_names_letter_and_grid():
+    with pytest.raises(ValueError) as err:
+        parse_tableau_text(3, "2 / 1")
+    assert str(err.value) == (
+        "letter 1: the cells of letters 1..1 in '2 / 1' do not form a partition"
+        " (row lengths (0, 1), bottom row first)"
+    )
+    with pytest.raises(ValueError, match=r"^letter 2: .*'1 / 1 2'"):
+        chain_of_filling([[1], [1, 2]])
+
+
 def test_chain_of_filling_matches_classical_oracle():
     assert split_tableau_text(" 1 1 2 /  2 / ") == [[1, 1, 2], [2]]
     assert chain_of_filling([]) == ((),)
