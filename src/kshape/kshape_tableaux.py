@@ -22,10 +22,10 @@ from .partitions import (
     is_p_core,
     k_interior,
     removable_corners,
-    skew_cells,
 )
 from .poset import COVER, StringOfCells, classify_string, corner_chains, is_k_shape
-from .weak_tableaux import chain_of_filling
+from .poset import next_corner
+from .weak_tableaux import ChainTableau, chain_of_filling
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,13 +63,6 @@ class CoverStatus(NamedTuple):
     reverse_maximal: bool
 
 
-def _corner_at_diags(corners, diags) -> Cell | None:
-    for c in corners:
-        if diag(c) in diags:
-            return c
-    return None
-
-
 def cover_status(c: Cover, k: int) -> CoverStatus:
     """Continuation flags of a cover.
 
@@ -80,10 +73,10 @@ def cover_status(c: Cover, k: int) -> CoverStatus:
     bot, top = c.string.bottom, c.string.top
     add = addable_corners(c.inner)
     rem = removable_corners(c.outer)
-    below = _corner_at_diags(add, {diag(bot) + k, diag(bot) + k + 1})
-    above = _corner_at_diags(add, {diag(top) - k, diag(top) - k - 1})
-    rbelow = _corner_at_diags(rem, {diag(bot) + k, diag(bot) + k + 1})
-    rabove = _corner_at_diags(rem, {diag(top) - k, diag(top) - k - 1})
+    below = next_corner(add, bot, k)
+    above = next_corner(add, top, k, down=False)
+    rbelow = next_corner(rem, bot, k)
+    rabove = next_corner(rem, top, k, down=False)
     return CoverStatus(
         continues_below=below is not None,
         continues_above=above is not None,
@@ -111,40 +104,8 @@ def enumerate_covers(lam: Partition, k: int) -> tuple[Cover, ...]:
 
 
 @dataclass(frozen=True)
-class KShapeTableau:
-    k: int
-    chain: tuple[Partition, ...]
-
-    @property
-    def shape(self) -> Partition:
-        return self.chain[-1]
-
-    @property
-    def letters(self) -> int:
-        return len(self.chain) - 1
-
-    def cover(self, n: int) -> Cover:
-        return make_cover(self.chain[n - 1], self.chain[n], self.k)
-
-    def cells_of_letter(self, n: int) -> tuple[Cell, ...]:
-        return skew_cells(self.chain[n], self.chain[n - 1])
-
-    def up(self, n: int) -> Cell:
-        return max(self.cells_of_letter(n), key=lambda c: c[0])
-
-    def down(self, n: int) -> Cell:
-        return min(self.cells_of_letter(n), key=lambda c: c[0])
-
-    def filling(self) -> tuple[tuple[int, ...], ...]:
-        shape = self.shape
-        grid = [[0] * shape[i] for i in range(len(shape))]
-        for n in range(1, self.letters + 1):
-            for (i, j) in self.cells_of_letter(n):
-                grid[i - 1][j - 1] = n
-        return tuple(tuple(r) for r in grid)
-
-    def text(self) -> str:
-        return " / ".join(" ".join(str(x) for x in row) for row in self.filling())
+class KShapeTableau(ChainTableau):
+    """A chain of covers between k-shapes, one letter per cover."""
 
 
 def make_kshape_tableau(k: int, chain: Sequence[Partition]) -> KShapeTableau:

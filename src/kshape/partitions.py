@@ -28,12 +28,12 @@ class SkewShape(NamedTuple):
 
 def partition(parts: Iterable[int]) -> Partition:
     """Canonicalize a weakly decreasing sequence into a partition tuple."""
-    p = tuple(int(x) for x in parts)
+    p = tuple(map(int, parts))
     while p and p[-1] == 0:
         p = p[:-1]
-    if any(x <= 0 for x in p):
+    if p and min(p) <= 0:
         raise ValueError(f"partition parts must be positive: {p!r}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if any(a < b for a, b in zip(p, p[1:])):
         raise ValueError(f"parts must be weakly decreasing: {p!r}")
     return p
 
@@ -221,17 +221,12 @@ def corners(lam: Partition) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
 def add_cells(lam: Partition, new: Iterable[Cell]) -> Partition:
     """Add a set of cells to lam; the result must be a partition shape."""
     rows = list(lam)
-    by_row: dict[int, list[int]] = {}
-    for i, j in new:
-        by_row.setdefault(i, []).append(j)
-    for i, js in by_row.items():
+    for i, j in sorted(new):
         while len(rows) < i:
             rows.append(0)
-        js.sort()
-        for j in js:
-            if j != rows[i - 1] + 1:
-                raise ValueError(f"cell ({i},{j}) does not extend row of length {rows[i - 1]}")
-            rows[i - 1] = j
+        if j != rows[i - 1] + 1:
+            raise ValueError(f"cell ({i},{j}) does not extend row of length {rows[i - 1]}")
+        rows[i - 1] = j
     return partition(rows)
 
 

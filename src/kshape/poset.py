@@ -116,24 +116,37 @@ def classify_string(inner: Partition, outer: Partition, k: int) -> StringOfCells
     return StringOfCells(cells=tuple(ordered), inner=inner, outer=outer, kind=kinds[0])
 
 
-def corner_chains(lam: Partition, k: int) -> Iterator[tuple[Cell, ...]]:
-    """All strings over lam, as chains of addable corners, top to bottom.
+def next_corner(corners, cell: Cell, k: int, down: bool = True) -> Cell | None:
+    """The corner contiguous to ``cell`` below it (or above it), if any.
 
-    From a corner, the next cell below is the unique addable corner at
-    diagonal distance k or k+1, if any (corners sit at least two
-    diagonals apart, so at most one of the two candidates exists).
+    Contiguous means at diagonal distance k or k+1.  ``corners`` are the
+    addable or the removable corners of one partition; these sit at least
+    two diagonals apart, so at most one of them qualifies.
     """
+    lo = cell[1] - cell[0] + k if down else cell[1] - cell[0] - k - 1
+    for c in corners:
+        d = c[1] - c[0]
+        if d == lo or d == lo + 1:
+            return c
+    return None
+
+
+def corner_run(corners, cell: Cell, k: int, down: bool = True) -> tuple[Cell, ...]:
+    """The corners reached from ``cell`` by repeated ``next_corner`` steps,
+    nearest first, excluding ``cell`` itself."""
+    run = []
+    while (cell := next_corner(corners, cell, k, down)) is not None:
+        run.append(cell)
+    return tuple(run)
+
+
+def corner_chains(lam: Partition, k: int) -> Iterator[tuple[Cell, ...]]:
+    """All strings over lam, as chains of addable corners, top to bottom."""
     corners = addable_corners(lam)
-    by_diag = {diag(c): c for c in corners}
     for start in corners:
-        chain = [start]
-        while True:
-            yield tuple(chain)
-            d = diag(chain[-1])
-            nxt = by_diag.get(d + k) or by_diag.get(d + k + 1)
-            if nxt is None:
-                break
-            chain.append(nxt)
+        chain = (start,) + corner_run(corners, start, k)
+        for end in range(1, len(chain) + 1):
+            yield chain[:end]
 
 
 def _string_signature(s: StringOfCells, k: int):
@@ -214,7 +227,7 @@ def _conjugate_cells(cs) -> tuple[Cell, ...]:
     return tuple((j, i) for i, j in cs)
 
 
-def _conjugate_string(s: StringOfCells, k: int) -> StringOfCells:
+def _conjugate_string(s: StringOfCells) -> StringOfCells:
     flipped = {ROW: COLUMN, COLUMN: ROW, COVER: COVER, COCOVER: COCOVER}[s.kind]
     return StringOfCells(
         cells=tuple(sorted(_conjugate_cells(s.cells), key=lambda c: -c[0])),
@@ -224,12 +237,12 @@ def _conjugate_string(s: StringOfCells, k: int) -> StringOfCells:
     )
 
 
-def _conjugate_move(m: Move, k: int) -> Move:
+def _conjugate_move(m: Move) -> Move:
     return Move(
         orientation=COLUMN if m.orientation == ROW else ROW,
         rank=m.rank,
         length=m.length,
-        strings=tuple(_conjugate_string(s, k) for s in m.strings),
+        strings=tuple(_conjugate_string(s) for s in m.strings),
         source=conjugate(m.source),
         target=conjugate(m.target),
     )
@@ -257,17 +270,13 @@ def _grow_row_move(
         if r > 1:
             prev_top = strings[-1].top
             col = prev_top[1] + 1
-            tops = [c for c in addable_corners(current) if c[1] == col]
+            corners = addable_corners(current)
+            tops = [c for c in corners if c[1] == col]
             if not tops:
                 return
-            chain = [tops[0]]
-            by_diag = {diag(c): c for c in addable_corners(current)}
-            while len(chain) < ell:
-                d = diag(chain[-1])
-                nxt = by_diag.get(d + k) or by_diag.get(d + k + 1)
-                if nxt is None:
-                    return
-                chain.append(nxt)
+            chain = (tops[0],) + corner_run(corners, tops[0], k)[: ell - 1]
+            if len(chain) < ell:
+                return
             nxt_outer = add_cells(current, chain)
             s = classify_string(current, nxt_outer, k)
             if s is None or s.kind != ROW or _string_signature(s, k) != sig:
@@ -304,7 +313,7 @@ def enumerate_moves(lam: Partition, k: int) -> tuple[Move, ...]:
     """All row and column moves with source lam, duplicate-free."""
     rows = enumerate_row_moves(lam, k)
     cols = tuple(
-        _conjugate_move(m, k) for m in enumerate_row_moves(conjugate(lam), k)
+        _conjugate_move(m) for m in enumerate_row_moves(conjugate(lam), k)
     )
     return tuple(sorted(rows + cols, key=Move.sort_key))
 
@@ -315,23 +324,16 @@ def _parse_row_move(source: Partition, cells: frozenset[Cell], k: int) -> Move:
     n = len(cells)
     # the leftmost cell is always the top of the first string
     start = min(cells, key=lambda c: (c[1], c[0]))
-    for ell in range(n, 0, -1):
+    chain = [start]
+    for c in corner_run(addable_corners(source), start, k):
+        if c not in cells:
+            break
+        chain.append(c)
+    # the first string is the prefix of length ell, for ell dividing n
+    for ell in range(min(n, len(chain)), 0, -1):
         if n % ell:
             continue
-        chain = [start]
-        cur = source
-        ok = True
-        by_diag = {diag(c): c for c in addable_corners(cur)}
-        while len(chain) < ell:
-            d = diag(chain[-1])
-            nxt = by_diag.get(d + k) or by_diag.get(d + k + 1)
-            if nxt is None or nxt not in cells:
-                ok = False
-                break
-            chain.append(nxt)
-        if not ok:
-            continue
-        for m in _grow_row_move(source, tuple(chain), k):
+        for m in _grow_row_move(source, tuple(chain[:ell]), k):
             if m.cells == cells:
                 return m
     raise IntegrityError(f"cells {sorted(cells)} do not form a row move over {source}")
@@ -342,7 +344,7 @@ def move_from_cells(source: Partition, cells, orientation: str, k: int) -> Move:
     if orientation == ROW:
         return _parse_row_move(source, cs, k)
     m = _parse_row_move(conjugate(source), frozenset(_conjugate_cells(cs)), k)
-    return _conjugate_move(m, k)
+    return _conjugate_move(m)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from .partitions import (
     Partition,
     add_cells,
     addable_corners,
-    diag,
     format_partition,
     union_shape,
 )
@@ -30,6 +29,7 @@ from .poset import (
     Move,
     Path,
     PathClass,
+    corner_run,
     is_k_shape,
     move_from_cells,
     path_classes,
@@ -54,42 +54,12 @@ class PushoutSquare:
     move_out: Move | None
 
 
-def _chain_below(inner: Partition, start_diags, k: int) -> tuple[Cell, ...]:
-    """Longest run of contiguous addable corners going down from a start."""
-    by_diag = {diag(c): c for c in addable_corners(inner)}
-    start = next((by_diag[d] for d in start_diags if d in by_diag), None)
-    if start is None:
-        return ()
-    chain = [start]
-    while True:
-        d = diag(chain[-1])
-        nxt = by_diag.get(d + k) or by_diag.get(d + k + 1)
-        if nxt is None:
-            return tuple(chain)
-        chain.append(nxt)
-
-
-def _chain_above(inner: Partition, start_diags, k: int) -> tuple[Cell, ...]:
-    by_diag = {diag(c): c for c in addable_corners(inner)}
-    start = next((by_diag[d] for d in start_diags if d in by_diag), None)
-    if start is None:
-        return ()
-    chain = [start]
-    while True:
-        d = diag(chain[-1])
-        nxt = by_diag.get(d - k) or by_diag.get(d - k - 1)
-        if nxt is None:
-            return tuple(reversed(chain))  # cells listed top to bottom
-        chain.append(nxt)
-
-
 def maximize_below(c: Cover, k: int) -> tuple[Cover, Move]:
     """Extend a cover by the longest corner run below its bottom cell.
 
     The added cells form a row move along the bottom of the square.
     """
-    bot = c.string.bottom
-    cells = _chain_below(c.inner, (diag(bot) + k, diag(bot) + k + 1), k)
+    cells = corner_run(addable_corners(c.inner), c.string.bottom, k)
     if not cells:
         raise ValueError("cover cannot be continued below")
     move = move_from_cells(c.outer, cells, ROW, k)
@@ -99,8 +69,7 @@ def maximize_below(c: Cover, k: int) -> tuple[Cover, Move]:
 
 def maximize_above(c: Cover, k: int) -> tuple[Cover, Move]:
     """Extend a cover by the longest corner run above its top cell."""
-    top = c.string.top
-    cells = _chain_above(c.inner, (diag(top) - k, diag(top) - k - 1), k)
+    cells = corner_run(addable_corners(c.inner), c.string.top, k, down=False)
     if not cells:
         raise ValueError("cover cannot be continued above")
     move = move_from_cells(c.outer, cells, COLUMN, k)

@@ -473,6 +473,32 @@ def _bijection_count_instance(args):
     return 1, fails
 
 
+def _injectivity_instance(args):
+    """Images (target chain, path class) of the weak bijection on the
+    standard k-tableaux of one shape must be distinct.  Every path starts
+    at that shape, so images from different items never meet."""
+    k, lam = args
+    fails = []
+    classes: dict[Partition, tuple] = {}  # path end -> its path classes
+    seen: dict[tuple, str] = {}
+    count = 0
+    for t in enumerate_standard_k_tableaux(lam, k):
+        res = weak_bijection_standard(t)
+        end = res.path.end
+        if end not in classes:
+            classes[end] = path_classes(lam, end, k)
+        cls = next((c for c in classes[end] if res.path in c.members), None)
+        if cls is None:
+            fails.append(f"path of k={k} {t.text()} is in no class")
+        else:
+            image = (res.target_chain, cls.representative)
+            if image in seen:
+                fails.append(f"k={k}: {seen[image]} and {t.text()} share an image")
+            seen.setdefault(image, t.text())
+        count += 1
+    return count, fails
+
+
 def _t1_branching_instance(args):
     k, lam, variables = args
     n = boundary_size(lam, k)
@@ -595,6 +621,15 @@ def _partitions_up_to(n_max: int) -> list:
     return [lam for n in range(1, n_max + 1) for lam in partitions_of(n)]
 
 
+def _additivity_items(n_max: int) -> list:
+    return [
+        (k, lam)
+        for n in range(1, n_max + 1)
+        for k in range(2, n + 1)
+        for lam in standard_shapes(k, n)
+    ]
+
+
 def _standard_shape_items(n_max: int, k_max: int) -> list:
     return [
         (k, lam)
@@ -619,16 +654,7 @@ CHECKS: dict[str, Check] = {
     "paths-fixture": Check(_paths_fixture_instance, _single_item),
     "charge-fixture": Check(_charge_fixture_instance, _single_item),
     "word-charge-fixture": Check(_word_charge_fixture_instance, _single_item),
-    "theorem-additivity": Check(
-        _additivity_instance,
-        lambda n_max: [
-            (k, lam)
-            for n in range(1, n_max + 1)
-            for k in range(2, n + 1)
-            for lam in standard_shapes(k, n)
-        ],
-        {"n_max": 7},
-    ),
+    "theorem-additivity": Check(_additivity_instance, _additivity_items, {"n_max": 7}),
     "descent-classical": Check(_descent_instance, _partitions_up_to, {"n_max": 6}),
     "charge-cocharge-duality": Check(
         _duality_instance,
@@ -655,6 +681,7 @@ CHECKS: dict[str, Check] = {
     "bijection-counting": Check(
         _bijection_count_instance, _standard_shape_items, {"n_max": 7, "k_max": 4}
     ),
+    "bijection-injectivity": Check(_injectivity_instance, _additivity_items, {"n_max": 7}),
     "t1-branching": Check(
         _t1_branching_instance,
         _branching_items,

@@ -17,6 +17,7 @@ from .errors import IntegrityError
 from .partitions import (
     Cell,
     Partition,
+    add_cells,
     addable_corners,
     boundary_size,
     contains,
@@ -69,10 +70,12 @@ def is_weak_strip(inner: Partition, outer: Partition, k: int) -> bool:
 
 
 @dataclass(frozen=True)
-class WeakTableau:
+class ChainTableau:
+    """A tableau as a chain of partitions from the empty one: letter n
+    fills the cells of chain[n] / chain[n-1]."""
+
     k: int
     chain: tuple[Partition, ...]  # starts at the empty partition
-    weight: tuple[int, ...]
 
     @property
     def shape(self) -> Partition:
@@ -80,13 +83,10 @@ class WeakTableau:
 
     @property
     def letters(self) -> int:
-        return len(self.weight)
+        return len(self.chain) - 1
 
     def cells_of_letter(self, n: int) -> tuple[Cell, ...]:
         return skew_cells(self.chain[n], self.chain[n - 1])
-
-    def residues_of_letter(self, n: int) -> tuple[int, ...]:
-        return tuple(sorted({residue(c, self.k) for c in self.cells_of_letter(n)}))
 
     def up(self, n: int) -> Cell:
         """Uppermost occurrence of letter n."""
@@ -95,9 +95,6 @@ class WeakTableau:
     def down(self, n: int) -> Cell:
         """Lowermost occurrence of letter n."""
         return min(self.cells_of_letter(n), key=lambda c: c[0])
-
-    def is_standard(self) -> bool:
-        return all(a == 1 for a in self.weight)
 
     def filling(self) -> tuple[tuple[int, ...], ...]:
         """Letter grid, rows bottom to top."""
@@ -110,6 +107,20 @@ class WeakTableau:
 
     def text(self) -> str:
         return " / ".join(" ".join(str(x) for x in row) for row in self.filling())
+
+
+@dataclass(frozen=True)
+class WeakTableau(ChainTableau):
+    """A chain of (k+1)-cores grown by weak strips; weight[n-1] is the
+    boundary growth of letter n."""
+
+    weight: tuple[int, ...]
+
+    def residues_of_letter(self, n: int) -> tuple[int, ...]:
+        return tuple(sorted({residue(c, self.k) for c in self.cells_of_letter(n)}))
+
+    def is_standard(self) -> bool:
+        return all(a == 1 for a in self.weight)
 
 
 def make_weak_tableau(k: int, chain: Sequence[Partition]) -> WeakTableau:
@@ -191,26 +202,10 @@ def standard_successors(nu: Partition, k: int) -> tuple[Partition, ...]:
     corners = addable_corners(nu)
     for r in range(1, len(corners) + 1):
         for subset in combinations(corners, r):
-            try:
-                cand = _add_corner_set(nu, subset)
-            except ValueError:
-                continue
+            cand = add_cells(nu, subset)
             if is_standard_step(nu, cand, k):
                 out.append(cand)
     return tuple(sorted(set(out)))
-
-
-def _add_corner_set(nu: Partition, cells: Sequence[Cell]) -> Partition:
-    rows = list(nu)
-    for (i, j) in cells:
-        while len(rows) < i:
-            rows.append(0)
-        if rows[i - 1] != j - 1:
-            raise ValueError("not a corner set")
-        rows[i - 1] = j
-    while rows and rows[-1] == 0:
-        rows.pop()
-    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -311,22 +306,29 @@ def enumerate_weak_tableaux(
 # charge and cocharge, standard case
 
 
+def _up_marker_charge(shape: Partition, k: int, ups: Sequence[Cell]) -> int:
+    """Sum of the running charges of consecutive uppermost markers.
+
+    Each step adds one plus the diagonals of the earlier marker's residue
+    between the two when the later marker is weakly below, and subtracts
+    the diagonals of the later marker's residue when it is above.
+    """
+    total = 0
+    ch = 0
+    for prev_up, cur_up in zip(ups, ups[1:]):
+        if prev_up[0] >= cur_up[0]:  # weakly above
+            ch = ch + diag_count(shape, prev_up, cur_up, residue(prev_up, k), k) + 1
+        else:
+            ch = ch - diag_count(shape, cur_up, prev_up, residue(cur_up, k), k)
+        total += ch
+    return total
+
+
 def charge_standard(t: WeakTableau) -> int:
     """Sum of the per-letter charges driven by the uppermost markers."""
     if not t.is_standard():
         raise ValueError("charge_standard requires a standard tableau")
-    total = 0
-    ch = 0
-    for n in range(2, t.letters + 1):
-        prev_up, cur_up = t.up(n - 1), t.up(n)
-        e_prev = residue(prev_up, t.k)
-        e_cur = residue(cur_up, t.k)
-        if prev_up[0] >= cur_up[0]:  # weakly above
-            ch = ch + diag_count(t.shape, prev_up, cur_up, e_prev, t.k) + 1
-        else:
-            ch = ch - diag_count(t.shape, cur_up, prev_up, e_cur, t.k)
-        total += ch
-    return total
+    return _up_marker_charge(t.shape, t.k, [t.up(n) for n in range(1, t.letters + 1)])
 
 
 def cocharge_standard(t: WeakTableau) -> int:
@@ -402,21 +404,8 @@ def extract_words(t: WeakTableau) -> tuple[tuple[tuple[int, int], ...], ...]:
 def _marked_word_charge(t: WeakTableau, word) -> int:
     """Charge of the subtableau picked out by a residue-marked word."""
     classes = _letter_classes(t)
-    ups = []
-    for letter, res in word:
-        cells = classes[letter - 1][res]
-        ups.append(max(cells, key=lambda c: c[0]))
-    total = 0
-    ch = 0
-    for n in range(1, len(word)):
-        prev_up, cur_up = ups[n - 1], ups[n]
-        e_prev, e_cur = word[n - 1][1], word[n][1]
-        if prev_up[0] >= cur_up[0]:
-            ch = ch + diag_count(t.shape, prev_up, cur_up, e_prev, t.k) + 1
-        else:
-            ch = ch - diag_count(t.shape, cur_up, prev_up, e_cur, t.k)
-        total += ch
-    return total
+    ups = [max(classes[letter - 1][res], key=lambda c: c[0]) for letter, res in word]
+    return _up_marker_charge(t.shape, t.k, ups)
 
 
 def charge_dominant_semistandard(t: WeakTableau) -> int:

@@ -90,6 +90,12 @@ def test_criterion_6_bijection_counting(capsys):
         _gate("bijection-counting", n_max=7, k_max=4)
 
 
+def test_criterion_6b_bijection_injectivity(capsys):
+    # with the counting gate, this makes the weak bijection a bijection here
+    with capsys.disabled():
+        _gate("bijection-injectivity", n_max=7)
+
+
 def test_criterion_7_t1_branching(capsys):
     with capsys.disabled():
         _gate("t1-branching", n_max=6, k_max=3, variables=4)

@@ -1,0 +1,61 @@
+"""Source hygiene checks that need no linter: unused imports, and private
+module-level functions or classes that nothing in the package uses."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "kshape"
+MODULES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _used_names(top: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported under a node."""
+    out = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import statement of the module -> its line."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                bound = a.asname or a.name.split(".")[0]
+                out[bound] = node.lineno
+    return out
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "__init__.py"])
+def test_no_unused_imports(name):
+    tree = MODULES[name]
+    body = [n for n in tree.body if not isinstance(n, (ast.Import, ast.ImportFrom))]
+    used = set()
+    for top in body:
+        used |= {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+    unused = {n: line for n, line in _imported(tree).items() if n not in used}
+    assert not unused, f"{name} imports names it never uses: {unused}"
+
+
+def test_private_definitions_are_used():
+    # names used by each top-level statement of each module
+    uses = [(node, _used_names(node)) for tree in MODULES.values() for node in tree.body]
+    unused = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            if not any(node.name in used for other, used in uses if other is not node):
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    assert not unused, f"private definitions nothing in src/ uses: {unused}"

@@ -3,13 +3,21 @@ from typing import Iterator
 import pytest
 
 from kshape.errors import IntegrityError
-from kshape.partitions import Partition, boundary_size, is_p_core
+from kshape.partitions import (
+    Partition,
+    addable_corners,
+    boundary_size,
+    diag,
+    is_p_core,
+    removable_corners,
+)
 from kshape.poset import (
     COVER,
     ROW,
     build_poset,
     classify_string,
     corner_chains,
+    corner_run,
     enumerate_moves,
     enumerate_paths,
     equivalence_classes,
@@ -18,6 +26,7 @@ from kshape.poset import (
     move_charge,
     move_cocharge,
     move_from_cells,
+    next_corner,
     path_classes,
     row_shape,
 )
@@ -265,6 +274,39 @@ def test_corner_chain_strings_have_unique_continuation():
     for lam in kshapes_of_size(3, 5):
         for chain in corner_chains(lam, 3):
             assert len(set(chain)) == len(chain)
+
+
+def _scan_next(corners, cell, k, down):
+    """Oracle for next_corner: every corner at diagonal distance k or k+1
+    on the requested side of cell."""
+    side = 1 if down else -1
+    hits = [c for c in corners if side * (diag(c) - diag(cell)) in (k, k + 1)]
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
+def test_next_corner_and_corner_run_match_diagonal_scan():
+    steps = 0
+    for k in range(2, 5):
+        for size in range(0, 7):
+            for lam in kshapes_of_size(k, size):
+                add, rem = addable_corners(lam), removable_corners(lam)
+                for corners in (add, rem):
+                    for cell in add + rem:
+                        for down in (True, False):
+                            want = _scan_next(corners, cell, k, down)
+                            assert next_corner(corners, cell, k, down) == want
+                            run = corner_run(corners, cell, k, down)
+                            assert cell not in run
+                            prev = cell
+                            for c in run:
+                                assert c == _scan_next(corners, prev, k, down)
+                                # rows strictly fall going down, rise going up
+                                assert (c[0] < prev[0]) == down
+                                prev = c
+                            assert _scan_next(corners, prev, k, down) is None
+                            steps += len(run)
+    assert steps > 0
 
 
 def test_path_text_form():

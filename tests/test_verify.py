@@ -2,6 +2,7 @@ import pytest
 
 from kshape.partitions import is_p_core
 from kshape.poset import kshapes_of_size
+from kshape import verify
 from kshape.verify import CHECKS, k1_cores_of_boundary, run_check
 
 GATING = {
@@ -17,6 +18,7 @@ GATING = {
     "cover-characterization",
     "classical-agreement",
     "bijection-counting",
+    "bijection-injectivity",
     "t1-branching",
 }
 
@@ -36,6 +38,7 @@ DEFAULTS = {
     "cover-characterization": {"n_max": 6, "k_max": 3},
     "classical-agreement": {"size_max": 6},
     "bijection-counting": {"n_max": 7, "k_max": 4},
+    "bijection-injectivity": {"n_max": 7},
     "t1-branching": {"n_max": 6, "k_max": 3, "variables": 4},
     "sigma-involution": {"n_max": 5, "k_max": 3},
     "generic-t-branching": {"n_max": 5, "k_max": 3, "variables": 3},
@@ -85,3 +88,19 @@ def test_k1_cores_match_closure_filter():
         for n in range(0, 9):
             closure = tuple(v for v in kshapes_of_size(k, n) if is_p_core(v, k + 1))
             assert k1_cores_of_boundary(k, n) == closure
+
+
+def test_injectivity_gate_fails_when_images_collide(monkeypatch):
+    monkeypatch.setenv("KSHAPE_WORKERS", "1")
+    assert run_check("bijection-injectivity", n_max=4).passed
+    real = verify.weak_bijection_standard
+    first: dict = {}
+
+    def constant(t):
+        # the image of the first tableau seen of each shape, for all of them
+        return first.setdefault((t.k, t.shape), real(t))
+
+    monkeypatch.setattr(verify, "weak_bijection_standard", constant)
+    report = run_check("bijection-injectivity", n_max=4)
+    assert not report.passed and report.instances > 0
+    assert any("share an image" in f for f in report.failures)

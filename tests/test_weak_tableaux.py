@@ -8,6 +8,7 @@ from kshape.classical import (
     semistandard_tableaux,
     standard_young_tableaux,
 )
+from kshape.kshape_tableaux import make_kshape_tableau
 from kshape.partitions import partitions_of
 from kshape.weak_tableaux import (
     chain_of_filling,
@@ -231,3 +232,31 @@ def test_chain_of_filling_matches_classical_oracle():
         for ch in semistandard_tableaux(lam, wt):
             rows = make_weak_tableau(max(sum(lam), 1), ch).filling()
             assert chain_of_filling(rows) == chain_from_grid(rows) == ch
+
+
+def test_letters_match_weight_and_chain():
+    # letters is read off the chain, the weight holds one entry per letter
+    seen = 0
+    for k in range(2, 5):
+        for n in range(0, 6):
+            for lam in standard_shapes(k, n):
+                made = list(enumerate_standard_k_tableaux(lam, k))
+                made += enumerate_weak_tableaux(lam, k, n)
+                made += [make_weak_tableau(k, t.chain) for t in made]
+                for t in made:
+                    assert t.letters == len(t.weight) == len(t.chain) - 1
+                    seen += 1
+    assert seen > 0
+
+
+def test_weak_and_kshape_views_of_a_standard_chain_agree():
+    for k in range(2, 5):
+        for n in range(1, 7):
+            for lam in standard_shapes(k, n):
+                for w in enumerate_standard_k_tableaux(lam, k):
+                    s = make_kshape_tableau(k, w.chain)
+                    assert s.filling() == w.filling()
+                    assert s.text() == w.text()
+                    assert chain_from_grid(w.filling()) == w.chain
+                    for m in range(1, n + 1):
+                        assert s.up(m) == w.up(m) and s.down(m) == w.down(m)
