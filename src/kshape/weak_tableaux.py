@@ -5,19 +5,32 @@ A weak tableau of weight (a_1,...,a_N) is a chain of (k+1)-cores whose
 row profile grows by horizontal strips and column profile by vertical
 strips, the i-th of size a_i.  Standard means every step adds a strip
 that is both horizontal and vertical and grows the boundary by one.
+
+Steps are generated by the affine symmetric group acting on (k+1)-cores
+(Lam, *Affine Stanley symmetric functions*, 2006; Lam-Lapointe-Morse-
+Shimozono, *Affine insertion and Pieri rules for the affine
+Grassmannian*).  The cell (i, j) has residue (j - i) mod (k+1), and s_r
+adds every addable cell of residue r; on a core it never has both
+addable and removable cells of one residue.  A standard step is one s_r
+that adds cells, so a core has one standard successor per residue among
+its addable corners, and one predecessor per residue among its
+removable corners.  A weak strip of size m is s_A for a set A of m
+residues, A not all of them, applied once each in cyclically
+decreasing word order: first the residue just above one left out of A,
+then upward cyclically, each step adding cells.  Residue blocks split
+by a left-out residue commute, so any left-out residue may start; the
+code starts above the largest.  The empty set is the strip of size 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Sequence
 
 from .errors import IntegrityError
 from .partitions import (
     Cell,
     Partition,
-    add_cells,
     addable_corners,
     boundary_size,
     contains,
@@ -185,7 +198,7 @@ def is_standard_step(inner: Partition, outer: Partition, k: int) -> bool:
     """Vertical-and-horizontal strip between cores growing the boundary by 1."""
     if not contains(outer, inner) or inner == outer:
         return False
-    if not is_p_core(outer, k + 1):
+    if not (is_p_core(inner, k + 1) and is_p_core(outer, k + 1)):
         return False
     if boundary_size(outer, k) != boundary_size(inner, k) + 1:
         return False
@@ -195,39 +208,64 @@ def is_standard_step(inner: Partition, outer: Partition, k: int) -> bool:
     return len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
 
 
+def _require_core(nu: Partition, k: int) -> None:
+    if not is_p_core(nu, k + 1):
+        raise ValueError(f"{nu} is not a {k + 1}-core")
+
+
+def _add_residue(nu: Partition, r: int, k: int) -> Partition | None:
+    """s_r on a (k+1)-core: nu with every addable cell of residue r added,
+    or None when nu has no such cell."""
+    rows = list(nu)
+    for i, j in addable_corners(nu):
+        if residue((i, j), k) == r:
+            if i > len(rows):
+                rows.append(j)
+            else:
+                rows[i - 1] = j
+    xi = tuple(rows)
+    return xi if xi != nu else None
+
+
+def _residues_of(cells: Sequence[Cell], k: int) -> list[int]:
+    return sorted({residue(c, k) for c in cells})
+
+
 @lru_cache(maxsize=None)
 def standard_successors(nu: Partition, k: int) -> tuple[Partition, ...]:
-    """Cores one standard step above nu (new cells are addable corners)."""
-    out = []
-    corners = addable_corners(nu)
-    for r in range(1, len(corners) + 1):
-        for subset in combinations(corners, r):
-            cand = add_cells(nu, subset)
-            if is_standard_step(nu, cand, k):
-                out.append(cand)
-    return tuple(sorted(set(out)))
+    """Cores one standard step above the (k+1)-core nu: one s_r for each
+    residue r among its addable corners."""
+    _require_core(nu, k)
+    out = sorted(_add_residue(nu, r, k) for r in _residues_of(addable_corners(nu), k))
+    for xi in out:
+        if not is_standard_step(nu, xi, k):
+            raise IntegrityError(f"s_r step {xi}/{nu} is not standard at k={k}")
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def standard_predecessors(nu: Partition, k: int) -> tuple[Partition, ...]:
-    """Cores one standard step below nu (removed cells are corners)."""
+    """Cores one standard step below the (k+1)-core nu: for each residue r
+    among its removable corners, nu with all of them removed."""
+    _require_core(nu, k)
     out = []
     corners = removable_corners(nu)
-    for r in range(1, len(corners) + 1):
-        for subset in combinations(corners, r):
-            rows = list(nu)
-            for (i, j) in subset:
+    for r in _residues_of(corners, k):
+        rows = list(nu)
+        for i, j in corners:
+            if residue((i, j), k) == r:
                 rows[i - 1] = j - 1
-            cand = tuple(x for x in rows if x)
-            if is_standard_step(cand, nu, k):
-                out.append(cand)
-    return tuple(sorted(set(out)))
+        out.append(tuple(x for x in rows if x))
+    out.sort()
+    for prev in out:
+        if not is_standard_step(prev, nu, k):
+            raise IntegrityError(f"s_r step {nu}/{prev} is not standard at k={k}")
+    return tuple(out)
 
 
 def enumerate_standard_k_tableaux(lam: Partition, k: int) -> tuple[WeakTableau, ...]:
     """All standard k-tableaux of shape lam, a (k+1)-core."""
-    if not is_p_core(lam, k + 1):
-        raise ValueError(f"{lam} is not a {k + 1}-core")
+    _require_core(lam, k)
 
     @lru_cache(maxsize=None)
     def chains_to(nu: Partition) -> tuple[tuple[Partition, ...], ...]:
@@ -256,30 +294,44 @@ def standard_shapes(k: int, n: int) -> tuple[Partition, ...]:
     return tuple(sorted(shapes))
 
 
+@lru_cache(maxsize=None)
+def _strips_over(nu: Partition, k: int) -> tuple[Partition, ...]:
+    """Every weak strip over the (k+1)-core nu, nu itself included, sorted.
+
+    A depth-first walk over residue sets in their order of application:
+    for each largest left-out residue g, apply s_{g+1}..s_k, then every
+    increasing run of residues below g.  A prefix that adds no cells ends
+    its branch, so the walk visits only strips.
+    """
+    _require_core(nu, k)
+    out: list[Partition] = []
+
+    def grow(shape: Partition, lo: int, hi: int) -> None:
+        out.append(shape)
+        for r in range(lo, hi):
+            nxt = _add_residue(shape, r, k)
+            if nxt is not None:
+                grow(nxt, r + 1, hi)
+
+    for g in range(k + 1):
+        shape: Partition | None = nu
+        for r in range(g + 1, k + 1):
+            shape = _add_residue(shape, r, k)
+            if shape is None:
+                break
+        else:
+            grow(shape, 0, g)
+    out.sort()
+    for xi in out:
+        if not is_weak_strip(nu, xi, k):
+            raise IntegrityError(f"residue strip {xi}/{nu} is not a weak strip at k={k}")
+    return tuple(out)
+
+
 def weak_successors(nu: Partition, bound: Partition, k: int) -> tuple[Partition, ...]:
-    """Cores xi with nu <= xi <= bound forming a weak strip over nu."""
-    gaps = []
-    nb = list(nu) + [0] * (len(bound) - len(nu))
-    for i in range(len(bound)):
-        gaps.append(range(nb[i], bound[i] + 1))
-
-    out = []
-
-    def rec(i: int, prev: int, acc: list[int]):
-        if i == len(bound):
-            xi = tuple(x for x in acc if x)
-            if is_weak_strip(nu, xi, k):
-                out.append(xi)
-            return
-        for v in gaps[i]:
-            if v > prev:
-                continue
-            acc.append(v)
-            rec(i + 1, v, acc)
-            acc.pop()
-
-    rec(0, bound[0] if bound else 0, [])
-    return tuple(sorted(set(out)))
+    """Cores xi with nu <= xi <= bound forming a weak strip over the
+    (k+1)-core nu."""
+    return tuple(xi for xi in _strips_over(nu, k) if contains(bound, xi))
 
 
 def enumerate_weak_tableaux(
@@ -332,20 +384,12 @@ def charge_standard(t: WeakTableau) -> int:
 
 
 def cocharge_standard(t: WeakTableau) -> int:
+    """n(n-1)/2 minus the up-marker charge run over the lowermost markers."""
     if not t.is_standard():
         raise ValueError("cocharge_standard requires a standard tableau")
-    total = 0
-    co = 0
-    for n in range(2, t.letters + 1):
-        prev_dn, cur_dn = t.down(n - 1), t.down(n)
-        e_prev = residue(prev_dn, t.k)
-        e_cur = residue(cur_dn, t.k)
-        if prev_dn[0] >= cur_dn[0]:
-            co = co - diag_count(t.shape, prev_dn, cur_dn, e_prev, t.k)
-        else:
-            co = co + diag_count(t.shape, cur_dn, prev_dn, e_cur, t.k) + 1
-        total += co
-    return total
+    n = t.letters
+    downs = [t.down(m) for m in range(1, n + 1)]
+    return n * (n - 1) // 2 - _up_marker_charge(t.shape, t.k, downs)
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +468,26 @@ def word_charges(t: WeakTableau) -> tuple[int, ...]:
 def _strip_with_residues(
     nu: Partition, bound: Partition, k: int, size: int, residues: frozenset[int]
 ) -> Partition:
-    """The unique weak strip over nu of the given size whose cells occupy
-    exactly the given residues, staying inside bound."""
-    found = []
-    for xi in weak_successors(nu, bound, k):
-        if boundary_size(xi, k) - boundary_size(nu, k) != size:
-            continue
-        res = {residue(c, k) for c in skew_cells(xi, nu)}
-        if res == set(residues):
-            found.append(xi)
-    if len(found) != 1:
+    """s_A nu for the residue set A: the unique weak strip over nu of the
+    given size whose cells occupy exactly those residues, inside bound."""
+    missing = [r for r in range(k + 1) if r not in residues]
+    if not missing:
+        raise IntegrityError(f"a weak strip leaves out some residue: {sorted(residues)}")
+    g = missing[-1]
+    xi = nu
+    for r in list(range(g + 1, k + 1)) + sorted(r for r in residues if r < g):
+        nxt = _add_residue(xi, r, k)
+        if nxt is None:
+            raise IntegrityError(f"s_{r} adds no cell to {xi} on the way up from {nu}")
+        xi = nxt
+    if not is_weak_strip(nu, xi, k):
+        raise IntegrityError(f"residue strip {xi}/{nu} is not a weak strip at k={k}")
+    if boundary_size(xi, k) - boundary_size(nu, k) != size or not contains(bound, xi):
         raise IntegrityError(
-            f"expected one strip over {nu} at residues {sorted(residues)}, found {len(found)}"
+            f"strip {xi} over {nu} at residues {sorted(residues)} does not have"
+            f" size {size} inside {bound}"
         )
-    return found[0]
+    return xi
 
 
 def sigma_involution(t: WeakTableau, i: int) -> WeakTableau:

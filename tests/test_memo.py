@@ -19,7 +19,13 @@ from kshape.poset import (
     kshapes_of_size,
     move_from_cells,
 )
-from kshape.weak_tableaux import is_weak_strip, standard_shapes, standard_successors
+from kshape.weak_tableaux import (
+    _strips_over,
+    is_weak_strip,
+    standard_predecessors,
+    standard_shapes,
+    standard_successors,
+)
 
 KS = (2, 3, 4)
 SIZES = range(0, 7)
@@ -89,6 +95,13 @@ def test_is_weak_strip_matches_uncached():
         assert is_weak_strip(inner, outer, k) == is_weak_strip.__wrapped__(inner, outer, k)
 
 
+def test_strips_over_matches_uncached():
+    cores = [(k, nu) for k in KS for n in range(0, 7) for nu in standard_shapes(k, n)]
+    assert any(len(_strips_over(nu, k)) > 2 for k, nu in cores)
+    for k, nu in cores:
+        assert _strips_over(nu, k) == _strips_over.__wrapped__(nu, k)
+
+
 def test_row_cells_matches_uncached():
     for i in range(1, 8):
         for width in range(0, 8):
@@ -102,6 +115,9 @@ BAD_CALLS = [
     (make_cover, ((), (3, 1), 2), ValueError),  # (3,1) is not a 2-shape
     (_parse_row_move, ((2, 1), frozenset({(1, 3), (3, 1)}), 2), IntegrityError),
     (is_weak_strip, ((), (1,), 0), ValueError),
+    (standard_successors, ((2, 1), 2), ValueError),  # (2,1) is not a 3-core
+    (standard_predecessors, ((2, 1), 2), ValueError),
+    (_strips_over, ((2, 1), 2), ValueError),
 ]
 
 

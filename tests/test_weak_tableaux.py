@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from kshape.classical import (
@@ -9,8 +11,20 @@ from kshape.classical import (
     standard_young_tableaux,
 )
 from kshape.kshape_tableaux import make_kshape_tableau
-from kshape.partitions import partitions_of
+from kshape.errors import IntegrityError
+from kshape.partitions import (
+    add_cells,
+    addable_corners,
+    boundary_size,
+    diag_count,
+    is_p_core,
+    partitions_of,
+    removable_corners,
+    residue,
+    skew_cells,
+)
 from kshape.weak_tableaux import (
+    _strip_with_residues,
     chain_of_filling,
     charge_any_weight,
     charge_dominant_semistandard,
@@ -19,12 +33,17 @@ from kshape.weak_tableaux import (
     enumerate_standard_k_tableaux,
     enumerate_weak_tableaux,
     extract_words,
+    is_standard_step,
+    is_weak_strip,
     make_weak_tableau,
     parse_tableau_text,
     sigma_involution,
     sort_to_dominant,
     split_tableau_text,
+    standard_predecessors,
     standard_shapes,
+    standard_successors,
+    weak_successors,
     weak_tableau_from_filling,
     word_charges,
 )
@@ -155,8 +174,6 @@ def test_sigma_involution_sweep():
 
 
 def test_sigma_matches_classical_at_large_k():
-    import itertools
-
     for n in range(2, 6):
         for lam in partitions_of(n):
             for wt_sorted in partitions_of(n):
@@ -181,8 +198,6 @@ def test_charge_any_weight():
 
 
 def test_charge_multiset_permutation_invariant():
-    import itertools
-
     for k in (2, 3):
         for lam in standard_shapes(k, 4):
             for wt_sorted in [(2, 1, 1), (2, 2)]:
@@ -260,3 +275,151 @@ def test_weak_and_kshape_views_of_a_standard_chain_agree():
                     assert chain_from_grid(w.filling()) == w.chain
                     for m in range(1, n + 1):
                         assert s.up(m) == w.up(m) and s.down(m) == w.down(m)
+
+
+# ---------------------------------------------------------------------------
+# the s_r action against the brute-force scans it replaced
+
+
+def corner_subset_successors(nu, k):
+    """Every nonempty subset of addable corners whose addition is a standard
+    step from the core nu."""
+    corners = addable_corners(nu)
+    out = {
+        add_cells(nu, subset)
+        for r in range(1, len(corners) + 1)
+        for subset in itertools.combinations(corners, r)
+    }
+    return tuple(sorted(xi for xi in out if is_standard_step(nu, xi, k)))
+
+
+def corner_subset_predecessors(nu, k):
+    """Every nonempty subset of removable corners whose removal leaves a
+    core one standard step below nu."""
+    out = set()
+    corners = removable_corners(nu)
+    for r in range(1, len(corners) + 1):
+        for subset in itertools.combinations(corners, r):
+            rows = list(nu)
+            for i, j in subset:
+                rows[i - 1] = j - 1
+            out.add(tuple(x for x in rows if x))
+    return tuple(sorted(p for p in out if is_p_core(p, k + 1) and is_standard_step(p, nu, k)))
+
+
+def box_scan_weak_successors(nu, bound, k):
+    """Every partition between nu and bound that is a weak strip over nu."""
+    nb = list(nu) + [0] * (len(bound) - len(nu))
+    out = []
+
+    def rec(i, prev, acc):
+        if i == len(bound):
+            xi = tuple(x for x in acc if x)
+            if is_weak_strip(nu, xi, k):
+                out.append(xi)
+            return
+        for v in range(nb[i], min(prev, bound[i]) + 1):
+            rec(i + 1, v, acc + [v])
+
+    rec(0, bound[0] if bound else 0, [])
+    return tuple(sorted(set(out)))
+
+
+def strips_by_filtering(nu, scanned, k, size, residues):
+    """The strips among the box-scanned ones of the given size on exactly
+    the residues."""
+    return [
+        xi
+        for xi in scanned
+        if boundary_size(xi, k) - boundary_size(nu, k) == size
+        and {residue(c, k) for c in skew_cells(xi, nu)} == set(residues)
+    ]
+
+
+def reachable_below(bound, k):
+    """Every core reached from () by weak strips inside bound."""
+    seen, todo = {()}, [()]
+    while todo:
+        for xi in weak_successors(todo.pop(), bound, k):
+            if xi not in seen:
+                seen.add(xi)
+                todo.append(xi)
+    return sorted(seen)
+
+
+def test_standard_steps_match_corner_subset_scan():
+    shapes = 0
+    for k in range(2, 7):
+        for n in range(0, 10):
+            for nu in standard_shapes(k, n):
+                assert standard_successors(nu, k) == corner_subset_successors(nu, k)
+                assert standard_predecessors(nu, k) == corner_subset_predecessors(nu, k)
+                shapes += 1
+    assert shapes == 327
+
+
+def test_standard_predecessors_are_cores_and_invert_successors():
+    # the subset scan once returned (1, 1, 1) and (2, 1), which are not 3-cores
+    assert standard_predecessors((2, 1, 1), 2) == ((1, 1),)
+    assert not is_standard_step((2, 1), (2, 1, 1), 2)
+    for k in range(2, 6):
+        shapes = {nu for n in range(0, 9) for nu in standard_shapes(k, n)}
+        for nu in shapes:
+            for prev in standard_predecessors(nu, k):
+                assert is_p_core(prev, k + 1)
+                assert nu in standard_successors(prev, k)
+            for xi in standard_successors(nu, k):
+                assert nu in standard_predecessors(xi, k)
+
+
+def test_weak_successors_and_residue_strips_match_box_scan():
+    triples = strips = 0
+    for k in range(2, 6):
+        subsets = [
+            frozenset(a)
+            for m in range(0, k + 1)
+            for a in itertools.combinations(range(k + 1), m)
+        ]
+        for n in range(0, 9):
+            for bound in standard_shapes(k, n):
+                for nu in reachable_below(bound, k):
+                    scanned = box_scan_weak_successors(nu, bound, k)
+                    assert weak_successors(nu, bound, k) == scanned
+                    triples += 1
+                    for a in subsets:
+                        found = strips_by_filtering(nu, scanned, k, len(a), a)
+                        assert len(found) <= 1
+                        if found:
+                            assert _strip_with_residues(nu, bound, k, len(a), a) == found[0]
+                            strips += 1
+                        else:
+                            with pytest.raises(IntegrityError):
+                                _strip_with_residues(nu, bound, k, len(a), a)
+    assert triples == 2414
+    assert strips > triples
+    with pytest.raises(IntegrityError, match="leaves out some residue"):
+        _strip_with_residues((), (3, 1), 2, 3, frozenset({0, 1, 2}))
+
+
+def mirrored_cocharge(t):
+    """The lowermost-marker recursion that cocharge_standard replaced."""
+    total = co = 0
+    for n in range(2, t.letters + 1):
+        prev_dn, cur_dn = t.down(n - 1), t.down(n)
+        if prev_dn[0] >= cur_dn[0]:
+            co -= diag_count(t.shape, prev_dn, cur_dn, residue(prev_dn, t.k), t.k)
+        else:
+            co += diag_count(t.shape, cur_dn, prev_dn, residue(cur_dn, t.k), t.k) + 1
+        total += co
+    return total
+
+
+def test_cocharge_matches_mirrored_recursion():
+    seen = 0
+    for k in range(2, 6):
+        for n in range(0, 9):
+            for lam in standard_shapes(k, n):
+                for t in enumerate_standard_k_tableaux(lam, k):
+                    assert cocharge_standard(t) == mirrored_cocharge(t)
+                    seen += 1
+    assert seen == 1244
