@@ -63,6 +63,18 @@ class CoverStatus(NamedTuple):
     reverse_maximal: bool
 
 
+# the 16 possible statuses: table entries share these instead of holding
+# one tuple each
+_STATUSES = {
+    (b, a, rb, ra): CoverStatus(b, a, rb, ra, not (b or a), not (rb or ra))
+    for b in (False, True)
+    for a in (False, True)
+    for rb in (False, True)
+    for ra in (False, True)
+}
+
+
+@lru_cache(maxsize=None)
 def cover_status(c: Cover, k: int) -> CoverStatus:
     """Continuation flags of a cover.
 
@@ -77,14 +89,7 @@ def cover_status(c: Cover, k: int) -> CoverStatus:
     above = next_corner(add, top, k, down=False)
     rbelow = next_corner(rem, bot, k)
     rabove = next_corner(rem, top, k, down=False)
-    return CoverStatus(
-        continues_below=below is not None,
-        continues_above=above is not None,
-        reverse_below=rbelow is not None,
-        reverse_above=rabove is not None,
-        maximal=below is None and above is None,
-        reverse_maximal=rbelow is None and rabove is None,
-    )
+    return _STATUSES[below is not None, above is not None, rbelow is not None, rabove is not None]
 
 
 @lru_cache(maxsize=None)
@@ -253,28 +258,30 @@ def cocharge_kshape(t: KShapeTableau) -> int:
 
 
 def letter_charges(t: KShapeTableau) -> tuple[int, ...]:
-    ups = [t.up(n)[0] for n in range(1, t.letters + 1)]  # each letter read once
-    out = [0]
-    ch = 0
-    for n in range(2, t.letters + 1):
-        shape = t.chain[n - 1]
-        r = ups[n - 2] + 1
-        rp = ups[n - 1]
-        ch = ch + (interval_co(shape, t.k, r, rp) if r >= rp else -interval_oc(shape, t.k, rp, r))
-        out.append(ch)
-    return tuple(out)
+    return _letter_statistic(t, "top", (1, True, False), (-1, False, True))
 
 
 def letter_cocharges(t: KShapeTableau) -> tuple[int, ...]:
-    downs = [t.down(n)[0] for n in range(1, t.letters + 1)]  # each letter read once
+    return _letter_statistic(t, "bottom", (-1, False, False), (1, True, True))
+
+
+def _letter_statistic(t: KShapeTableau, end: str, drop, rise) -> tuple[int, ...]:
+    """Running sums of one signed interval per letter 2..n on the previous
+    shape.  Letter n's marker row is the row of the ``end`` ("top" or
+    "bottom") cell of its cover.  With r one above the marker of letter
+    n-1 and rp the marker of letter n, ``drop`` = (sign, closed_left,
+    closed_right) counts from r down to rp when r > rp, and ``rise``
+    counts from rp down to r otherwise."""
+    k = t.k
+    rows = [getattr(make_cover(a, b, k).string, end)[0] for a, b in zip(t.chain, t.chain[1:])]
     out = [0]
-    co = 0
+    total = 0
     for n in range(2, t.letters + 1):
-        shape = t.chain[n - 1]
-        r = downs[n - 2] + 1
-        rp = downs[n - 1]
-        co = co + (-interval_oo(shape, t.k, r, rp) if r > rp else interval_cc(shape, t.k, rp, r))
-        out.append(co)
+        r, rp = rows[n - 2] + 1, rows[n - 1]
+        sign, left, right = drop if r > rp else rise
+        hi, lo = (r, rp) if r > rp else (rp, r)
+        total += sign * _interval(t.chain[n - 1], k, hi, lo, left, right)
+        out.append(total)
     return tuple(out)
 
 

@@ -347,7 +347,7 @@ def move_from_cells(source: Partition, cells, orientation: str, k: int) -> Move:
     return _conjugate_move(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A composable sequence of moves in the poset of k-shapes."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import IntegrityError
@@ -212,7 +213,21 @@ def push_cover_through_path(
 ) -> tuple[Cover, Path]:
     """Convert an arbitrary cover and top path into a maximal cover and
     the corresponding bottom path, in canonical order: maximize fully,
-    push one move, repeat."""
+    push one move, repeat.
+
+    The strip is a pure function of (c, p, k) and is memoized; a call
+    that collects ``squares`` runs the same body uncached, so a warm
+    table never hides a square.
+    """
+    if squares is None:
+        return _push_strip(c, p, k)
+    return _push_strip.__wrapped__(c, p, k, squares)
+
+
+@lru_cache(maxsize=None)
+def _push_strip(
+    c: Cover, p: Path, k: int, squares: list[PushoutSquare] | None = None
+) -> tuple[Cover, Path]:
     if c.inner != p.start:
         raise ValueError("cover must start where the path starts")
     out: list[Move] = []

@@ -138,6 +138,8 @@ class WeakTableau(ChainTableau):
 
 def make_weak_tableau(k: int, chain: Sequence[Partition]) -> WeakTableau:
     """Validate a chain of (k+1)-cores and derive its weight."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1: {k}")
     chain = tuple(tuple(c) for c in chain)
     if not chain or chain[0] != ():
         raise ValueError("chain must start at the empty partition")

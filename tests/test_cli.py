@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +191,28 @@ def test_charge_rejects_bad_grid(tmp_path, capsys, grid, kshape):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["charge", "bijection"])
+def test_k_below_one_is_named(tmp_path, capsys, command):
+    f = tmp_path / "t.txt"
+    f.write_text("1 2\n")
+    code, out, err = run(capsys, command, "--k", "0", "--tableau", str(f))
+    assert code == 2
+    assert out == ""
+    assert "k must be at least 1: 0" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), KSHAPE_WORKERS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kshape", "verify", "--check", "kshape-fixture"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS kshape-fixture instances=")

@@ -180,6 +180,33 @@ def test_duality_sweep_small():
                     assert chs[m - 1] == m - cos[m - 1] - len(t.cells_of_letter(m))
 
 
+def _two_recursions(t):
+    """The separate charge and cocharge recursions on t.up/t.down that the
+    single interval recursion replaced, kept as its oracle."""
+    ups = [t.up(n)[0] for n in range(1, t.letters + 1)]
+    downs = [t.down(n)[0] for n in range(1, t.letters + 1)]
+    chs, cos, ch, co = [0], [0], 0, 0
+    for n in range(2, t.letters + 1):
+        shape = t.chain[n - 1]
+        r, rp = ups[n - 2] + 1, ups[n - 1]
+        ch += interval_co(shape, t.k, r, rp) if r >= rp else -interval_oc(shape, t.k, rp, r)
+        r, rp = downs[n - 2] + 1, downs[n - 1]
+        co += -interval_oo(shape, t.k, r, rp) if r > rp else interval_cc(shape, t.k, rp, r)
+        chs.append(ch)
+        cos.append(co)
+    return tuple(chs), tuple(cos)
+
+
+def test_letter_statistics_match_the_two_recursions():
+    count = 0
+    for k in range(2, 6):
+        for n in range(1, 9):
+            for t in enumerate_kshape_tableaux(n, k):
+                assert (letter_charges(t), letter_cocharges(t)) == _two_recursions(t)
+                count += 1
+    assert count > 5000
+
+
 def test_boundary_grows_by_one_per_cover():
     from kshape.partitions import boundary_size
 

@@ -6,11 +6,18 @@ import pickle
 import pytest
 
 from kshape.errors import IntegrityError
-from kshape.kshape_tableaux import Cover, enumerate_covers, make_cover
+from kshape.kshape_tableaux import (
+    Cover,
+    cover_status,
+    enumerate_covers,
+    enumerate_kshape_tableaux,
+    make_cover,
+)
 from kshape.partitions import _row_cells, conjugate, is_p_core, partitions_of
 from kshape.poset import (
     ROW,
     Move,
+    Path,
     StringOfCells,
     _conjugate_cells,
     _parse_row_move,
@@ -19,8 +26,10 @@ from kshape.poset import (
     kshapes_of_size,
     move_from_cells,
 )
+from kshape.pushout import _push_strip, weak_bijection_standard
 from kshape.weak_tableaux import (
     _strips_over,
+    enumerate_standard_k_tableaux,
     is_weak_strip,
     standard_predecessors,
     standard_shapes,
@@ -102,6 +111,67 @@ def test_strips_over_matches_uncached():
         assert _strips_over(nu, k) == _strips_over.__wrapped__(nu, k)
 
 
+def _standard_tableaux(ks, n_max):
+    return [
+        t
+        for k in ks
+        for n in range(0, n_max + 1)
+        for lam in standard_shapes(k, n)
+        for t in enumerate_standard_k_tableaux(lam, k)
+    ]
+
+
+def test_push_strip_and_cover_status_match_uncached():
+    """Walk every cover of every standard k-tableau (k=2..5, n<=7) through
+    the path built so far, as the weak bijection does."""
+    tableaux = _standard_tableaux(range(2, 6), 7)
+    assert len(tableaux) == 548
+    strips = 0
+    for t in tableaux:
+        k = t.k
+        path = Path(start=())
+        for inner, outer in zip(t.chain, t.chain[1:]):
+            c = make_cover(inner, outer, k)
+            got = _push_strip(c, path, k)
+            assert got == _push_strip.__wrapped__(c, path, k)
+            for cover in (c, got[0]):
+                assert cover_status(cover, k) == cover_status.__wrapped__(cover, k)
+            path = got[1]
+            strips += 1
+    assert strips > 2000 and _push_strip.cache_info().hits > 0
+
+
+def _square_kinds(t):
+    return [sq.kind for sq in weak_bijection_standard(t, keep_squares=True).squares]
+
+
+def test_warm_strip_table_keeps_every_square():
+    kinds_seen = set()
+    for t in _standard_tableaux(range(2, 7), 6):
+        _push_strip.cache_clear()
+        cold = _square_kinds(t)
+        plain = weak_bijection_standard(t)
+        assert not plain.squares
+        assert _push_strip.cache_info().currsize > 0 or t.letters == 0
+        assert _square_kinds(t) == cold
+        kinds_seen.update(cold)
+    assert {"max-below", "max-above", "row-I", "col-I"} <= kinds_seen
+
+
+def test_cover_markers_are_the_letter_extremes():
+    """The charge reads letter n's markers off its cover; the cell scan of
+    ``up``/``down`` is the oracle."""
+    count = 0
+    for k in range(2, 6):
+        for n in range(1, 9):
+            for t in enumerate_kshape_tableaux(n, k):
+                for m in range(1, n + 1):
+                    string = make_cover(t.chain[m - 1], t.chain[m], k).string
+                    assert string.top == t.up(m) and string.bottom == t.down(m)
+                count += 1
+    assert count > 5000
+
+
 def test_row_cells_matches_uncached():
     for i in range(1, 8):
         for width in range(0, 8):
@@ -118,6 +188,7 @@ BAD_CALLS = [
     (standard_successors, ((2, 1), 2), ValueError),  # (2,1) is not a 3-core
     (standard_predecessors, ((2, 1), 2), ValueError),
     (_strips_over, ((2, 1), 2), ValueError),
+    (_push_strip, (make_cover((), (1,), 2), Path(start=(1,)), 2), ValueError),
 ]
 
 
@@ -136,10 +207,11 @@ def test_invalid_input_raises_every_time(fn, args, exc):
 def _values():
     cover = make_cover((1,), (1, 1), 2)
     move = next(m for _, m in _moves() if m.rank > 1 or m.length > 1)
-    return [cover, cover.string, move, move.strings[0]]
+    path = _push_strip(make_cover((), (1,), 2), Path(start=()), 2)[1]
+    return [cover, cover.string, move, move.strings[0], Path(start=move.source, moves=(move,)), path]
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(6))
 def test_cached_values_pickle(index):
     value = _values()[index]
     back = pickle.loads(pickle.dumps(value))
@@ -149,7 +221,9 @@ def test_cached_values_pickle(index):
         assert _same_move(back, value)
 
 
-@pytest.mark.parametrize("cls,field", [(Cover, "inner"), (Move, "source"), (StringOfCells, "cells")])
+@pytest.mark.parametrize(
+    "cls,field", [(Cover, "inner"), (Move, "source"), (StringOfCells, "cells"), (Path, "start")]
+)
 def test_cached_value_types_are_frozen_and_slotted(cls, field):
     value = next(v for v in _values() if type(v) is cls)
     assert not hasattr(value, "__dict__")
