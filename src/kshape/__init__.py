@@ -53,8 +53,6 @@ from .weak_tableaux import (
     sigma_involution,
 )
 from .kshape_tableaux import (
-    ConnectedRowStructure,
-    Cover,
     KShapeTableau,
     chain_characterization,
     charge_cocharge_residual,

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import IntegrityError
 from .partitions import (
-    Cell,
     Partition,
     add_cells,
     addable_corners,
@@ -28,30 +28,15 @@ from .poset import next_corner
 from .weak_tableaux import ChainTableau, chain_of_filling
 
 
-@dataclass(frozen=True, slots=True)
-class Cover:
-    """A cover-type string between two k-shapes."""
-
-    inner: Partition
-    outer: Partition
-    string: StringOfCells
-
-    @property
-    def cells(self) -> tuple[Cell, ...]:
-        return self.string.cells
-
-    def __len__(self) -> int:
-        return len(self.string.cells)
-
-
 @lru_cache(maxsize=None)
-def make_cover(inner: Partition, outer: Partition, k: int) -> Cover:
+def make_cover(inner: Partition, outer: Partition, k: int) -> StringOfCells:
+    """The cover-type string outer/inner between two k-shapes."""
     if not (is_k_shape(inner, k) and is_k_shape(outer, k)):
         raise ValueError(f"{inner} -> {outer} does not join {k}-shapes")
     s = classify_string(inner, outer, k)
     if s is None or s.kind != COVER:
         raise ValueError(f"{outer}/{inner} is not a cover-type string")
-    return Cover(inner=inner, outer=outer, string=s)
+    return s
 
 
 class CoverStatus(NamedTuple):
@@ -75,14 +60,14 @@ _STATUSES = {
 
 
 @lru_cache(maxsize=None)
-def cover_status(c: Cover, k: int) -> CoverStatus:
+def cover_status(c: StringOfCells, k: int) -> CoverStatus:
     """Continuation flags of a cover.
 
     A cover continues below (above) when the inner shape has an addable
     corner contiguous to the bottom (top) cell of the string; reverse
     continuation asks for a removable corner of the outer shape instead.
     """
-    bot, top = c.string.bottom, c.string.top
+    bot, top = c.bottom, c.top
     add = addable_corners(c.inner)
     rem = removable_corners(c.outer)
     below = next_corner(add, bot, k)
@@ -93,7 +78,7 @@ def cover_status(c: Cover, k: int) -> CoverStatus:
 
 
 @lru_cache(maxsize=None)
-def enumerate_covers(lam: Partition, k: int) -> tuple[Cover, ...]:
+def enumerate_covers(lam: Partition, k: int) -> tuple[StringOfCells, ...]:
     """All covers with the given inner k-shape."""
     if not is_k_shape(lam, k):
         raise ValueError(f"{lam} is not a {k}-shape")
@@ -104,8 +89,8 @@ def enumerate_covers(lam: Partition, k: int) -> tuple[Cover, ...]:
             continue
         s = classify_string(lam, outer, k)
         if s is not None and s.kind == COVER:
-            out.append(Cover(inner=lam, outer=outer, string=s))
-    return tuple(sorted(out, key=lambda c: c.string.top))
+            out.append(s)
+    return tuple(sorted(out, key=lambda c: c.top))
 
 
 @dataclass(frozen=True)
@@ -161,87 +146,33 @@ def enumerate_kshape_tableaux(n: int, k: int) -> Iterator[KShapeTableau]:
 # k-connected rows
 
 
-@dataclass(frozen=True)
-class ConnectedRowStructure:
-    """Successor map of k-connected rows of a k-shape.
-
-    Rows are those carrying an addable corner.  The successor of row r is
-    the lowest such row whose corner is within diagonal distance k+1;
-    the pair is contiguous when the distance is exactly k or k+1.
-    """
-
-    lam: Partition
-    k: int
-    rows: tuple[int, ...]
-    successor: dict[int, int]
-    contiguous: frozenset[tuple[int, int]]
-
-    def chain_from(self, r: int) -> tuple[int, ...]:
-        out = [r]
-        while out[-1] in self.successor:
-            out.append(self.successor[out[-1]])
-        return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def connected_rows(lam: Partition, k: int) -> ConnectedRowStructure:
+def connected_rows(lam: Partition, k: int) -> Mapping[int, tuple[int, ...]]:
+    """The k-connected chain of each row of lam that carries an addable
+    corner, the row itself first.
+
+    Each step of a chain goes from row r to its successor: the lowest such
+    row whose corner is within diagonal distance k+1 of the corner of row
+    r.  The memo table hands the same mapping to every caller, so it is
+    read-only.
+    """
     corners = {c[0]: c for c in addable_corners(lam)}
-    rows = tuple(sorted(corners))
-    succ: dict[int, int] = {}
-    contig = set()
-    for r in rows:
-        below = [
-            r2
-            for r2 in rows
-            if r2 < r and abs(diag(corners[r]) - diag(corners[r2])) <= k + 1
-        ]
-        if below:
-            r2 = min(below)
-            succ[r] = r2
-            if abs(diag(corners[r]) - diag(corners[r2])) in (k, k + 1):
-                contig.add((r, r2))
-    return ConnectedRowStructure(
-        lam=lam, k=k, rows=rows, successor=succ, contiguous=frozenset(contig)
-    )
+    chains: dict[int, tuple[int, ...]] = {}
+    for r in sorted(corners):
+        d = diag(corners[r])
+        below = [r2 for r2 in chains if abs(d - diag(corners[r2])) <= k + 1]
+        chains[r] = (r,) + (chains[min(below)] if below else ())
+    return MappingProxyType(chains)
 
 
 def _interval(lam: Partition, k: int, r: int, rp: int, closed_left: bool, closed_right: bool) -> int:
     """Length of the longest k-connected row sequence from r staying >= rp,
     not counting the endpoint rows excluded by the open sides."""
-    structure = connected_rows(lam, k)
-    if r not in structure.rows:
+    chain = connected_rows(lam, k).get(r)
+    if chain is None:
         raise IntegrityError(f"row {r} of {lam} has no addable corner")
-    chain = structure.chain_from(r)
-    count = 0
-    for idx, row in enumerate(chain):
-        if row < rp:
-            break
-        if idx == 0 and not closed_left:
-            continue
-        if row == rp and not closed_right:
-            continue
-        count += 1
-    return count
-
-
-def interval_cc(lam, k, r, rp) -> int:
-    """[r, rp]"""
-    return _interval(lam, k, r, rp, True, True)
-
-
-def interval_co(lam, k, r, rp) -> int:
-    """[r, rp)"""
-    return _interval(lam, k, r, rp, True, False)
-
-
-def interval_oc(lam, k, r, rp) -> int:
-    """(r, rp]"""
-    return _interval(lam, k, r, rp, False, True)
-
-
-def interval_oo(lam, k, r, rp) -> int:
-    """(r, rp)"""
-    return _interval(lam, k, r, rp, False, False)
+    inside = [row for row in chain[0 if closed_left else 1 :] if row >= rp]
+    return len(inside) - (not closed_right and rp in inside)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +204,7 @@ def _letter_statistic(t: KShapeTableau, end: str, drop, rise) -> tuple[int, ...]
     closed_right) counts from r down to rp when r > rp, and ``rise``
     counts from rp down to r otherwise."""
     k = t.k
-    rows = [getattr(make_cover(a, b, k).string, end)[0] for a, b in zip(t.chain, t.chain[1:])]
+    rows = [getattr(make_cover(a, b, k), end)[0] for a, b in zip(t.chain, t.chain[1:])]
     out = [0]
     total = 0
     for n in range(2, t.letters + 1):

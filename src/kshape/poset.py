@@ -187,31 +187,23 @@ def _string_signature(s: StringOfCells, k: int):
 
 @dataclass(frozen=True, slots=True)
 class Move:
-    """A rank-r stack of translated strings joining two k-shapes."""
+    """A rank-r stack of translated strings joining two k-shapes.
+
+    A move is determined by its orientation, source and added cells;
+    the other fields follow from these and take no part in equality.
+    """
 
     orientation: str  # ROW or COLUMN
-    rank: int
-    length: int
-    strings: tuple[StringOfCells, ...]
     source: Partition
-    target: Partition
-
-    @property
-    def cells(self) -> frozenset[Cell]:
-        return frozenset(c for s in self.strings for c in s.cells)
-
-    def key(self):
-        return (self.orientation, self.source, tuple(sorted(self.cells)))
+    cells: frozenset[Cell]
+    rank: int = field(compare=False)
+    length: int = field(compare=False)
+    strings: tuple[StringOfCells, ...] = field(compare=False)
+    target: Partition = field(compare=False)
 
     def sort_key(self):
         s1 = self.strings[0]
         return (0 if self.orientation == ROW else 1, s1.top, self.rank, self.length)
-
-    def __eq__(self, other):
-        return isinstance(other, Move) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 def move_charge(m: Move) -> int:
@@ -240,10 +232,11 @@ def _conjugate_string(s: StringOfCells) -> StringOfCells:
 def _conjugate_move(m: Move) -> Move:
     return Move(
         orientation=COLUMN if m.orientation == ROW else ROW,
+        source=conjugate(m.source),
+        cells=frozenset(_conjugate_cells(m.cells)),
         rank=m.rank,
         length=m.length,
         strings=tuple(_conjugate_string(s) for s in m.strings),
-        source=conjugate(m.source),
         target=conjugate(m.target),
     )
 
@@ -265,6 +258,7 @@ def _grow_row_move(
         return
     sig = _string_signature(s1, k)
     strings = [s1]
+    cells = frozenset(s1.cells)
     current = s1.outer
     for r in range(1, (k - 1 if max_rank is None else max_rank) + 1):
         if r > 1:
@@ -282,14 +276,16 @@ def _grow_row_move(
             if s is None or s.kind != ROW or _string_signature(s, k) != sig:
                 return
             strings.append(s)
+            cells = cells.union(s.cells)
             current = nxt_outer
         if is_k_shape(current, k):
             yield Move(
                 orientation=ROW,
+                source=lam,
+                cells=cells,
                 rank=r,
                 length=ell,
                 strings=tuple(strings),
-                source=lam,
                 target=current,
             )
 
@@ -298,11 +294,11 @@ def _grow_row_move(
 def enumerate_row_moves(lam: Partition, k: int) -> tuple[Move, ...]:
     if not is_k_shape(lam, k):
         raise ValueError(f"{lam} is not a {k}-shape")
-    seen: dict[tuple, Move] = {}
+    seen: dict[frozenset[Cell], Move] = {}
     for chain in corner_chains(lam, k):
         try:
             for m in _grow_row_move(lam, chain, k):
-                seen.setdefault(m.key(), m)
+                seen.setdefault(m.cells, m)
         except IntegrityError:
             continue  # ambiguous strings cannot occur inside a valid move
     return tuple(sorted(seen.values(), key=Move.sort_key))
@@ -319,8 +315,16 @@ def enumerate_moves(lam: Partition, k: int) -> tuple[Move, ...]:
 
 
 @lru_cache(maxsize=None)
-def _parse_row_move(source: Partition, cells: frozenset[Cell], k: int) -> Move:
-    """Reconstruct a row move from its cell set, validating every condition."""
+def _parse_move(source: Partition, cells: frozenset[Cell], orientation: str, k: int) -> Move:
+    """Reconstruct a move from its cell set, validating every condition.
+
+    A column move is the conjugate of the row move over the conjugate
+    shape, which the same table holds, so a shape and its conjugate
+    share one parse.
+    """
+    if orientation != ROW:
+        cs = frozenset(_conjugate_cells(cells))
+        return _conjugate_move(_parse_move(conjugate(source), cs, ROW, k))
     n = len(cells)
     # the leftmost cell is always the top of the first string
     start = min(cells, key=lambda c: (c[1], c[0]))
@@ -340,11 +344,7 @@ def _parse_row_move(source: Partition, cells: frozenset[Cell], k: int) -> Move:
 
 
 def move_from_cells(source: Partition, cells, orientation: str, k: int) -> Move:
-    cs = frozenset(cells)
-    if orientation == ROW:
-        return _parse_row_move(source, cs, k)
-    m = _parse_row_move(conjugate(source), frozenset(_conjugate_cells(cs)), k)
-    return _conjugate_move(m)
+    return _parse_move(source, frozenset(cells), orientation, k)
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,37 +30,38 @@ from .poset import (
     Move,
     Path,
     PathClass,
+    StringOfCells,
     corner_run,
     is_k_shape,
     move_from_cells,
     path_classes,
 )
-from .kshape_tableaux import Cover, cover_status, make_cover, chain_characterization
+from .kshape_tableaux import cover_status, make_cover, chain_characterization
 from .kshape_tableaux import KShapeTableau, charge_kshape, cocharge_kshape
 from .weak_tableaux import WeakTableau, make_weak_tableau
 
 
 @dataclass(frozen=True)
 class PushoutSquare:
-    """One commuting square of the algorithm."""
+    """One commuting square of the algorithm.
+
+    Its corners are the inner and outer shapes of ``cover_in`` (left
+    side) and ``cover_out`` (right side).
+    """
 
     kind: str  # max-below, max-above, row-I..row-IV, col-I..col-IV
-    top_left: Partition
-    top_right: Partition
-    bottom_left: Partition
-    bottom_right: Partition
-    cover_in: Cover
-    cover_out: Cover
+    cover_in: StringOfCells
+    cover_out: StringOfCells
     move_in: Move | None
     move_out: Move | None
 
 
-def maximize_below(c: Cover, k: int) -> tuple[Cover, Move]:
+def maximize_below(c: StringOfCells, k: int) -> tuple[StringOfCells, Move]:
     """Extend a cover by the longest corner run below its bottom cell.
 
     The added cells form a row move along the bottom of the square.
     """
-    cells = corner_run(addable_corners(c.inner), c.string.bottom, k)
+    cells = corner_run(addable_corners(c.inner), c.bottom, k)
     if not cells:
         raise ValueError("cover cannot be continued below")
     move = move_from_cells(c.outer, cells, ROW, k)
@@ -68,9 +69,9 @@ def maximize_below(c: Cover, k: int) -> tuple[Cover, Move]:
     return grown, move
 
 
-def maximize_above(c: Cover, k: int) -> tuple[Cover, Move]:
+def maximize_above(c: StringOfCells, k: int) -> tuple[StringOfCells, Move]:
     """Extend a cover by the longest corner run above its top cell."""
-    cells = corner_run(addable_corners(c.inner), c.string.top, k, down=False)
+    cells = corner_run(addable_corners(c.inner), c.top, k, down=False)
     if not cells:
         raise ValueError("cover cannot be continued above")
     move = move_from_cells(c.outer, cells, COLUMN, k)
@@ -78,17 +79,17 @@ def maximize_above(c: Cover, k: int) -> tuple[Cover, Move]:
     return grown, move
 
 
-def _split_at_intersection(c: Cover, inter: frozenset[Cell]):
+def _split_at_intersection(c: StringOfCells, inter: frozenset[Cell]):
     """Cells of c before and after the intersection block, which must be
     one contiguous run of the string."""
-    cells = c.string.cells
+    cells = c.cells
     idx = [i for i, x in enumerate(cells) if x in inter]
     if idx != list(range(idx[0], idx[-1] + 1)):
         raise IntegrityError("cover meets the move in a non-contiguous block")
     return cells[: idx[0]], cells[idx[-1] + 1 :]
 
 
-def maximal_pushout(c: Cover, m: Move, k: int) -> PushoutSquare:
+def maximal_pushout(c: StringOfCells, m: Move, k: int) -> PushoutSquare:
     """Push a maximal cover through one move.
 
     Non-intersecting inputs either commute outright or interfere, in
@@ -166,10 +167,6 @@ def maximal_pushout(c: Cover, m: Move, k: int) -> PushoutSquare:
         raise IntegrityError(f"{kind}: corner is not the union of the inputs")
     return PushoutSquare(
         kind=kind,
-        top_left=lam,
-        top_right=nu,
-        bottom_left=mu,
-        bottom_right=eta,
         cover_in=c,
         cover_out=new_cover,
         move_in=m,
@@ -177,7 +174,9 @@ def maximal_pushout(c: Cover, m: Move, k: int) -> PushoutSquare:
     )
 
 
-def _maximize(c: Cover, k: int, squares: list[PushoutSquare] | None, out: list[Move]) -> Cover:
+def _maximize(
+    c: StringOfCells, k: int, squares: list[PushoutSquare] | None, out: list[Move]
+) -> StringOfCells:
     guard = 0
     while True:
         st = cover_status(c, k)
@@ -192,10 +191,6 @@ def _maximize(c: Cover, k: int, squares: list[PushoutSquare] | None, out: list[M
             squares.append(
                 PushoutSquare(
                     kind=kind,
-                    top_left=c.inner,
-                    top_right=c.inner,
-                    bottom_left=c.outer,
-                    bottom_right=grown.outer,
                     cover_in=c,
                     cover_out=grown,
                     move_in=None,
@@ -209,8 +204,8 @@ def _maximize(c: Cover, k: int, squares: list[PushoutSquare] | None, out: list[M
 
 
 def push_cover_through_path(
-    c: Cover, p: Path, k: int, squares: list[PushoutSquare] | None = None
-) -> tuple[Cover, Path]:
+    c: StringOfCells, p: Path, k: int, squares: list[PushoutSquare] | None = None
+) -> tuple[StringOfCells, Path]:
     """Convert an arbitrary cover and top path into a maximal cover and
     the corresponding bottom path, in canonical order: maximize fully,
     push one move, repeat.
@@ -226,8 +221,8 @@ def push_cover_through_path(
 
 @lru_cache(maxsize=None)
 def _push_strip(
-    c: Cover, p: Path, k: int, squares: list[PushoutSquare] | None = None
-) -> tuple[Cover, Path]:
+    c: StringOfCells, p: Path, k: int, squares: list[PushoutSquare] | None = None
+) -> tuple[StringOfCells, Path]:
     if c.inner != p.start:
         raise ValueError("cover must start where the path starts")
     out: list[Move] = []

@@ -105,11 +105,6 @@ def k_cores_of_boundary(k: int, size: int) -> tuple[Partition, ...]:
     return tuple(v for v in kshapes_of_size(k, size) if is_p_core(v, k))
 
 
-def k1_cores_of_boundary(k: int, size: int) -> tuple[Partition, ...]:
-    """The (k+1)-cores of k-boundary ``size``: the shapes of standard k-tableaux."""
-    return standard_shapes(k, size)
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -644,7 +639,7 @@ def _branching_items(n_max: int, k_max: int, variables: int) -> list:
         (k, lam, variables)
         for k in range(2, k_max + 1)
         for n in range(0, n_max + 1)
-        for lam in k1_cores_of_boundary(k, n)
+        for lam in standard_shapes(k, n)
     ]
 
 

@@ -1,4 +1,4 @@
-"""Source hygiene checks that need no linter: unused imports, and private
+"""Source hygiene checks that need no linter: unused imports, and
 module-level functions or classes that nothing in the package uses."""
 import ast
 from pathlib import Path
@@ -46,16 +46,29 @@ def test_no_unused_imports(name):
     assert not unused, f"{name} imports names it never uses: {unused}"
 
 
-def test_private_definitions_are_used():
-    # names used by each top-level statement of each module
+def _unused_definitions(private: bool) -> list[str]:
+    """Module-level functions and classes, private or public, that no other
+    top-level statement in src/ uses; an ``__init__`` export counts."""
     uses = [(node, _used_names(node)) for tree in MODULES.values() for node in tree.body]
     unused = []
     for name, tree in MODULES.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_") or node.name.startswith("__"):
+            if node.name.startswith("__") or node.name.startswith("_") != private:
                 continue
             if not any(node.name in used for other, used in uses if other is not node):
                 unused.append(f"{name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_private_definitions_are_used():
+    unused = _unused_definitions(private=True)
     assert not unused, f"private definitions nothing in src/ uses: {unused}"
+
+
+def test_public_definitions_are_used():
+    # classical.py is the independent oracle: its functions are called
+    # from tests and checks, not necessarily from the rest of src/
+    unused = [u for u in _unused_definitions(private=False) if not u.startswith("classical.py:")]
+    assert not unused, f"public definitions nothing in src/ uses: {unused}"

@@ -1,6 +1,7 @@
 import pytest
 
 from kshape.kshape_tableaux import (
+    _interval,
     chain_characterization,
     charge_cocharge_residual,
     charge_kshape,
@@ -9,10 +10,6 @@ from kshape.kshape_tableaux import (
     cover_status,
     enumerate_covers,
     enumerate_kshape_tableaux,
-    interval_cc,
-    interval_co,
-    interval_oc,
-    interval_oo,
     kshape_tableau_from_filling,
     letter_charges,
     letter_cocharges,
@@ -20,6 +17,7 @@ from kshape.kshape_tableaux import (
     make_kshape_tableau,
 )
 from kshape.partitions import k_interior
+from kshape.poset import kshapes_of_size
 from kshape.weak_tableaux import enumerate_standard_k_tableaux, standard_shapes
 
 EXA36_ROWS = [[1, 2, 4, 6, 8, 9], [3, 5, 7], [4, 6, 9], [7], [9]]
@@ -58,7 +56,7 @@ def _brute_status(c, k):
             return False
         return i == len(lam) or lam[i] < j
 
-    top, bot = c.string.top, c.string.bottom
+    top, bot = c.top, c.bottom
     height = max(len(c.outer), top[0]) + k + 2
     width = (c.outer[0] if c.outer else 0) + k + 2
     flags = [False, False, False, False]
@@ -79,8 +77,6 @@ def _brute_status(c, k):
 
 
 def test_cover_status_matches_brute_force():
-    from kshape.poset import kshapes_of_size
-
     seen = set()
     for k in (2, 3, 5):
         for size in range(0, 6):
@@ -128,29 +124,81 @@ def test_characterization_matches_standard_enumeration():
             assert direct == from_covers
 
 
+def _successors(lam, k):
+    """The successor rule that ``connected_rows`` replaced, kept as its
+    oracle: the successor of row r is the lowest row whose addable corner
+    lies within diagonal distance k+1 of the corner of row r."""
+    parts = list(lam) + [0]
+    corners = {
+        i: parts[i - 1] + 1 - i
+        for i in range(1, len(parts) + 1)
+        if i == 1 or parts[i - 2] > parts[i - 1]
+    }
+    succ = {}
+    for r, d in corners.items():
+        below = [r2 for r2, d2 in corners.items() if r2 < r and abs(d - d2) <= k + 1]
+        if below:
+            succ[r] = min(below)
+    return corners, succ
+
+
+def _oracle_interval(lam, k, r, rp, closed_left, closed_right):
+    """The interval count, walking the successors of ``_successors``."""
+    corners, succ = _successors(lam, k)
+    assert r in corners
+    chain = [r]
+    while chain[-1] in succ:
+        chain.append(succ[chain[-1]])
+    count = 0
+    for idx, row in enumerate(chain):
+        if row < rp:
+            break
+        if (idx == 0 and not closed_left) or (row == rp and not closed_right):
+            continue
+        count += 1
+    return count
+
+
 def test_connected_rows_example():
-    s = connected_rows((12, 8, 6, 4, 2, 1), 5)
-    assert sorted(s.successor.items()) == [
-        (2, 1), (3, 2), (4, 2), (5, 3), (6, 4), (7, 5),
-    ]
-    # pairs at corner distance exactly k or k+1
-    assert {(4, 2), (5, 3)} <= set(s.contiguous)
-    assert s.chain_from(7) == (7, 5, 3, 2, 1)
-    assert interval_cc((12, 8, 6, 4, 2, 1), 5, 7, 1) == 5
+    lam = (12, 8, 6, 4, 2, 1)
+    chains = connected_rows(lam, 5)
+    assert {r: c[1] for r, c in chains.items() if len(c) > 1} == {
+        2: 1, 3: 2, 4: 2, 5: 3, 6: 4, 7: 5,
+    }
+    assert chains[7] == (7, 5, 3, 2, 1)
+    assert _interval(lam, 5, 7, 1, True, True) == 5
 
 
 def test_connected_rows_empty():
-    s = connected_rows((), 3)
-    assert s.rows == (1,) and not s.successor
+    chains = connected_rows((), 3)
+    assert chains == {1: (1,)}
+    with pytest.raises(TypeError):
+        chains[2] = (2,)  # the memo table shares this mapping
+
+
+def test_connected_rows_match_successor_rule():
+    count, longest = 0, 0
+    for k in range(2, 6):
+        for size in range(0, 9):
+            for lam in kshapes_of_size(k, size):
+                corners, succ = _successors(lam, k)
+                chains = connected_rows(lam, k)
+                assert set(chains) == set(corners)
+                for r, chain in chains.items():
+                    assert chain[0] == r
+                    assert all(succ[a] == b for a, b in zip(chain, chain[1:]))
+                    assert chain[-1] not in succ
+                    longest = max(longest, len(chain))
+                count += 1
+    assert count == 328 and longest == 9
 
 
 def test_intervals():
     lam = (3, 1, 1)  # addable corners in rows 1, 2, 4
-    assert interval_co(lam, 4, 4, 2) == 1
-    assert interval_cc(lam, 4, 4, 2) == 2
-    assert interval_oc(lam, 4, 4, 2) == 1
-    assert interval_oo(lam, 4, 4, 2) == 0
-    assert interval_co(lam, 4, 2, 2) == 0  # empty half-open interval
+    for left, right, want in [(True, False, 1), (True, True, 2), (False, True, 1), (False, False, 0)]:
+        assert _interval(lam, 4, 4, 2, left, right) == want
+        assert _oracle_interval(lam, 4, 4, 2, left, right) == want
+    assert _interval(lam, 4, 2, 2, True, False) == 0  # empty half-open interval
 
 
 def test_charge_cocharge_exa36_37():
@@ -182,16 +230,23 @@ def test_duality_sweep_small():
 
 def _two_recursions(t):
     """The separate charge and cocharge recursions on t.up/t.down that the
-    single interval recursion replaced, kept as its oracle."""
+    single interval recursion replaced, kept as its oracle over the
+    test-local interval walk."""
     ups = [t.up(n)[0] for n in range(1, t.letters + 1)]
     downs = [t.down(n)[0] for n in range(1, t.letters + 1)]
     chs, cos, ch, co = [0], [0], 0, 0
     for n in range(2, t.letters + 1):
         shape = t.chain[n - 1]
         r, rp = ups[n - 2] + 1, ups[n - 1]
-        ch += interval_co(shape, t.k, r, rp) if r >= rp else -interval_oc(shape, t.k, rp, r)
+        if r >= rp:
+            ch += _oracle_interval(shape, t.k, r, rp, True, False)
+        else:
+            ch -= _oracle_interval(shape, t.k, rp, r, False, True)
         r, rp = downs[n - 2] + 1, downs[n - 1]
-        co += -interval_oo(shape, t.k, r, rp) if r > rp else interval_cc(shape, t.k, rp, r)
+        if r > rp:
+            co -= _oracle_interval(shape, t.k, r, rp, False, False)
+        else:
+            co += _oracle_interval(shape, t.k, rp, r, True, True)
         chs.append(ch)
         cos.append(co)
     return tuple(chs), tuple(cos)
@@ -212,8 +267,6 @@ def test_boundary_grows_by_one_per_cover():
 
     for k in (2, 3):
         for size in range(0, 6):
-            from kshape.poset import kshapes_of_size
-
             for lam in kshapes_of_size(k, size):
                 for c in enumerate_covers(lam, k):
                     assert boundary_size(c.outer, k) == size + 1
@@ -227,12 +280,11 @@ def test_grounded_residue_connectivity():
 
     for k in (2, 3):
         for lam in standard_shapes(k, 6):
-            rows = connected_rows(lam, k)
             width = (lam[0] if lam else 0) + k + 2
-            for r in rows.rows:
-                if r not in rows.successor:
+            for r, chain in connected_rows(lam, k).items():
+                if len(chain) < 2:
                     continue
-                rp = rows.successor[r]
+                rp = chain[1]
                 for j in range(1, width):
                     grounded = not cell_in(lam, (r, j)) and (
                         r == 1 or cell_in(lam, (r - 1, j))

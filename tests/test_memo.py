@@ -2,25 +2,24 @@
 uncached body returns, never stores an exception, and hands out values
 that are immutable and survive pickling."""
 import pickle
+from dataclasses import fields
 
 import pytest
 
 from kshape.errors import IntegrityError
 from kshape.kshape_tableaux import (
-    Cover,
     cover_status,
     enumerate_covers,
     enumerate_kshape_tableaux,
     make_cover,
 )
-from kshape.partitions import _row_cells, conjugate, is_p_core, partitions_of
+from kshape.partitions import _row_cells, is_p_core, partitions_of
 from kshape.poset import (
     ROW,
     Move,
     Path,
     StringOfCells,
-    _conjugate_cells,
-    _parse_row_move,
+    _parse_move,
     enumerate_moves,
     is_k_shape,
     kshapes_of_size,
@@ -49,12 +48,19 @@ def _covers():
 
 
 def _moves():
-    return [(k, m) for k, lam in _kshapes() for m in enumerate_moves(lam, k)]
+    """Every move from every k-shape with k=2..5 and k-boundary at most 9."""
+    return [
+        (k, m)
+        for k in range(2, 6)
+        for s in range(0, 10)
+        for lam in kshapes_of_size(k, s)
+        for m in enumerate_moves(lam, k)
+    ]
 
 
 def _same_move(a: Move, b: Move) -> bool:
-    fields = lambda m: (m.orientation, m.rank, m.length, m.strings, m.source, m.target)
-    return fields(a) == fields(b)
+    """Equal in every field, not only in the ones equality compares."""
+    return all(getattr(a, f.name) == getattr(b, f.name) for f in fields(Move))
 
 
 def test_is_k_shape_matches_uncached():
@@ -77,17 +83,23 @@ def test_make_cover_matches_uncached():
         assert make_cover(c.inner, c.outer, k) == make_cover.__wrapped__(c.inner, c.outer, k) == c
 
 
-def test_parse_row_move_matches_uncached():
+def test_parse_move_matches_uncached():
     moves = _moves()
+    assert len(moves) == 546
     assert any(m.orientation == ROW for _, m in moves)
     assert any(m.orientation != ROW for _, m in moves)
     for k, m in moves:
-        if m.orientation == ROW:
-            source, cells = m.source, m.cells
-        else:
-            source, cells = conjugate(m.source), frozenset(_conjugate_cells(m.cells))
-        assert _same_move(_parse_row_move(source, cells, k), _parse_row_move.__wrapped__(source, cells, k))
-        assert _same_move(move_from_cells(m.source, m.cells, m.orientation, k), m)
+        args = (m.source, m.cells, m.orientation, k)
+        assert _same_move(_parse_move(*args), _parse_move.__wrapped__(*args))
+        assert _same_move(move_from_cells(*args), m)
+
+
+def test_repeated_column_parse_returns_the_same_move():
+    columns = [(k, m) for k, m in _moves() if m.orientation != ROW]
+    assert columns
+    for k, m in columns:
+        first = move_from_cells(m.source, set(m.cells), m.orientation, k)
+        assert move_from_cells(m.source, list(m.cells), m.orientation, k) is first
 
 
 def test_is_weak_strip_matches_uncached():
@@ -166,8 +178,8 @@ def test_cover_markers_are_the_letter_extremes():
         for n in range(1, 9):
             for t in enumerate_kshape_tableaux(n, k):
                 for m in range(1, n + 1):
-                    string = make_cover(t.chain[m - 1], t.chain[m], k).string
-                    assert string.top == t.up(m) and string.bottom == t.down(m)
+                    c = make_cover(t.chain[m - 1], t.chain[m], k)
+                    assert c.top == t.up(m) and c.bottom == t.down(m)
                 count += 1
     assert count > 5000
 
@@ -183,7 +195,7 @@ BAD_CALLS = [
     (is_k_shape, ((1,), 1), ValueError),
     (make_cover, ((), (2,), 3), ValueError),  # two cells in one row
     (make_cover, ((), (3, 1), 2), ValueError),  # (3,1) is not a 2-shape
-    (_parse_row_move, ((2, 1), frozenset({(1, 3), (3, 1)}), 2), IntegrityError),
+    (_parse_move, ((2, 1), frozenset({(1, 3), (3, 1)}), ROW, 2), IntegrityError),
     (is_weak_strip, ((), (1,), 0), ValueError),
     (standard_successors, ((2, 1), 2), ValueError),  # (2,1) is not a 3-core
     (standard_predecessors, ((2, 1), 2), ValueError),
@@ -207,8 +219,10 @@ def test_invalid_input_raises_every_time(fn, args, exc):
 def _values():
     cover = make_cover((1,), (1, 1), 2)
     move = next(m for _, m in _moves() if m.rank > 1 or m.length > 1)
+    k, column = next((k, m) for k, m in _moves() if m.orientation != ROW)
+    column = move_from_cells(column.source, column.cells, column.orientation, k)
     path = _push_strip(make_cover((), (1,), 2), Path(start=()), 2)[1]
-    return [cover, cover.string, move, move.strings[0], Path(start=move.source, moves=(move,)), path]
+    return [cover, column, move, move.strings[0], Path(start=move.source, moves=(move,)), path]
 
 
 @pytest.mark.parametrize("index", range(6))
@@ -222,7 +236,7 @@ def test_cached_values_pickle(index):
 
 
 @pytest.mark.parametrize(
-    "cls,field", [(Cover, "inner"), (Move, "source"), (StringOfCells, "cells"), (Path, "start")]
+    "cls,field", [(Move, "source"), (StringOfCells, "cells"), (Path, "start")]
 )
 def test_cached_value_types_are_frozen_and_slotted(cls, field):
     value = next(v for v in _values() if type(v) is cls)

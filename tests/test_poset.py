@@ -20,6 +20,7 @@ from kshape.poset import (
     corner_run,
     enumerate_moves,
     enumerate_paths,
+    enumerate_row_moves,
     equivalence_classes,
     is_k_shape,
     kshapes_of_size,
@@ -91,7 +92,13 @@ def test_closure_rejects_move_that_changes_boundary_size(monkeypatch):
     import kshape.poset as poset
 
     bogus = poset.Move(
-        orientation=ROW, rank=1, length=1, strings=(), source=(), target=(1,)
+        orientation=ROW,
+        source=(),
+        cells=frozenset({(1, 1)}),
+        rank=1,
+        length=1,
+        strings=(),
+        target=(1,),
     )
     monkeypatch.setattr(poset, "enumerate_moves", lambda lam, k: (bogus,))
     poset.kshapes_of_size.cache_clear()
@@ -188,6 +195,22 @@ def test_move_from_cells_round_trip():
                 assert again.cells == m.cells and again.target == m.target
     with pytest.raises(IntegrityError):
         move_from_cells((3, 1, 1), frozenset({(1, 4)}), ROW, 2)
+
+
+def test_move_cells():
+    """Over every move from every k-shape with k=2..5 and k-boundary at
+    most 9: the stored cells are those of the strings, and no two row
+    moves from one shape have the same cells."""
+    count = 0
+    for k in range(2, 6):
+        for size in range(0, 10):
+            for lam in kshapes_of_size(k, size):
+                rows = enumerate_row_moves(lam, k)
+                assert len({m.cells for m in rows}) == len(rows)
+                for m in enumerate_moves(lam, k):
+                    assert m.cells == frozenset(c for s in m.strings for c in s.cells)
+                    count += 1
+    assert count == 546
 
 
 def test_poset_2_4():

@@ -226,18 +226,18 @@ def test_bijection_square_marker_facts():
                     for sq in res.squares:
                         row_kind = sq.kind == "max-below" or sq.kind.startswith("row")
                         if row_kind:
-                            assert sq.cover_in.string.top == sq.cover_out.string.top
+                            assert sq.cover_in.top == sq.cover_out.top
                             move_rows = {
                                 c[0]
                                 for mv in (sq.move_in, sq.move_out)
                                 if mv
                                 for c in mv.cells
                             }
-                            assert sq.cover_in.string.top[0] not in move_rows
+                            assert sq.cover_in.top[0] not in move_rows
                         else:
                             assert (
-                                sq.cover_in.string.bottom
-                                == sq.cover_out.string.bottom
+                                sq.cover_in.bottom
+                                == sq.cover_out.bottom
                             )
 
 

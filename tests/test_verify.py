@@ -2,8 +2,9 @@ import pytest
 
 from kshape.partitions import is_p_core
 from kshape.poset import kshapes_of_size
+from kshape.weak_tableaux import standard_shapes
 from kshape import verify
-from kshape.verify import CHECKS, k1_cores_of_boundary, run_check
+from kshape.verify import CHECKS, run_check
 
 GATING = {
     "kshape-fixture",
@@ -87,7 +88,7 @@ def test_k1_cores_match_closure_filter():
     for k in range(2, 5):
         for n in range(0, 9):
             closure = tuple(v for v in kshapes_of_size(k, n) if is_p_core(v, k + 1))
-            assert k1_cores_of_boundary(k, n) == closure
+            assert standard_shapes(k, n) == closure
 
 
 def test_injectivity_gate_fails_when_images_collide(monkeypatch):
