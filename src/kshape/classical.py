@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .partitions import Partition, skew_cells
+from .partitions import Partition
 
 
 def reading_word(chain: Sequence[Partition]) -> tuple[int, ...]:
@@ -18,8 +18,12 @@ def reading_word(chain: Sequence[Partition]) -> tuple[int, ...]:
     shape = chain[-1]
     grid = [[0] * shape[i] for i in range(len(shape))]
     for n in range(1, len(chain)):
-        for (i, j) in skew_cells(chain[n], chain[n - 1]):
-            grid[i - 1][j - 1] = n
+        before, after = chain[n - 1], chain[n]
+        if len(before) > len(after) or any(b > a for b, a in zip(before, after)):
+            raise ValueError(f"{before} is not contained in {after}")
+        for i, width in enumerate(after):
+            start = before[i] if i < len(before) else 0
+            grid[i][start:width] = [n] * (width - start)
     word: list[int] = []
     for row in reversed(grid):
         word.extend(row)

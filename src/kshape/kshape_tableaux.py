@@ -171,8 +171,16 @@ def _interval(lam: Partition, k: int, r: int, rp: int, closed_left: bool, closed
     chain = connected_rows(lam, k).get(r)
     if chain is None:
         raise IntegrityError(f"row {r} of {lam} has no addable corner")
-    inside = [row for row in chain[0 if closed_left else 1 :] if row >= rp]
-    return len(inside) - (not closed_right and rp in inside)
+    # chains strictly descend, so the rows >= rp are a prefix of the chain
+    end = 0
+    for row in chain:
+        if row < rp:
+            break
+        end += 1
+    start = 0 if closed_left else 1
+    if end <= start:
+        return 0
+    return end - start - (not closed_right and chain[end - 1] == rp)
 
 
 # ---------------------------------------------------------------------------
@@ -189,29 +197,30 @@ def cocharge_kshape(t: KShapeTableau) -> int:
 
 
 def letter_charges(t: KShapeTableau) -> tuple[int, ...]:
-    return _letter_statistic(t, "top", (1, True, False), (-1, False, True))
+    return _letter_statistic(t, 0, (1, True, False), (-1, False, True))
 
 
 def letter_cocharges(t: KShapeTableau) -> tuple[int, ...]:
-    return _letter_statistic(t, "bottom", (-1, False, False), (1, True, True))
+    return _letter_statistic(t, -1, (-1, False, False), (1, True, True))
 
 
-def _letter_statistic(t: KShapeTableau, end: str, drop, rise) -> tuple[int, ...]:
+def _letter_statistic(t: KShapeTableau, end: int, drop, rise) -> tuple[int, ...]:
     """Running sums of one signed interval per letter 2..n on the previous
-    shape.  Letter n's marker row is the row of the ``end`` ("top" or
-    "bottom") cell of its cover.  With r one above the marker of letter
-    n-1 and rp the marker of letter n, ``drop`` = (sign, closed_left,
-    closed_right) counts from r down to rp when r > rp, and ``rise``
-    counts from rp down to r otherwise."""
+    shape.  Letter n's marker row is the row of cell ``end`` of its cover
+    (0 for the top cell, -1 for the bottom one).  With r one above the
+    marker of letter n-1 and rp the marker of letter n, ``drop`` = (sign,
+    closed_left, closed_right) counts from r down to rp when r > rp, and
+    ``rise`` counts from rp down to r otherwise."""
     k = t.k
-    rows = [getattr(make_cover(a, b, k), end)[0] for a, b in zip(t.chain, t.chain[1:])]
+    chain = t.chain
+    rows = [make_cover(a, b, k).cells[end][0] for a, b in zip(chain, chain[1:])]
     out = [0]
     total = 0
     for n in range(2, t.letters + 1):
         r, rp = rows[n - 2] + 1, rows[n - 1]
         sign, left, right = drop if r > rp else rise
         hi, lo = (r, rp) if r > rp else (rp, r)
-        total += sign * _interval(t.chain[n - 1], k, hi, lo, left, right)
+        total += sign * _interval(chain[n - 1], k, hi, lo, left, right)
         out.append(total)
     return tuple(out)
 

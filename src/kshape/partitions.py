@@ -7,6 +7,7 @@ bottom row and rows grow upward, so "above" means larger row index.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -63,9 +64,7 @@ def conjugate(lam: Partition) -> Partition:
 
 def contains(outer: Partition, inner: Partition) -> bool:
     """True iff inner fits inside outer componentwise."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def cells(lam: Partition) -> Iterator[Cell]:
@@ -120,10 +119,17 @@ def hook_length(lam: Partition, cell: Cell) -> int:
 
 @lru_cache(maxsize=None)
 def is_p_core(lam: Partition, p: int) -> bool:
-    """True iff no cell of lam has hook length exactly p."""
+    """True iff no cell of lam has hook length exactly p.
+
+    On the abacus with beads b_i = lam_i + len(lam) - i, the hooks of
+    lam are the pairs of a bead b and a free position c < b, of length
+    b - c; so lam has a p-hook iff some bead b >= p has b - p free.
+    """
     if p < 2:
         raise ValueError(f"p must be at least 2: {p}")
-    return all(hook_length(lam, b) != p for b in cells(lam))
+    n = len(lam)
+    beads = {part + n - i for i, part in enumerate(lam, start=1)}
+    return all(b < p or b - p in beads for b in beads)
 
 
 @lru_cache(maxsize=None)
@@ -131,18 +137,21 @@ def k_interior(lam: Partition, k: int) -> Partition:
     """Subpartition of cells with hook length larger than k."""
     if k < 1:
         raise ValueError(f"k must be at least 1: {k}")
-    # Hooks strictly decrease left to right within a row, so the interior
-    # is a prefix of each row.
+    # Hooks strictly decrease left to right along a row and bottom to top
+    # up a column, so the interior is a staircase: each row's width is at
+    # most the width of the row below, and one walk down the widths finds
+    # every row.
+    conj = conjugate(lam)
     rows = []
-    for i in range(1, len(lam) + 1):
-        width = 0
-        for j in range(1, lam[i - 1] + 1):
-            if hook_length(lam, (i, j)) > k:
-                width = j
-            else:
-                break
-        rows.append(width)
-    return partition(rows)
+    j = lam[0] if lam else 0
+    for i, part in enumerate(lam, start=1):
+        j = min(j, part)
+        while j and part - j + conj[j - 1] - i + 1 <= k:
+            j -= 1
+        if not j:
+            break
+        rows.append(j)
+    return tuple(rows)
 
 
 def k_boundary(lam: Partition, k: int) -> SkewShape:

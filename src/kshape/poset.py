@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterator
 
 from .errors import IntegrityError
@@ -72,11 +73,16 @@ def is_k_shape(lam: Partition, k: int) -> bool:
     return all(cs[i] >= cs[i + 1] for i in range(len(cs) - 1))
 
 
-def _delta(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
-    )
+def _signs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[bool, bool]:
+    """Whether some entry of a exceeds, and whether some falls below, the
+    same entry of b, padding the shorter profile with zeros."""
+    rises = falls = False
+    for x, y in zip_longest(a, b, fillvalue=0):
+        if x > y:
+            rises = True
+        elif x < y:
+            falls = True
+    return rises, falls
 
 
 def classify_string(inner: Partition, outer: Partition, k: int) -> StringOfCells | None:
@@ -92,28 +98,28 @@ def classify_string(inner: Partition, outer: Partition, k: int) -> StringOfCells
     cs = skew_cells(outer, inner)
     if not cs:
         return None
-    ordered = sorted(cs, key=lambda c: -c[0])
+    ordered = cs[::-1]  # skew_cells lists rows bottom-up
     for a, b in zip(ordered, ordered[1:]):
         if b[0] >= a[0]:
             return None  # two cells share a row
         if abs(diag(a) - diag(b)) not in (k, k + 1):
             return None
-    drs = _delta(row_shape(outer, k), row_shape(inner, k))
-    dcs = _delta(col_shape(outer, k), col_shape(inner, k))
+    row_up, row_down = _signs(row_shape(outer, k), row_shape(inner, k))
+    col_up, col_down = _signs(col_shape(outer, k), col_shape(inner, k))
     kinds = []
-    if all(x == 0 for x in drs):
+    if not (row_up or row_down):
         kinds.append(ROW)
-    if all(x == 0 for x in dcs):
+    if not (col_up or col_down):
         kinds.append(COLUMN)
-    if any(x > 0 for x in drs) and any(x > 0 for x in dcs):
+    if row_up and col_up:
         kinds.append(COVER)
-    if any(x < 0 for x in drs) and any(x < 0 for x in dcs):
+    if row_down and col_down:
         kinds.append(COCOVER)
     if len(kinds) != 1:
         raise IntegrityError(
             f"string {outer}/{inner} matches type conditions {kinds or 'none'}"
         )
-    return StringOfCells(cells=tuple(ordered), inner=inner, outer=outer, kind=kinds[0])
+    return StringOfCells(cells=ordered, inner=inner, outer=outer, kind=kinds[0])
 
 
 def next_corner(corners, cell: Cell, k: int, down: bool = True) -> Cell | None:
@@ -483,6 +489,9 @@ def build_poset(k: int, size: int) -> KShapePoset:
 
 def enumerate_paths(lam: Partition, mu: Partition, k: int) -> tuple[Path, ...]:
     """All move sequences from lam to mu; the empty path iff lam == mu."""
+    for shape in (lam, mu):
+        if not is_k_shape(shape, k):
+            raise ValueError(f"{shape} is not a {k}-shape")
     if boundary_size(lam, k) != boundary_size(mu, k):
         raise ValueError(
             f"boundary sizes differ: {lam} vs {mu} at k={k}"

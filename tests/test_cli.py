@@ -47,6 +47,21 @@ def test_paths_domain_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "k, src, dst, message",
+    [
+        ("2", "2", "3", "(3,) is not a 2-shape"),
+        ("2", "2,2", "2,2", "(2, 2) is not a 2-shape"),
+        ("1", "1", "1", "k must be at least 2: 1"),
+    ],
+)
+def test_paths_rejects_endpoints_that_are_not_k_shapes(capsys, k, src, dst, message):
+    code, out, err = run(capsys, "paths", "--k", k, "--from", src, "--to", dst)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_charge_command(tmp_path, capsys):
     f = tmp_path / "t.txt"
     f.write_text("1 2 3 5 7 9 10 / 4 6 10 / 5 7 / 8 / 10\n")

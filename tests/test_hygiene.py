@@ -72,3 +72,15 @@ def test_public_definitions_are_used():
     # from tests and checks, not necessarily from the rest of src/
     unused = [u for u in _unused_definitions(private=False) if not u.startswith("classical.py:")]
     assert not unused, f"public definitions nothing in src/ uses: {unused}"
+
+
+def test_classical_oracle_imports_only_the_partition_alias():
+    # classical.py is the independent oracle: sharing code with the
+    # kernels it checks would let one bug pass on both sides
+    imported = set()
+    for node in ast.walk(MODULES["classical.py"]):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("kshape")):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.startswith("kshape"))
+    assert imported <= {"Partition"}, f"classical.py imports {sorted(imported - {'Partition'})} from kshape"

@@ -18,6 +18,7 @@ from kshape.partitions import (
     k_interior,
     parse_partition,
     partition,
+    partitions_of,
     removable_corners,
     residue,
     row_shape,
@@ -103,6 +104,52 @@ def test_k_boundary_examples():
     assert sk.size() == 12
     assert k_boundary((1,), 1) == ((1,), ())
     assert k_interior((2, 1), 2) == (1,)
+
+
+def _hook_interior(lam, k):
+    """The per-cell hook filter that the staircase walk replaced."""
+    rows = [sum(1 for j in range(1, part + 1) if hook_length(lam, (i, j)) > k)
+            for i, part in enumerate(lam, start=1)]
+    return partition(rows)
+
+
+def _hook_core(lam, p):
+    """The per-cell hook scan that the abacus test replaced."""
+    return all(hook_length(lam, b) != p for b in cells(lam))
+
+
+def test_k_interior_matches_hook_filter():
+    # every partition of n <= 14 (508 of them), k = 1..12
+    count = 0
+    for n in range(15):
+        for lam in partitions_of(n):
+            for k in range(1, 13):
+                assert k_interior.__wrapped__(lam, k) == _hook_interior(lam, k), (lam, k)
+                count += 1
+    assert count == 508 * 12
+
+
+def test_is_p_core_matches_hook_scan():
+    # every partition of n <= 14, p = 2..12
+    count = 0
+    for n in range(15):
+        for lam in partitions_of(n):
+            for p in range(2, 13):
+                assert is_p_core.__wrapped__(lam, p) == _hook_core(lam, p), (lam, p)
+                count += 1
+    assert count == 508 * 11
+
+
+def test_interior_and_core_read_no_hooks(monkeypatch):
+    import kshape.partitions as partitions
+
+    def forbidden(lam, cell):
+        raise AssertionError("hook_length called")
+
+    monkeypatch.setattr(partitions, "hook_length", forbidden)
+    lam = (8, 4, 3, 2, 1, 1, 1)
+    assert k_interior.__wrapped__(lam, 4) == (4, 2, 1, 1)
+    assert not is_p_core.__wrapped__(lam, 4)
 
 
 def test_row_col_shapes():

@@ -1,3 +1,4 @@
+import re
 from typing import Iterator
 
 import pytest
@@ -169,6 +170,128 @@ def test_move_profile_preservation():
                     assert col_shape(m.target, k) == col_shape(lam, k)
 
 
+def _sorted_delta_classify(inner, outer, k):
+    """classify_string as it was before the one-pass sign scan: sort the
+    cells top to bottom and test four all/any conditions on the profile
+    differences; kept as its oracle.  It reads the profiles through the
+    poset module, as classify_string does, so both see a patched one."""
+    from kshape import poset
+    from kshape.poset import COCOVER, COLUMN, StringOfCells, contains, skew_cells
+
+    def delta(a, b):
+        n = max(len(a), len(b))
+        return tuple(
+            (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)
+        )
+
+    if not contains(outer, inner):
+        return None
+    cs = skew_cells(outer, inner)
+    if not cs:
+        return None
+    ordered = sorted(cs, key=lambda c: -c[0])
+    for a, b in zip(ordered, ordered[1:]):
+        if b[0] >= a[0]:
+            return None
+        if abs(diag(a) - diag(b)) not in (k, k + 1):
+            return None
+    drs = delta(poset.row_shape(outer, k), poset.row_shape(inner, k))
+    dcs = delta(poset.col_shape(outer, k), poset.col_shape(inner, k))
+    kinds = []
+    if all(x == 0 for x in drs):
+        kinds.append(ROW)
+    if all(x == 0 for x in dcs):
+        kinds.append(COLUMN)
+    if any(x > 0 for x in drs) and any(x > 0 for x in dcs):
+        kinds.append(COVER)
+    if any(x < 0 for x in drs) and any(x < 0 for x in dcs):
+        kinds.append(COCOVER)
+    if len(kinds) != 1:
+        raise IntegrityError(
+            f"string {outer}/{inner} matches type conditions {kinds or 'none'}"
+        )
+    return StringOfCells(cells=tuple(ordered), inner=inner, outer=outer, kind=kinds[0])
+
+
+def _classify_outcomes(pairs, k, tally):
+    """Assert that classify_string and its oracle agree on every pair,
+    counting each result kind, None and IntegrityError in ``tally``."""
+    for inner, outer in pairs:
+        outcomes = []
+        for fn in (classify_string, _sorted_delta_classify):
+            try:
+                s = fn(inner, outer, k)
+                outcomes.append(("value", s))
+            except IntegrityError as exc:
+                outcomes.append(("integrity", str(exc)))
+        assert outcomes[0] == outcomes[1], (inner, outer, k)
+        kind, s = outcomes[0]
+        key = kind if kind == "integrity" else ("none" if s is None else s.kind)
+        tally[key] = tally.get(key, 0) + 1
+
+
+def _nearby_pairs(inners, max_size, max_cells):
+    """(inner, outer) with |outer| <= max_size and 0 <= |outer| - |inner|
+    <= max_cells, whether or not outer contains inner."""
+    from kshape.partitions import partitions_of
+
+    by_size = [list(partitions_of(n)) for n in range(max_size + 1)]
+    for inner in inners:
+        n = sum(inner)
+        for m in range(n, min(n + max_cells, max_size) + 1):
+            for outer in by_size[m]:
+                yield inner, outer
+
+
+def test_classify_string_matches_sorted_delta_oracle():
+    # inner a k-shape, |outer| <= 8, outer/inner of at most 4 cells, k = 2..5
+    from kshape.partitions import partitions_of
+
+    tally = {}
+    for k in range(2, 6):
+        inners = [lam for n in range(9) for lam in partitions_of(n) if is_k_shape(lam, k)]
+        _classify_outcomes(_nearby_pairs(inners, 8, 4), k, tally)
+    assert set(tally) == {"none", ROW, "column", COVER, "cocover"}, tally
+
+
+@pytest.mark.parametrize(
+    "row_profile, col_profile, message",
+    [
+        (lambda lam, k: (), lambda lam, k: (), "['row', 'column']"),
+        (lambda lam, k: lam, lambda lam, k: tuple(-x for x in lam), "none"),
+    ],
+)
+def test_classify_string_ambiguity_matches_oracle(monkeypatch, row_profile, col_profile, message):
+    # no real string up to 8 cells is ambiguous, so the IntegrityError
+    # branch is compared under profiles that force zero or two types
+    from kshape import poset
+    from kshape.partitions import partitions_of
+
+    inners = [lam for n in range(6) for lam in partitions_of(n)]
+    monkeypatch.setattr(poset, "row_shape", row_profile)
+    monkeypatch.setattr(poset, "col_shape", col_profile)
+    tally = {}
+    _classify_outcomes(_nearby_pairs(inners, 6, 3), 2, tally)
+    assert set(tally) == {"none", "integrity"}, tally
+    with pytest.raises(IntegrityError, match=re.escape(message)):
+        classify_string((), (1,), 2)
+
+
+def test_connected_row_chains_strictly_descend():
+    from kshape.kshape_tableaux import connected_rows
+    from kshape.partitions import partitions_of
+
+    count = 0
+    for k in range(2, 6):
+        for n in range(11):
+            for lam in partitions_of(n):
+                for r, chain in connected_rows(lam, k).items():
+                    assert chain[0] == r
+                    assert all(a > b for a, b in zip(chain, chain[1:])), (lam, k, chain)
+                    count += 1
+    assert count > 1000
+
+
 def test_move_rank_bound():
     # regrow without the production cap: no valid move reaches rank k
     from kshape.errors import IntegrityError
@@ -263,6 +386,20 @@ def test_paths_fixtures():
     assert len(selfp) == 1 and not selfp[0].moves
     with pytest.raises(ValueError):
         enumerate_paths((3, 1, 1), (4, 3, 2, 1), 3)
+
+
+@pytest.mark.parametrize(
+    "lam, mu, k, message",
+    [
+        ((2,), (3,), 2, "(3,) is not a 2-shape"),
+        ((2, 2), (2, 2), 2, "(2, 2) is not a 2-shape"),
+        ((3,), (2,), 2, "(3,) is not a 2-shape"),
+        ((1,), (1,), 1, "k must be at least 2: 1"),
+    ],
+)
+def test_paths_reject_endpoints_that_are_not_k_shapes(lam, mu, k, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        enumerate_paths(lam, mu, k)
 
 
 def test_composite_move_is_equivalent_to_factorization():
