@@ -166,20 +166,14 @@ def _string_signature(s: StringOfCells, k: int):
     top = s.top
     rel = lambda c: (c[0] - top[0], c[1] - top[1])
     bullets = tuple(sorted(rel(c) for c in s.cells))
-    inner_int = k_interior(s.inner, k)
     outer_int = k_interior(s.outer, k)
-    circles = tuple(
-        sorted(
-            rel(c)
-            for c in skew_cells(s.inner, inner_int)
-            if cell_in(outer_int, c)
-        )
-    )
+    boundary = skew_cells(s.inner, k_interior(s.inner, k))
+    circles = tuple(sorted(rel(c) for c in boundary if cell_in(outer_int, c)))
     rows = {c[0] for c in s.cells} | {c[0] + top[0] for c in circles}
     cols = {c[1] for c in s.cells} | {c[1] + top[1] for c in circles}
     shared = [
         c
-        for c in skew_cells(s.inner, inner_int)
+        for c in boundary
         if not cell_in(outer_int, c) and (c[0] in rows or c[1] in cols)
     ]
     row_segs = tuple(

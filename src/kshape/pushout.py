@@ -41,7 +41,7 @@ from .kshape_tableaux import KShapeTableau, charge_kshape, cocharge_kshape
 from .weak_tableaux import WeakTableau, make_weak_tableau
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PushoutSquare:
     """One commuting square of the algorithm.
 
@@ -174,9 +174,7 @@ def maximal_pushout(c: StringOfCells, m: Move, k: int) -> PushoutSquare:
     )
 
 
-def _maximize(
-    c: StringOfCells, k: int, squares: list[PushoutSquare] | None, out: list[Move]
-) -> StringOfCells:
+def _maximize(c: StringOfCells, k: int, squares: list[PushoutSquare]) -> StringOfCells:
     guard = 0
     while True:
         st = cover_status(c, k)
@@ -186,68 +184,50 @@ def _maximize(
             grown, mv, kind = (*maximize_below(c, k), "max-below")
         else:
             grown, mv, kind = (*maximize_above(c, k), "max-above")
-        out.append(mv)
-        if squares is not None:
-            squares.append(
-                PushoutSquare(
-                    kind=kind,
-                    cover_in=c,
-                    cover_out=grown,
-                    move_in=None,
-                    move_out=mv,
-                )
-            )
+        squares.append(
+            PushoutSquare(kind=kind, cover_in=c, cover_out=grown, move_in=None, move_out=mv)
+        )
         c = grown
         guard += 1
         if guard > sum(grown.outer) + 2:
             raise IntegrityError("maximization does not terminate")
 
 
-def push_cover_through_path(
-    c: StringOfCells, p: Path, k: int, squares: list[PushoutSquare] | None = None
-) -> tuple[StringOfCells, Path]:
-    """Convert an arbitrary cover and top path into a maximal cover and
-    the corresponding bottom path, in canonical order: maximize fully,
-    push one move, repeat.
-
-    The strip is a pure function of (c, p, k) and is memoized; a call
-    that collects ``squares`` runs the same body uncached, so a warm
-    table never hides a square.
-    """
-    if squares is None:
-        return _push_strip(c, p, k)
-    return _push_strip.__wrapped__(c, p, k, squares)
-
-
 @lru_cache(maxsize=None)
-def _push_strip(
-    c: StringOfCells, p: Path, k: int, squares: list[PushoutSquare] | None = None
-) -> tuple[StringOfCells, Path]:
+def push_cover_through_path(
+    c: StringOfCells, p: Path, k: int
+) -> tuple[StringOfCells, Path, tuple[PushoutSquare, ...]]:
+    """Convert an arbitrary cover and top path into a maximal cover, the
+    corresponding bottom path and the squares between them, in canonical
+    order: maximize fully, push one move, repeat.
+
+    The bottom path's moves are the non-empty bottom moves of the
+    squares, in order.  The strip is a pure function of (c, p, k) and
+    is memoized.
+    """
     if c.inner != p.start:
         raise ValueError("cover must start where the path starts")
-    out: list[Move] = []
+    squares: list[PushoutSquare] = []
     start = c.outer
     for m in p.moves:
-        c = _maximize(c, k, squares, out)
-        sq = maximal_pushout(c, m, k)
-        if squares is not None:
-            squares.append(sq)
-        if sq.move_out is not None:
-            out.append(sq.move_out)
+        sq = maximal_pushout(_maximize(c, k, squares), m, k)
+        squares.append(sq)
         c = sq.cover_out
-    c = _maximize(c, k, squares, out)
-    return c, Path(start=start, moves=tuple(out))
+    c = _maximize(c, k, squares)
+    moves = tuple(sq.move_out for sq in squares if sq.move_out is not None)
+    return c, Path(start=start, moves=moves), tuple(squares)
 
 
 @dataclass(frozen=True)
 class WeakBijectionResult:
-    """Image of a standard k-tableau: the (k-1)-tableau chain and path."""
+    """Image of a standard k-tableau: the (k-1)-tableau chain and path,
+    with the squares of every strip in the order they were pushed."""
 
     k: int
     source: WeakTableau
     target_chain: tuple[Partition, ...]
     path: Path
-    squares: tuple[PushoutSquare, ...] = field(repr=False, default=())
+    squares: tuple[PushoutSquare, ...] = field(repr=False)
 
     @property
     def target_tableau(self) -> WeakTableau:
@@ -260,9 +240,7 @@ class WeakBijectionResult:
         raise IntegrityError("emitted path missing from the enumerated classes")
 
 
-def weak_bijection_standard(
-    t: WeakTableau, keep_squares: bool = False
-) -> WeakBijectionResult:
+def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
     """Map a standard k-tableau to a standard (k-1)-tableau and a path.
 
     Every cover of the input chain is pushed through the path produced
@@ -274,14 +252,15 @@ def weak_bijection_standard(
     k = t.k
     if k < 2:
         raise ValueError("descent requires k >= 2")
-    squares: list[PushoutSquare] | None = [] if keep_squares else None
+    squares: list[PushoutSquare] = []
     path = Path(start=())
     target_chain: list[Partition] = [()]
     for i in range(1, t.letters + 1):
         c = make_cover(t.chain[i - 1], t.chain[i], k)
         if not cover_status(c, k).reverse_maximal:
             raise IntegrityError(f"standard tableau step {i} is not reverse-maximal")
-        c_out, path = push_cover_through_path(c, path, k, squares)
+        c_out, path, strip = push_cover_through_path(c, path, k)
+        squares.extend(strip)
         if c_out.inner != target_chain[-1]:
             raise IntegrityError("output covers do not chain")
         target_chain.append(c_out.outer)
@@ -300,23 +279,8 @@ def weak_bijection_standard(
         source=t,
         target_chain=chain,
         path=path,
-        squares=tuple(squares) if squares else (),
+        squares=tuple(squares),
     )
-
-
-@dataclass(frozen=True)
-class DescentLevel:
-    k: int
-    chain: tuple[Partition, ...]
-    path: Path
-
-    @property
-    def charge(self) -> int:
-        return self.path.charge()
-
-    @property
-    def cocharge(self) -> int:
-        return self.path.cocharge()
 
 
 @dataclass(frozen=True)
@@ -324,22 +288,22 @@ class DescentRecord:
     """Result of iterating the weak bijection down to the 1-tableau."""
 
     source: WeakTableau
-    levels: tuple[DescentLevel, ...]
+    levels: tuple[WeakBijectionResult, ...]
 
     @property
     def total_charge(self) -> int:
-        return sum(lv.charge for lv in self.levels)
+        return sum(lv.path.charge() for lv in self.levels)
 
     @property
     def total_cocharge(self) -> int:
-        return sum(lv.cocharge for lv in self.levels)
+        return sum(lv.path.cocharge() for lv in self.levels)
 
     def to_text(self) -> str:
         lines = [f"source: {self.source.text() or '-'}"]
         for lv in self.levels:
             lines.append(
                 f"k={lv.k}: path {lv.path.text()}"
-                f" | charge {lv.charge} cocharge {lv.cocharge}"
+                f" | charge {lv.path.charge()} cocharge {lv.path.cocharge()}"
             )
         lines.append(
             f"total charge {self.total_charge} cocharge {self.total_cocharge}"
@@ -354,9 +318,9 @@ class DescentRecord:
                     {
                         "k": lv.k,
                         "path": lv.path.text(),
-                        "chain": [format_partition(s) for s in lv.chain],
-                        "charge": lv.charge,
-                        "cocharge": lv.cocharge,
+                        "chain": [format_partition(s) for s in lv.target_chain],
+                        "charge": lv.path.charge(),
+                        "cocharge": lv.path.cocharge(),
                     }
                     for lv in self.levels
                 ],
@@ -371,10 +335,10 @@ def descend(t: WeakTableau) -> DescentRecord:
     """Iterate the weak bijection from level k down to the 1-tableau."""
     levels = []
     cur = t
-    for kk in range(t.k, 1, -1):
+    for _ in range(t.k, 1, -1):
         res = weak_bijection_standard(cur)
-        levels.append(DescentLevel(k=kk, chain=res.target_chain, path=res.path))
-        cur = make_weak_tableau(kk - 1, res.target_chain)
+        levels.append(res)
+        cur = res.target_tableau
     return DescentRecord(source=t, levels=tuple(levels))
 
 

@@ -23,10 +23,6 @@ class TPoly:
         return TPoly(tuple(int(c) for c in cs))
 
     @staticmethod
-    def monomial(power: int, coeff: int = 1) -> "TPoly":
-        return TPoly.of([0] * power + [coeff])
-
-    @staticmethod
     def from_powers(powers: Iterable[int]) -> "TPoly":
         out: list[int] = []
         for p in powers:

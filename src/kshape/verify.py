@@ -33,7 +33,6 @@ from .poset import (
     build_poset,
     enumerate_paths,
     is_k_shape,
-    kshapes_of_size,
     path_classes,
 )
 from .kshape_tableaux import (
@@ -72,37 +71,24 @@ classical_charge = classical.classical_charge
 
 
 def dual_kschur_truncated(
-    lam: Partition,
-    k: int,
-    variables: int,
-    grading: str = "charge",
-    weights: str = "all",
-    max_degree: int | None = None,
+    lam: Partition, k: int, variables: int, grading: str = "charge"
 ) -> TruncatedSymPoly:
     """Generating function of weak tableaux of a shape over x_1..x_v.
 
     grading "charge" weighs each tableau by t^charge, "none" counts.
-    weights "standard" keeps only weight (1,...,1).
     """
-    acc: dict[tuple[int, ...], TPoly] = {}
+    powers: dict[tuple[int, ...], list[int]] = {}
     for t in enumerate_weak_tableaux(lam, k, variables):
-        if weights == "standard" and not t.is_standard():
-            continue
-        if max_degree is not None and sum(t.weight) > max_degree:
-            continue
         power = charge_any_weight(t) if grading == "charge" else 0
-        expo = t.weight
-        acc[expo] = acc.get(expo, TPoly()) + TPoly.monomial(power)
-    return TruncatedSymPoly.of(variables, acc)
+        powers.setdefault(t.weight, []).append(power)
+    return TruncatedSymPoly.of(
+        variables, {expo: TPoly.from_powers(ps) for expo, ps in powers.items()}
+    )
 
 
 def branching_poly(lam: Partition, mu: Partition, k: int) -> TPoly:
     """Sum of t^charge over path classes from lam to mu."""
     return TPoly.from_powers(c.charge for c in path_classes(lam, mu, k))
-
-
-def k_cores_of_boundary(k: int, size: int) -> tuple[Partition, ...]:
-    return tuple(v for v in kshapes_of_size(k, size) if is_p_core(v, k))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +442,7 @@ def _bijection_count_instance(args):
     n = boundary_size(lam, k)
     left = len(enumerate_standard_k_tableaux(lam, k))
     right = 0
-    for mu in k_cores_of_boundary(k, n):
+    for mu in standard_shapes(k - 1, n):
         classes = path_classes(lam, mu, k)
         if classes:
             right += len(enumerate_standard_k_tableaux(mu, k - 1)) * len(classes)
@@ -500,7 +486,7 @@ def _t1_branching_instance(args):
     fails = []
     lhs = dual_kschur_truncated(lam, k, variables, grading="none").reduce_mod(k - 1)
     rhs = TruncatedSymPoly.of(variables, {})
-    for mu in k_cores_of_boundary(k, n):
+    for mu in standard_shapes(k - 1, n):
         classes = path_classes(lam, mu, k)
         if not classes:
             continue
@@ -557,7 +543,7 @@ def _generic_t_instance(args):
     fails = []
     lhs = dual_kschur_truncated(lam, k, variables, grading="charge").reduce_mod(k - 1)
     rhs = TruncatedSymPoly.of(variables, {})
-    for mu in k_cores_of_boundary(k, n):
+    for mu in standard_shapes(k - 1, n):
         b = branching_poly(lam, mu, k)
         if not b:
             continue

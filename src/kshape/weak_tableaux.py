@@ -456,7 +456,7 @@ def _marked_word_charge(t: WeakTableau, word) -> int:
 
 def charge_dominant_semistandard(t: WeakTableau) -> int:
     """Charge of a dominant-weight tableau: sum of its word charges."""
-    return sum(_marked_word_charge(t, w) for w in extract_words(t))
+    return sum(word_charges(t))
 
 
 def word_charges(t: WeakTableau) -> tuple[int, ...]:

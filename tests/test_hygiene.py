@@ -84,3 +84,55 @@ def test_classical_oracle_imports_only_the_partition_alias():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.startswith("kshape"))
     assert imported <= {"Partition"}, f"classical.py imports {sorted(imported - {'Partition'})} from kshape"
+
+
+# (module, function, parameter) defaults that only callers outside src/ set
+DEFAULTS_SET_OUTSIDE_SRC = {
+    # the command-line entry point: tests pass argv, the console script does not
+    ("cli.py", "main", "argv"),
+    # test_move_rank_bound checks that the rank bound stops the walk early
+    ("poset.py", "_grow_row_move", "max_rank"),
+}
+
+
+def _defaulted_parameters(node: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """Each defaulted parameter with its positional index (None if keyword-only)."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    out = [
+        (p.arg, i)
+        for i, p in enumerate(positional)
+        if i >= len(positional) - len(a.defaults)
+    ]
+    out += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _sets(call: ast.Call, param: str, index: int | None) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(x, ast.Starred) for x in call.args)
+
+
+def test_defaulted_parameters_are_set():
+    # a default that no call in src/ overrides is a knob nothing turns
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for param, index in _defaulted_parameters(node):
+                if (name, node.name, param) in DEFAULTS_SET_OUTSIDE_SRC:
+                    continue
+                if not any(_sets(c, param, index) for c in calls.get(node.name, [])):
+                    unset.append(f"{name}:{node.lineno} {node.name}({param})")
+    assert not unset, f"defaulted parameters no call in src/ sets: {unset}"

@@ -25,7 +25,7 @@ from kshape.poset import (
     kshapes_of_size,
     move_from_cells,
 )
-from kshape.pushout import _push_strip, weak_bijection_standard
+from kshape.pushout import PushoutSquare, push_cover_through_path, weak_bijection_standard
 from kshape.weak_tableaux import (
     _strips_over,
     enumerate_standard_k_tableaux,
@@ -144,29 +144,29 @@ def test_push_strip_and_cover_status_match_uncached():
         path = Path(start=())
         for inner, outer in zip(t.chain, t.chain[1:]):
             c = make_cover(inner, outer, k)
-            got = _push_strip(c, path, k)
-            assert got == _push_strip.__wrapped__(c, path, k)
+            got = push_cover_through_path(c, path, k)
+            assert got == push_cover_through_path.__wrapped__(c, path, k)
             for cover in (c, got[0]):
                 assert cover_status(cover, k) == cover_status.__wrapped__(cover, k)
             path = got[1]
             strips += 1
-    assert strips > 2000 and _push_strip.cache_info().hits > 0
-
-
-def _square_kinds(t):
-    return [sq.kind for sq in weak_bijection_standard(t, keep_squares=True).squares]
+    assert strips > 2000 and push_cover_through_path.cache_info().hits > 0
 
 
 def test_warm_strip_table_keeps_every_square():
+    """A plain call carries its squares, and a warm strip table hands back
+    the same squares as a cold one."""
     kinds_seen = set()
+    with_squares = 0
     for t in _standard_tableaux(range(2, 7), 6):
-        _push_strip.cache_clear()
-        cold = _square_kinds(t)
-        plain = weak_bijection_standard(t)
-        assert not plain.squares
-        assert _push_strip.cache_info().currsize > 0 or t.letters == 0
-        assert _square_kinds(t) == cold
-        kinds_seen.update(cold)
+        push_cover_through_path.cache_clear()
+        cold = weak_bijection_standard(t).squares
+        assert push_cover_through_path.cache_info().currsize > 0 or t.letters == 0
+        warm = weak_bijection_standard(t).squares
+        assert warm == cold
+        kinds_seen.update(sq.kind for sq in cold)
+        with_squares += bool(cold)
+    assert with_squares == 232
     assert {"max-below", "max-above", "row-I", "col-I"} <= kinds_seen
 
 
@@ -200,7 +200,7 @@ BAD_CALLS = [
     (standard_successors, ((2, 1), 2), ValueError),  # (2,1) is not a 3-core
     (standard_predecessors, ((2, 1), 2), ValueError),
     (_strips_over, ((2, 1), 2), ValueError),
-    (_push_strip, (make_cover((), (1,), 2), Path(start=(1,)), 2), ValueError),
+    (push_cover_through_path, (make_cover((), (1,), 2), Path(start=(1,)), 2), ValueError),
 ]
 
 
@@ -221,11 +221,12 @@ def _values():
     move = next(m for _, m in _moves() if m.rank > 1 or m.length > 1)
     k, column = next((k, m) for k, m in _moves() if m.orientation != ROW)
     column = move_from_cells(column.source, column.cells, column.orientation, k)
-    path = _push_strip(make_cover((), (1,), 2), Path(start=()), 2)[1]
-    return [cover, column, move, move.strings[0], Path(start=move.source, moves=(move,)), path]
+    path = push_cover_through_path(make_cover((), (1,), 2), Path(start=()), 2)[1]
+    square = push_cover_through_path(make_cover((1,), (1, 1), 2), Path(start=(1,)), 2)[2][0]
+    return [cover, column, move, move.strings[0], Path(start=move.source, moves=(move,)), path, square]
 
 
-@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("index", range(7))
 def test_cached_values_pickle(index):
     value = _values()[index]
     back = pickle.loads(pickle.dumps(value))
@@ -236,7 +237,8 @@ def test_cached_values_pickle(index):
 
 
 @pytest.mark.parametrize(
-    "cls,field", [(Move, "source"), (StringOfCells, "cells"), (Path, "start")]
+    "cls,field",
+    [(Move, "source"), (StringOfCells, "cells"), (Path, "start"), (PushoutSquare, "kind")],
 )
 def test_cached_value_types_are_frozen_and_slotted(cls, field):
     value = next(v for v in _values() if type(v) is cls)

@@ -177,25 +177,26 @@ def test_pushout_type_dispatch_exhaustive():
 
 def test_push_through_empty_path():
     c = make_cover((), (1,), 2)
-    out, path = push_cover_through_path(c, Path(start=()), 2)
+    out, path, squares = push_cover_through_path(c, Path(start=()), 2)
     assert out is c or out.cells == c.cells
-    assert path.moves == ()
+    assert path.moves == () and squares == ()
     # non-maximal cover: the emitted path is exactly the maximization
     c = make_cover((1,), (1, 1), 2)
-    out, path = push_cover_through_path(c, Path(start=(1,)), 2)
+    out, path, squares = push_cover_through_path(c, Path(start=(1,)), 2)
     assert cover_status(out, 2).maximal
     assert len(path.moves) == 1
+    assert [sq.kind for sq in squares] in (["max-below"], ["max-above"])
     assert path.start == (1, 1) and path.end == out.outer
 
 
 def test_weak_bijection_shape_3_1():
     t = enumerate_standard_k_tableaux((3, 1), 2)[0]
-    res = weak_bijection_standard(t, keep_squares=True)
+    res = weak_bijection_standard(t)
     assert res.path.start == (3, 1) and res.path.end == (3, 2, 1)
     assert res.path.charge() == 2
     assert res.target_chain == ((), (1,), (2, 1), (3, 2, 1))
     assert charge_standard(t) == 2
-    assert res.squares  # squares retained on demand
+    assert res.squares
     cls = res.path_class()
     assert cls.charge == 2
 
@@ -222,7 +223,7 @@ def test_bijection_square_marker_facts():
         for n in range(1, 6):
             for lam in standard_shapes(k, n):
                 for t in enumerate_standard_k_tableaux(lam, k):
-                    res = weak_bijection_standard(t, keep_squares=True)
+                    res = weak_bijection_standard(t)
                     for sq in res.squares:
                         row_kind = sq.kind == "max-below" or sq.kind.startswith("row")
                         if row_kind:
@@ -239,6 +240,28 @@ def test_bijection_square_marker_facts():
                                 sq.cover_in.bottom
                                 == sq.cover_out.bottom
                             )
+
+
+def test_path_moves_are_the_bottom_moves_of_the_squares():
+    """Each strip's bottom path is the non-empty bottom moves of its
+    squares, and becomes the top path of the next strip; so over a whole
+    result the bottom moves are the top moves followed by the final path."""
+    count = 0
+    for k in range(2, 6):
+        for n in range(0, 8):
+            for lam in standard_shapes(k, n):
+                for t in enumerate_standard_k_tableaux(lam, k):
+                    path = Path(start=())
+                    for inner, outer in zip(t.chain, t.chain[1:]):
+                        _, path, strip = push_cover_through_path(make_cover(inner, outer, k), path, k)
+                        assert path.moves == tuple(sq.move_out for sq in strip if sq.move_out is not None)
+                    res = weak_bijection_standard(t)
+                    assert res.path == path
+                    outs = tuple(sq.move_out for sq in res.squares if sq.move_out is not None)
+                    ins = tuple(sq.move_in for sq in res.squares if sq.move_in is not None)
+                    assert outs == ins + res.path.moves
+                    count += 1
+    assert count == 548
 
 
 def test_bijection_additivity_small():
@@ -284,7 +307,7 @@ def test_full_descent_small():
                 assert rec.total_cocharge == n * (n - 1) // 2 - rec.total_charge
                 assert [lv.k for lv in rec.levels] == list(range(n, 1, -1))
                 # the descent ends at the unique staircase chain
-                final = rec.levels[-1].chain
+                final = rec.levels[-1].target_chain
                 assert all(
                     x == tuple(range(i, 0, -1))
                     for i, x in enumerate(final)
