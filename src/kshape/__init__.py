@@ -5,7 +5,6 @@ from .errors import IntegrityError
 from .partitions import (
     Cell,
     Partition,
-    SkewShape,
     addable_corners,
     boundary_size,
     col_shape,
@@ -14,9 +13,7 @@ from .partitions import (
     diag,
     diag_count,
     format_partition,
-    hook_length,
     is_p_core,
-    k_boundary,
     k_interior,
     parse_partition,
     partition,

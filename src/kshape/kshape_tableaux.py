@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -187,6 +188,30 @@ def _interval(lam: Partition, k: int, r: int, rp: int, closed_left: bool, closed
 # charge and cocharge
 
 
+# A statistic is (marker, drop, rise).  A letter's marker row is the row
+# of cell ``marker`` of its cover: the top cell (0) for charge, the bottom
+# cell (-1) for cocharge.  ``drop`` and ``rise`` are (sign, closed_left,
+# closed_right) of the interval counted by ``letter_term``.
+CHARGE = (0, (1, True, False), (-1, False, True))
+COCHARGE = (-1, (-1, False, False), (1, True, True))
+
+
+def letter_term(stat, prev: StringOfCells, cover: StringOfCells, k: int) -> int:
+    """The term of letter n in a statistic, from the covers of letters n-1
+    and n; it is an interval on the previous shape, ``cover.inner``.
+
+    With r one above the marker of letter n-1 and rp the marker of letter
+    n, ``drop`` counts from r down to rp when r > rp, and ``rise`` counts
+    from rp down to r otherwise.  The statistic of a tableau is the sum of
+    the terms of letters 2..n, so it is a left fold over the chain.
+    """
+    end, drop, rise = stat
+    r, rp = prev.cells[end][0] + 1, cover.cells[end][0]
+    sign, left, right = drop if r > rp else rise
+    hi, lo = (r, rp) if r > rp else (rp, r)
+    return sign * _interval(cover.inner, k, hi, lo, left, right)
+
+
 def charge_kshape(t: KShapeTableau) -> int:
     """Charge driven by connected-row intervals on the previous shape."""
     return sum(letter_charges(t))
@@ -197,32 +222,19 @@ def cocharge_kshape(t: KShapeTableau) -> int:
 
 
 def letter_charges(t: KShapeTableau) -> tuple[int, ...]:
-    return _letter_statistic(t, 0, (1, True, False), (-1, False, True))
+    return _letter_statistic(t, CHARGE)
 
 
 def letter_cocharges(t: KShapeTableau) -> tuple[int, ...]:
-    return _letter_statistic(t, -1, (-1, False, False), (1, True, True))
+    return _letter_statistic(t, COCHARGE)
 
 
-def _letter_statistic(t: KShapeTableau, end: int, drop, rise) -> tuple[int, ...]:
-    """Running sums of one signed interval per letter 2..n on the previous
-    shape.  Letter n's marker row is the row of cell ``end`` of its cover
-    (0 for the top cell, -1 for the bottom one).  With r one above the
-    marker of letter n-1 and rp the marker of letter n, ``drop`` = (sign,
-    closed_left, closed_right) counts from r down to rp when r > rp, and
-    ``rise`` counts from rp down to r otherwise."""
+def _letter_statistic(t: KShapeTableau, stat) -> tuple[int, ...]:
+    """Running sums of ``letter_term`` over the letters, 0 for letter 1."""
     k = t.k
-    chain = t.chain
-    rows = [make_cover(a, b, k).cells[end][0] for a, b in zip(chain, chain[1:])]
-    out = [0]
-    total = 0
-    for n in range(2, t.letters + 1):
-        r, rp = rows[n - 2] + 1, rows[n - 1]
-        sign, left, right = drop if r > rp else rise
-        hi, lo = (r, rp) if r > rp else (rp, r)
-        total += sign * _interval(chain[n - 1], k, hi, lo, left, right)
-        out.append(total)
-    return tuple(out)
+    covers = [make_cover(a, b, k) for a, b in zip(t.chain, t.chain[1:])]
+    terms = (letter_term(stat, prev, c, k) for prev, c in zip(covers, covers[1:]))
+    return tuple(accumulate(terms, initial=0))
 
 
 def charge_cocharge_residual(t: KShapeTableau) -> int:

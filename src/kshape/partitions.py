@@ -8,23 +8,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import le
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
-
-
-class SkewShape(NamedTuple):
-    """A skew shape outer/inner; the fixed pair is retained, not just cells."""
-
-    outer: Partition
-    inner: Partition
-
-    def cells(self) -> tuple[Cell, ...]:
-        return skew_cells(self.outer, self.inner)
-
-    def size(self) -> int:
-        return sum(self.outer) - sum(self.inner)
 
 
 def partition(parts: Iterable[int]) -> Partition:
@@ -86,35 +73,21 @@ def _row_cells(i: int, width: int) -> tuple[Cell, ...]:
 
 
 def skew_cells(outer: Partition, inner: Partition) -> tuple[Cell, ...]:
+    """Cells of outer/inner, rows bottom-up; raises ValueError unless inner
+    fits inside outer."""
     if not contains(outer, inner):
         raise ValueError(f"{inner} is not contained in {outer}")
     out = []
     for i, part in enumerate(outer, start=1):
         lo = inner[i - 1] if i <= len(inner) else 0
-        out.extend(_row_cells(i, part)[lo:])
+        if lo < part:  # rows that inner fills add nothing
+            out += _row_cells(i, part)[lo:]
     return tuple(out)
 
 
 def diag(cell: Cell) -> int:
     """Diagonal index col - row (negative below the main diagonal)."""
     return cell[1] - cell[0]
-
-
-def arm(lam: Partition, cell: Cell) -> int:
-    i, j = cell
-    return lam[i - 1] - j
-
-
-def leg(lam: Partition, cell: Cell) -> int:
-    i, j = cell
-    return conjugate(lam)[j - 1] - i
-
-
-def hook_length(lam: Partition, cell: Cell) -> int:
-    """Arm plus leg plus one of a cell of lam."""
-    if not cell_in(lam, cell):
-        raise ValueError(f"cell {cell} is outside {lam}")
-    return arm(lam, cell) + leg(lam, cell) + 1
 
 
 @lru_cache(maxsize=None)
@@ -152,11 +125,6 @@ def k_interior(lam: Partition, k: int) -> Partition:
             break
         rows.append(j)
     return tuple(rows)
-
-
-def k_boundary(lam: Partition, k: int) -> SkewShape:
-    """Skew shape of cells with hook length at most k."""
-    return SkewShape(outer=lam, inner=k_interior(lam, k))
 
 
 @lru_cache(maxsize=None)

@@ -93,9 +93,10 @@ def classify_string(inner: Partition, outer: Partition, k: int) -> StringOfCells
     off the change of the boundary profiles; a string matching none or
     several of the four type conditions raises IntegrityError.
     """
-    if not contains(outer, inner):
+    try:
+        cs = skew_cells(outer, inner)
+    except ValueError:  # inner does not fit inside outer
         return None
-    cs = skew_cells(outer, inner)
     if not cs:
         return None
     ordered = cs[::-1]  # skew_cells lists rows bottom-up

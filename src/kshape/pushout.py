@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .errors import IntegrityError
@@ -21,6 +21,7 @@ from .partitions import (
     Partition,
     add_cells,
     addable_corners,
+    boundary_size,
     format_partition,
     union_shape,
 )
@@ -36,9 +37,8 @@ from .poset import (
     move_from_cells,
     path_classes,
 )
-from .kshape_tableaux import cover_status, make_cover, chain_characterization
-from .kshape_tableaux import KShapeTableau, charge_kshape, cocharge_kshape
-from .weak_tableaux import WeakTableau, make_weak_tableau
+from .kshape_tableaux import CHARGE, COCHARGE, cover_status, letter_term, make_cover
+from .weak_tableaux import WeakTableau, is_weak_strip, make_weak_tableau
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +56,7 @@ class PushoutSquare:
     move_out: Move | None
 
 
+@lru_cache(maxsize=None)
 def maximize_below(c: StringOfCells, k: int) -> tuple[StringOfCells, Move]:
     """Extend a cover by the longest corner run below its bottom cell.
 
@@ -69,6 +70,7 @@ def maximize_below(c: StringOfCells, k: int) -> tuple[StringOfCells, Move]:
     return grown, move
 
 
+@lru_cache(maxsize=None)
 def maximize_above(c: StringOfCells, k: int) -> tuple[StringOfCells, Move]:
     """Extend a cover by the longest corner run above its top cell."""
     cells = corner_run(addable_corners(c.inner), c.top, k, down=False)
@@ -89,6 +91,7 @@ def _split_at_intersection(c: StringOfCells, inter: frozenset[Cell]):
     return cells[: idx[0]], cells[idx[-1] + 1 :]
 
 
+@lru_cache(maxsize=None)
 def maximal_pushout(c: StringOfCells, m: Move, k: int) -> PushoutSquare:
     """Push a maximal cover through one move.
 
@@ -106,9 +109,9 @@ def maximal_pushout(c: StringOfCells, m: Move, k: int) -> PushoutSquare:
     cells_c = frozenset(c.cells)
     inter = cells_c & m.cells
     row = m.orientation == ROW
+    union = union_shape(mu, nu)
 
     if not inter:
-        union = union_shape(mu, nu)
         if is_k_shape(union, k):
             kind = "row-I" if row else "col-I"
             new_c_cells: frozenset[Cell] = cells_c
@@ -163,7 +166,7 @@ def maximal_pushout(c: StringOfCells, m: Move, k: int) -> PushoutSquare:
             raise IntegrityError(f"{kind}: empty bottom move but corners differ")
     # types I and III leave the union of the input cells; II appends the
     # completion and IV translates the overlap block to fresh cells
-    if kind in ("row-I", "col-I", "row-III", "col-III") and eta != union_shape(mu, nu):
+    if kind in ("row-I", "col-I", "row-III", "col-III") and eta != union:
         raise IntegrityError(f"{kind}: corner is not the union of the inputs")
     return PushoutSquare(
         kind=kind,
@@ -240,46 +243,128 @@ class WeakBijectionResult:
         raise IntegrityError("emitted path missing from the enumerated classes")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class _Prefix:
+    """The weak bijection at level k after the first n letters of a chain.
+
+    It depends only on those letters, so each distinct (level, prefix) is
+    one object, made once by ``_letter_step`` and hashed by identity.  It
+    holds letter n's cover in the source and in the target (none at the
+    root), the path so far, the squares of letter n's strip, and the
+    charge and cocharge of the source and target prefixes, both read as
+    k-shape tableaux.  The target chain and the squares of a whole chain
+    are read by walking the parents.
+    """
+
+    parent: _Prefix | None
+    k: int
+    cover: StringOfCells | None
+    cover_out: StringOfCells | None
+    path: Path
+    strip: tuple[PushoutSquare, ...]
+    charge: int
+    cocharge: int
+    target_charge: int
+    target_cocharge: int
+
+    def lineage(self) -> list[_Prefix]:
+        """The states of letters 1..n, in order."""
+        out = []
+        state = self
+        while state.parent is not None:
+            out.append(state)
+            state = state.parent
+        return out[::-1]
+
+
+@lru_cache(maxsize=None)
+def _root(k: int) -> _Prefix:
+    return _Prefix(None, k, None, None, Path(start=()), (), 0, 0, 0, 0)
+
+
+def _is_standard_strip(inner: Partition, outer: Partition, k: int) -> bool:
+    """outer/inner is a weak strip at k that grows the k-boundary by 1:
+    the step check of ``make_weak_tableau`` for weight 1, through the
+    memoized strip test."""
+    return is_weak_strip(inner, outer, k) and (
+        boundary_size(outer, k) == boundary_size(inner, k) + 1
+    )
+
+
+@lru_cache(maxsize=None)
+def _letter_step(state: _Prefix, outer: Partition) -> _Prefix:
+    """The state one letter longer: the next letter fills outer/shape.
+
+    Its cover is pushed through the path so far (the memoized strip).  The
+    input step must be a standard weak strip at k with a reverse-maximal
+    cover; the output cover must chain onto the target, be maximal, and be
+    a standard weak strip at k-1.  A step that raises stores nothing.
+    """
+    k = state.k
+    prev, prev_out = state.cover, state.cover_out
+    root = prev is None
+    shape = () if root else prev.outer
+    target = () if root else prev_out.outer
+    if not _is_standard_strip(shape, outer, k):
+        raise ValueError(f"{outer}/{shape} is not a standard weak strip at k={k}")
+    c = make_cover(shape, outer, k)
+    if not cover_status(c, k).reverse_maximal:
+        raise IntegrityError(f"standard tableau step {outer}/{shape} is not reverse-maximal")
+    c_out, path, strip = push_cover_through_path(c, state.path, k)
+    if c_out.inner != target:
+        raise IntegrityError("output covers do not chain")
+    if not cover_status(c_out, k).maximal:
+        raise IntegrityError("output chain is not a maximal-cover chain")
+    if not _is_standard_strip(target, c_out.outer, k - 1):
+        raise IntegrityError(f"output step {c_out.outer}/{target} is not standard at k={k - 1}")
+    if root:  # letter 1 adds nothing to either statistic
+        return _Prefix(state, k, c, c_out, path, strip, 0, 0, 0, 0)
+    # A letter's own charge is the running sum of the terms up to it, and
+    # a prefix's charge sums those, so with T(n) the charge of letters
+    # 1..n: T(n+1) = T(n) + (T(n) - T(n-1)) + term(n+1).  Likewise for
+    # cocharge, and for the target.
+    p = state.parent
+    return _Prefix(
+        state,
+        k,
+        c,
+        c_out,
+        path,
+        strip,
+        2 * state.charge - p.charge + letter_term(CHARGE, prev, c, k),
+        2 * state.cocharge - p.cocharge + letter_term(COCHARGE, prev, c, k),
+        2 * state.target_charge - p.target_charge + letter_term(CHARGE, prev_out, c_out, k),
+        2 * state.target_cocharge - p.target_cocharge + letter_term(COCHARGE, prev_out, c_out, k),
+    )
+
+
 def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
     """Map a standard k-tableau to a standard (k-1)-tableau and a path.
 
-    Every cover of the input chain is pushed through the path produced
-    so far; the collected maximal covers form the output chain.  Charge
-    and cocharge additivity across the square diagram is asserted.
+    A left fold of ``_letter_step`` over the chain: every cover is pushed
+    through the path produced so far, and the maximal covers it yields
+    form the output chain.  Charge and cocharge additivity across the
+    square diagram is asserted on the folded sums.
     """
     if not t.is_standard():
         raise ValueError("the weak bijection requires a standard tableau")
     k = t.k
     if k < 2:
         raise ValueError("descent requires k >= 2")
-    squares: list[PushoutSquare] = []
-    path = Path(start=())
-    target_chain: list[Partition] = [()]
-    for i in range(1, t.letters + 1):
-        c = make_cover(t.chain[i - 1], t.chain[i], k)
-        if not cover_status(c, k).reverse_maximal:
-            raise IntegrityError(f"standard tableau step {i} is not reverse-maximal")
-        c_out, path, strip = push_cover_through_path(c, path, k)
-        squares.extend(strip)
-        if c_out.inner != target_chain[-1]:
-            raise IntegrityError("output covers do not chain")
-        target_chain.append(c_out.outer)
-    chain = tuple(target_chain)
-    is_k, is_km1 = chain_characterization(chain, k)
-    if not is_km1:
-        raise IntegrityError("output chain is not a maximal-cover chain")
-    tk = KShapeTableau(k=k, chain=t.chain)
-    uk = KShapeTableau(k=k, chain=chain)
-    if charge_kshape(tk) != charge_kshape(uk) + path.charge():
+    if t.chain[:1] != ((),):
+        raise ValueError("chain must start at the empty partition")
+    end = reduce(_letter_step, t.chain[1:], _root(k))
+    if end.charge != end.target_charge + end.path.charge():
         raise IntegrityError("charge additivity failed")
-    if cocharge_kshape(tk) != cocharge_kshape(uk) + path.cocharge():
+    if end.cocharge != end.target_cocharge + end.path.cocharge():
         raise IntegrityError("cocharge additivity failed")
+    states = end.lineage()
     return WeakBijectionResult(
         k=k,
         source=t,
-        target_chain=chain,
-        path=path,
-        squares=tuple(squares),
+        target_chain=((),) + tuple(s.cover_out.outer for s in states),
+        path=end.path,
+        squares=tuple(sq for s in states for sq in s.strip),
     )
 
 
@@ -332,13 +417,17 @@ class DescentRecord:
 
 
 def descend(t: WeakTableau) -> DescentRecord:
-    """Iterate the weak bijection from level k down to the 1-tableau."""
+    """Iterate the weak bijection from level k down to the 1-tableau.
+
+    Each level is a fold of ``_letter_step``, whose steps check that the
+    chain they read is a standard tableau at that level.
+    """
     levels = []
     cur = t
-    for _ in range(t.k, 1, -1):
+    for k in range(t.k, 1, -1):
         res = weak_bijection_standard(cur)
         levels.append(res)
-        cur = res.target_tableau
+        cur = WeakTableau(k=k - 1, chain=res.target_chain, weight=cur.weight)
     return DescentRecord(source=t, levels=tuple(levels))
 
 

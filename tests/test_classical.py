@@ -11,7 +11,12 @@ from kshape.classical import (
     standard_young_tableaux,
     word_charge,
 )
-from kshape.partitions import cells, conjugate, hook_length, partitions_of
+from kshape.partitions import cells, conjugate, partitions_of
+
+
+def hook_length(lam, cell):
+    i, j = cell
+    return lam[i - 1] - j + conjugate(lam)[j - 1] - i + 1
 
 
 def test_charge_anchors():

@@ -1,11 +1,14 @@
-"""Source hygiene checks that need no linter: unused imports, and
-module-level functions or classes that nothing in the package uses."""
+"""Source hygiene checks that need no linter: unused imports,
+module-level functions or classes that nothing in the package uses, and
+memo tables that README does not list."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kshape"
+README = SRC.parents[1] / "README.md"
 MODULES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
@@ -136,3 +139,24 @@ def test_defaulted_parameters_are_set():
                 if not any(_sets(c, param, index) for c in calls.get(node.name, [])):
                     unset.append(f"{name}:{node.lineno} {node.name}({param})")
     assert not unset, f"defaulted parameters no call in src/ sets: {unset}"
+
+
+def _is_lru_cache(decorator: ast.expr) -> bool:
+    f = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(f, "id", None) == "lru_cache" or getattr(f, "attr", None) == "lru_cache"
+
+
+def test_memo_tables_are_listed_in_readme():
+    # every module-level lru_cache table lives for the whole process, so
+    # README's "Memo tables" names each one in its module's row
+    tables = [
+        (name.removesuffix(".py"), node.name)
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and any(map(_is_lru_cache, node.decorator_list))
+    ]
+    assert len(tables) > 20
+    section = README.read_text().split("\n## Memo tables\n", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \|(.*)\|$", section, flags=re.M))
+    missing = [f"{mod}.{fn}" for mod, fn in tables if f"`{fn}`" not in rows.get(mod, "")]
+    assert not missing, f"memo tables missing from README's Memo tables list: {missing}"

@@ -25,7 +25,16 @@ from kshape.poset import (
     kshapes_of_size,
     move_from_cells,
 )
-from kshape.pushout import PushoutSquare, push_cover_through_path, weak_bijection_standard
+from kshape.pushout import (
+    PushoutSquare,
+    _letter_step,
+    _root,
+    maximal_pushout,
+    maximize_above,
+    maximize_below,
+    push_cover_through_path,
+    weak_bijection_standard,
+)
 from kshape.weak_tableaux import (
     _strips_over,
     enumerate_standard_k_tableaux,
@@ -148,6 +157,14 @@ def test_push_strip_and_cover_status_match_uncached():
             assert got == push_cover_through_path.__wrapped__(c, path, k)
             for cover in (c, got[0]):
                 assert cover_status(cover, k) == cover_status.__wrapped__(cover, k)
+            for sq in got[2]:
+                if sq.move_in is not None:
+                    args = (sq.cover_in, sq.move_in, k)
+                    assert maximal_pushout(*args) == maximal_pushout.__wrapped__(*args) == sq
+                else:
+                    grow = maximize_below if sq.kind == "max-below" else maximize_above
+                    want = (sq.cover_out, sq.move_out)
+                    assert grow(sq.cover_in, k) == grow.__wrapped__(sq.cover_in, k) == want
             path = got[1]
             strips += 1
     assert strips > 2000 and push_cover_through_path.cache_info().hits > 0
@@ -159,6 +176,9 @@ def test_warm_strip_table_keeps_every_square():
     kinds_seen = set()
     with_squares = 0
     for t in _standard_tableaux(range(2, 7), 6):
+        # the prefix table would hand back the states, strips included,
+        # without asking the strip table
+        _letter_step.cache_clear()
         push_cover_through_path.cache_clear()
         cold = weak_bijection_standard(t).squares
         assert push_cover_through_path.cache_info().currsize > 0 or t.letters == 0
@@ -201,6 +221,11 @@ BAD_CALLS = [
     (standard_predecessors, ((2, 1), 2), ValueError),
     (_strips_over, ((2, 1), 2), ValueError),
     (push_cover_through_path, (make_cover((), (1,), 2), Path(start=(1,)), 2), ValueError),
+    # the cover (3,1,1)/(2,1,1) continues, so it is not maximal
+    (maximal_pushout, (make_cover((2, 1, 1), (3, 1, 1), 2), move_from_cells((2, 1, 1), {(1, 3), (2, 2)}, ROW, 2), 2), ValueError),
+    (maximize_below, (make_cover((), (1,), 2), 2), ValueError),
+    (maximize_above, (make_cover((), (1,), 2), 2), ValueError),
+    (_letter_step, (_root(2), (2,)), ValueError),  # the boundary grows by 2
 ]
 
 

@@ -12,9 +12,7 @@ from kshape.partitions import (
     corners,
     diag_count,
     format_partition,
-    hook_length,
     is_p_core,
-    k_boundary,
     k_interior,
     parse_partition,
     partition,
@@ -22,6 +20,7 @@ from kshape.partitions import (
     removable_corners,
     residue,
     row_shape,
+    skew_cells,
     union_shape,
 )
 
@@ -37,6 +36,25 @@ def partition_sum(a: Partition, b: Partition) -> Partition:
 def partition_union(a: Partition, b: Partition) -> Partition:
     """Reorder the concatenation of the parts."""
     return partition(sorted(a + b, reverse=True))
+
+
+# The hook scan: the oracle of the hook-free kernels k_interior and is_p_core.
+def arm(lam: Partition, cell) -> int:
+    i, j = cell
+    return lam[i - 1] - j
+
+
+def leg(lam: Partition, cell) -> int:
+    i, j = cell
+    return conjugate(lam)[j - 1] - i
+
+
+def hook_length(lam: Partition, cell) -> int:
+    """Arm plus leg plus one of a cell of lam."""
+    i, j = cell
+    if not (1 <= i <= len(lam) and 1 <= j <= lam[i - 1]):
+        raise ValueError(f"cell {cell} is outside {lam}")
+    return arm(lam, cell) + leg(lam, cell) + 1
 
 
 def dominates(a: Partition, b: Partition) -> bool:
@@ -94,16 +112,34 @@ def test_is_p_core():
 
 
 def test_k_boundary_examples():
+    # the k-boundary is the skew shape lam / k_interior(lam, k)
     lam = (8, 4, 3, 2, 1, 1, 1)
-    sk = k_boundary(lam, 4)
+    inner = k_interior(lam, 4)
     # brute-force hook filter: cells of hook length above 4
-    brute = {b for b in cells(lam) if hook_length(lam, b) > 4}
-    assert set(cells(sk.inner)) == brute
-    assert sk.inner == (4, 2, 1, 1)
-    assert sk.outer == lam
-    assert sk.size() == 12
-    assert k_boundary((1,), 1) == ((1,), ())
+    assert set(cells(inner)) == {b for b in cells(lam) if hook_length(lam, b) > 4}
+    assert inner == (4, 2, 1, 1)
+    boundary = skew_cells(lam, inner)
+    assert set(boundary) == {b for b in cells(lam) if hook_length(lam, b) <= 4}
+    assert len(boundary) == boundary_size(lam, 4) == 12
+    assert k_interior((1,), 1) == () and skew_cells((1,), ()) == ((1, 1),)
     assert k_interior((2, 1), 2) == (1,)
+
+
+def test_skew_cells_matches_cell_difference():
+    # every pair of partitions of at most 7 cells: the cells of outer not
+    # in inner, rows bottom-up, or ValueError when inner does not fit
+    contained = 0
+    shapes = [lam for n in range(8) for lam in partitions_of(n)]
+    for outer in shapes:
+        for inner in shapes:
+            inside = set(cells(inner))
+            if not inside <= set(cells(outer)):
+                with pytest.raises(ValueError):
+                    skew_cells(outer, inner)
+                continue
+            assert skew_cells(outer, inner) == tuple(c for c in cells(outer) if c not in inside)
+            contained += 1
+    assert contained == 449
 
 
 def _hook_interior(lam, k):
@@ -140,13 +176,12 @@ def test_is_p_core_matches_hook_scan():
     assert count == 508 * 11
 
 
-def test_interior_and_core_read_no_hooks(monkeypatch):
+def test_interior_and_core_read_no_hooks():
+    # the hook scan lives only here, as the oracle: the package has no
+    # hook helper for its kernels to call
     import kshape.partitions as partitions
 
-    def forbidden(lam, cell):
-        raise AssertionError("hook_length called")
-
-    monkeypatch.setattr(partitions, "hook_length", forbidden)
+    assert not {"hook_length", "arm", "leg"} & set(vars(partitions))
     lam = (8, 4, 3, 2, 1, 1, 1)
     assert k_interior.__wrapped__(lam, 4) == (4, 2, 1, 1)
     assert not is_p_core.__wrapped__(lam, 4)

@@ -121,6 +121,8 @@ def test_classify_string_examples():
     # not a string: two cells in one row
     assert classify_string((1,), (3,), 2) is None
     assert classify_string((2, 2), (3, 3), 3) is None
+    # not a skew shape: inner does not fit inside outer
+    assert classify_string((2,), (1, 1), 2) is None
 
 
 def test_enumerate_moves_fixtures():

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kshape.kshape_tableaux import (
+    _interval,
     cover_status,
     enumerate_covers,
     make_cover,
@@ -14,6 +15,9 @@ from kshape.poset import (
     kshapes_of_size,
 )
 from kshape.pushout import (
+    _letter_step,
+    _root,
+    descend,
     full_descent,
     maximal_pushout,
     maximize_above,
@@ -28,6 +32,7 @@ from kshape.classical import (
 )
 from kshape.partitions import partition, partitions_of, removable_corners
 from kshape.weak_tableaux import (
+    WeakTableau,
     charge_standard,
     cocharge_standard,
     enumerate_standard_k_tableaux,
@@ -348,3 +353,116 @@ def test_descent_record_serialization():
     assert payload["total_charge"] == rec.total_charge
     assert len(payload["levels"]) == 2
     assert payload["levels"][0]["k"] == 3
+
+
+def _whole_chain_letter_statistic(chain, k, end, drop, rise) -> tuple[int, ...]:
+    """``_letter_statistic`` as it was before the prefix fold: one pass over
+    the whole chain, giving each letter's running sum of one signed
+    interval per letter 2..n."""
+    rows = [make_cover(a, b, k).cells[end][0] for a, b in zip(chain, chain[1:])]
+    out = [0]
+    total = 0
+    for n in range(2, len(chain)):
+        r, rp = rows[n - 2] + 1, rows[n - 1]
+        sign, left, right = drop if r > rp else rise
+        hi, lo = (r, rp) if r > rp else (rp, r)
+        total += sign * _interval(chain[n - 1], k, hi, lo, left, right)
+        out.append(total)
+    return tuple(out)
+
+
+def _charge_and_cocharge(chain, k):
+    return (
+        sum(_whole_chain_letter_statistic(chain, k, 0, (1, True, False), (-1, False, True))),
+        sum(_whole_chain_letter_statistic(chain, k, -1, (-1, False, False), (1, True, True))),
+    )
+
+
+def _all_standard(ks, n_max):
+    return [
+        t
+        for k in ks
+        for n in range(0, n_max + 1)
+        for lam in standard_shapes(k, n)
+        for t in enumerate_standard_k_tableaux(lam, k)
+    ]
+
+
+def test_prefix_states_fold_the_letter_statistic():
+    """Every prefix state holds the charge and cocharge of its prefix of
+    the tableau and of its image, as the whole-chain pass computes them."""
+    tableaux = _all_standard(range(2, 6), 8)
+    assert len(tableaux) == 1244
+    for t in tableaux:
+        k = t.k
+        res = weak_bijection_standard(t)
+        image = res.target_chain
+        state = _root(k)
+        for i, outer in enumerate(t.chain[1:], start=2):
+            state = _letter_step(state, outer)
+            assert (state.charge, state.cocharge) == _charge_and_cocharge(t.chain[:i], k)
+            assert (state.target_charge, state.target_cocharge) == _charge_and_cocharge(image[:i], k)
+        assert state.path == res.path
+
+
+PUSHOUT_TABLES = (
+    _letter_step,
+    _root,
+    push_cover_through_path,
+    maximal_pushout,
+    maximize_below,
+    maximize_above,
+)
+
+
+def test_cold_and_warm_bijection_agree():
+    """With every pushout table cleared, the fold gives what the warm
+    tables, filled by every other tableau, gave."""
+    tableaux = _all_standard(range(2, 6), 7)
+    warm = [weak_bijection_standard(t) for t in tableaux]
+    for t, w in zip(tableaux, warm):
+        for table in PUSHOUT_TABLES:
+            table.cache_clear()
+        cold = weak_bijection_standard(t)
+        assert (cold.target_chain, cold.path, cold.squares) == (w.target_chain, w.path, w.squares)
+    assert sum(bool(w.squares) for w in warm) > 200
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        ((), (1,), (2, 1)),  # a reverse-maximal cover, but (2,1) is no 3-core
+        ((), (2,)),  # a weak strip that grows the boundary by 2
+        ((), (1,), (1, 1), (2, 1, 1), (3, 2, 1, 1)),  # a valid prefix, then a bad step
+    ],
+)
+@pytest.mark.parametrize("warm", [False, True])
+def test_directly_built_non_strip_raises(chain, warm):
+    t = WeakTableau(k=2, chain=chain, weight=(1,) * (len(chain) - 1))
+    if warm:  # the valid prefix is already in the prefix table
+        for ch in (chain[:-1], ((), (1,), (2,), (3, 1))):
+            weak_bijection_standard(WeakTableau(k=2, chain=ch, weight=(1,) * (len(ch) - 1)))
+    else:
+        for table in PUSHOUT_TABLES:
+            table.cache_clear()
+    for call in range(3):
+        with pytest.raises(ValueError, match="not a standard weak strip"):
+            weak_bijection_standard(t)
+        with pytest.raises(ValueError, match="not a standard weak strip"):
+            descend(t)
+        if call == 0:
+            size = _letter_step.cache_info().currsize
+    # the prefix before the bad step is stored, and nothing after it
+    assert _letter_step.cache_info().currsize == size
+    if not warm:
+        assert size == len(chain) - 2
+
+
+def test_descend_validates_every_level():
+    """descend builds each level's tableau without make_weak_tableau; the
+    steps of the next level, and the output check of the last, stand in
+    for it: every target chain is a weak tableau of its level."""
+    for ch in ((), (1,), (2,), (2, 1), (3, 1), (3, 2)), ((), (1,), (1, 1), (2, 1), (2, 2), (3, 2)):
+        rec = full_descent(ch)
+        for lv in rec.levels:
+            assert make_weak_tableau(lv.k - 1, lv.target_chain).is_standard()
