@@ -27,6 +27,7 @@ from .poset import (
     PathClass,
     StringOfCells,
     build_poset,
+    class_holding,
     classify_string,
     enumerate_moves,
     enumerate_paths,
@@ -35,7 +36,7 @@ from .poset import (
     kshapes_of_size,
     move_charge,
     move_cocharge,
-    path_classes,
+    path_classes_from,
 )
 from .weak_tableaux import (
     WeakTableau,
@@ -76,7 +77,6 @@ from .pushout import (
 from .tpoly import TPoly, TruncatedSymPoly
 from .verify import (
     VerificationReport,
-    branching_poly,
     classical_charge,
     dual_kschur_truncated,
     run_check,

@@ -28,6 +28,7 @@ from .partitions import (
     contains,
     diag,
     format_partition,
+    is_p_core,
     k_interior,
     row_shape,
     skew_cells,
@@ -404,10 +405,6 @@ class PathClass:
     def charge(self) -> int:
         return self.representative.charge()
 
-    @property
-    def cocharge(self) -> int:
-        return self.representative.cocharge()
-
 
 @dataclass
 class KShapePoset:
@@ -482,6 +479,21 @@ def build_poset(k: int, size: int) -> KShapePoset:
     return KShapePoset(k=k, size=size, vertices=verts, edges=edges)
 
 
+def _suffixes_by_end(lam: Partition, k: int) -> dict[Partition, list[tuple[Move, ...]]]:
+    """Every move sequence from lam, grouped by its end: one walk, memoized
+    per vertex, taking each vertex's moves in ``enumerate_moves`` order."""
+
+    @lru_cache(maxsize=None)
+    def suffixes(nu: Partition) -> dict[Partition, list[tuple[Move, ...]]]:
+        out: dict[Partition, list[tuple[Move, ...]]] = {nu: [()]}
+        for m in enumerate_moves(nu, k):
+            for end, rests in suffixes(m.target).items():
+                out.setdefault(end, []).extend((m,) + r for r in rests)
+        return out
+
+    return suffixes(lam)
+
+
 def enumerate_paths(lam: Partition, mu: Partition, k: int) -> tuple[Path, ...]:
     """All move sequences from lam to mu; the empty path iff lam == mu."""
     for shape in (lam, mu):
@@ -491,20 +503,7 @@ def enumerate_paths(lam: Partition, mu: Partition, k: int) -> tuple[Path, ...]:
         raise ValueError(
             f"boundary sizes differ: {lam} vs {mu} at k={k}"
         )
-
-    @lru_cache(maxsize=None)
-    def suffixes(nu: Partition) -> tuple[tuple[Move, ...], ...]:
-        if nu == mu:
-            return ((),)
-        out = []
-        for m in enumerate_moves(nu, k):
-            if not contains(mu, m.target):
-                continue
-            for rest in suffixes(m.target):
-                out.append((m,) + rest)
-        return tuple(out)
-
-    return tuple(Path(start=lam, moves=ms) for ms in suffixes(lam))
+    return tuple(Path(start=lam, moves=ms) for ms in _suffixes_by_end(lam, k).get(mu, ()))
 
 
 @lru_cache(maxsize=None)
@@ -579,5 +578,19 @@ def equivalence_classes(paths, k: int) -> tuple[PathClass, ...]:
     return tuple(classes)
 
 
-def path_classes(lam: Partition, mu: Partition, k: int) -> tuple[PathClass, ...]:
-    return equivalence_classes(enumerate_paths(lam, mu, k), k)
+def path_classes_from(lam: Partition, k: int) -> dict[Partition, tuple[PathClass, ...]]:
+    """The diamond classes of the paths from lam to each k-core it reaches;
+    these ends are the shapes of standard (k-1)-tableaux."""
+    return {
+        mu: equivalence_classes([Path(start=lam, moves=ms) for ms in seqs], k)
+        for mu, seqs in _suffixes_by_end(lam, k).items()
+        if is_p_core(mu, k)
+    }
+
+
+def class_holding(path: Path, classes: dict[Partition, tuple[PathClass, ...]]) -> PathClass:
+    """The class holding path in the ``path_classes_from`` map of its start."""
+    for cls in classes.get(path.end, ()):
+        if path in cls.members:
+            return cls
+    raise IntegrityError(f"path {path.text()} is in no enumerated class")

@@ -32,10 +32,11 @@ from .poset import (
     Path,
     PathClass,
     StringOfCells,
+    class_holding,
     corner_run,
     is_k_shape,
     move_from_cells,
-    path_classes,
+    path_classes_from,
 )
 from .kshape_tableaux import CHARGE, COCHARGE, cover_status, letter_term, make_cover
 from .weak_tableaux import WeakTableau, is_weak_strip, make_weak_tableau
@@ -237,10 +238,7 @@ class WeakBijectionResult:
         return make_weak_tableau(self.k - 1, self.target_chain)
 
     def path_class(self) -> PathClass:
-        for cls in path_classes(self.path.start, self.path.end, self.k):
-            if self.path in cls.members:
-                return cls
-        raise IntegrityError("emitted path missing from the enumerated classes")
+        return class_holding(self.path, path_classes_from(self.path.start, self.k))
 
 
 @dataclass(frozen=True, slots=True, eq=False)

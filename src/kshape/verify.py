@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from . import classical
@@ -31,9 +32,10 @@ from .partitions import (
 )
 from .poset import (
     build_poset,
+    class_holding,
     enumerate_paths,
     is_k_shape,
-    path_classes,
+    path_classes_from,
 )
 from .kshape_tableaux import (
     KShapeTableau,
@@ -84,11 +86,6 @@ def dual_kschur_truncated(
     return TruncatedSymPoly.of(
         variables, {expo: TPoly.from_powers(ps) for expo, ps in powers.items()}
     )
-
-
-def branching_poly(lam: Partition, mu: Partition, k: int) -> TPoly:
-    """Sum of t^charge over path classes from lam to mu."""
-    return TPoly.from_powers(c.charge for c in path_classes(lam, mu, k))
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +263,13 @@ def _paths_fixture_instance(_):
     paths = enumerate_paths((3, 1, 1), (4, 3, 2, 1), 2)
     if sorted(p.charge() for p in paths) != [2, 3]:
         fails.append(f"charges {sorted(p.charge() for p in paths)}")
-    cls = path_classes((3, 1, 1), (4, 3, 2, 1), 2)
+    cls = path_classes_from((3, 1, 1), 2)[(4, 3, 2, 1)]
     if len(cls) != 2:
         fails.append(f"{len(cls)} classes for the 2-shape pair")
     paths3 = enumerate_paths((3, 2, 1), (4, 2, 1, 1), 3)
     if sorted(p.charge() for p in paths3) != [1, 1]:
         fails.append(f"charges {sorted(p.charge() for p in paths3)}")
-    cls3 = path_classes((3, 2, 1), (4, 2, 1, 1), 3)
+    cls3 = path_classes_from((3, 2, 1), 3)[(4, 2, 1, 1)]
     if len(cls3) != 1:
         fails.append(f"{len(cls3)} classes for the 3-shape pair")
     self_paths = enumerate_paths((3, 1, 1), (3, 1, 1), 2)
@@ -439,13 +436,11 @@ def _classical_agreement_instance(lam):
 
 def _bijection_count_instance(args):
     k, lam = args
-    n = boundary_size(lam, k)
     left = len(enumerate_standard_k_tableaux(lam, k))
-    right = 0
-    for mu in standard_shapes(k - 1, n):
-        classes = path_classes(lam, mu, k)
-        if classes:
-            right += len(enumerate_standard_k_tableaux(mu, k - 1)) * len(classes)
+    right = sum(
+        len(enumerate_standard_k_tableaux(mu, k - 1)) * len(classes)
+        for mu, classes in path_classes_from(lam, k).items()
+    )
     fails = []
     if left != right:
         fails.append(
@@ -460,16 +455,14 @@ def _injectivity_instance(args):
     at that shape, so images from different items never meet."""
     k, lam = args
     fails = []
-    classes: dict[Partition, tuple] = {}  # path end -> its path classes
+    classes = path_classes_from(lam, k)
     seen: dict[tuple, str] = {}
     count = 0
     for t in enumerate_standard_k_tableaux(lam, k):
         res = weak_bijection_standard(t)
-        end = res.path.end
-        if end not in classes:
-            classes[end] = path_classes(lam, end, k)
-        cls = next((c for c in classes[end] if res.path in c.members), None)
-        if cls is None:
+        try:
+            cls = class_holding(res.path, classes)
+        except IntegrityError:
             fails.append(f"path of k={k} {t.text()} is in no class")
         else:
             image = (res.target_chain, cls.representative)
@@ -480,24 +473,23 @@ def _injectivity_instance(args):
     return count, fails
 
 
-def _t1_branching_instance(args):
-    k, lam, variables = args
-    n = boundary_size(lam, k)
+def _branching_instance(args):
+    """The dual branching rule at one start in ``variables`` variables: each
+    path class weighs 1 (grading "none", the t=1 rule) or t^charge."""
+    k, lam, variables, grading = args
     fails = []
-    lhs = dual_kschur_truncated(lam, k, variables, grading="none").reduce_mod(k - 1)
+    lhs = dual_kschur_truncated(lam, k, variables, grading).reduce_mod(k - 1)
     rhs = TruncatedSymPoly.of(variables, {})
-    for mu in standard_shapes(k - 1, n):
-        classes = path_classes(lam, mu, k)
-        if not classes:
-            continue
-        s_mu = dual_kschur_truncated(mu, k - 1, variables, grading="none")
-        rhs = rhs + s_mu.scale(TPoly.of([len(classes)]))
+    for mu, classes in path_classes_from(lam, k).items():
+        b = TPoly.from_powers(c.charge if grading == "charge" else 0 for c in classes)
+        rhs = rhs + dual_kschur_truncated(mu, k - 1, variables, grading).scale(b)
     rhs = rhs.reduce_mod(k - 1)
     if lhs.terms != rhs.terms:
-        fails.append(
-            f"t=1 branching at k={k} shape {format_partition(lam)}:"
-            f" lhs {lhs.at_t(1)} rhs {rhs.at_t(1)}"
-        )
+        where = f"k={k} shape {format_partition(lam)}"
+        if grading == "charge":
+            fails.append(f"generic-t branching differs at {where}")
+        else:
+            fails.append(f"t=1 branching at {where}: lhs {lhs.at_t(1)} rhs {rhs.at_t(1)}")
     return 1, fails
 
 
@@ -537,33 +529,14 @@ def _sigma_conjecture_instance(args):
     return count, fails
 
 
-def _generic_t_instance(args):
-    k, lam, variables = args
-    n = boundary_size(lam, k)
-    fails = []
-    lhs = dual_kschur_truncated(lam, k, variables, grading="charge").reduce_mod(k - 1)
-    rhs = TruncatedSymPoly.of(variables, {})
-    for mu in standard_shapes(k - 1, n):
-        b = branching_poly(lam, mu, k)
-        if not b:
-            continue
-        s_mu = dual_kschur_truncated(mu, k - 1, variables, grading="charge")
-        rhs = rhs + s_mu.scale(b)
-    rhs = rhs.reduce_mod(k - 1)
-    if lhs.terms != rhs.terms:
-        fails.append(
-            f"generic-t branching differs at k={k} shape {format_partition(lam)}"
-        )
-    return 1, fails
-
-
 def _sigma_commutation_instance(args):
     k, lam = args
     fails = []
     count = 0
+    classes = path_classes_from(lam, k)
     for t in enumerate_standard_k_tableaux(lam, k):
         res = weak_bijection_standard(t)
-        cls = res.path_class()
+        cls = class_holding(res.path, classes)
         for i in range(1, t.letters):
             count += 1
             u = sigma_involution(t, i)
@@ -620,9 +593,9 @@ def _standard_shape_items(n_max: int, k_max: int) -> list:
     ]
 
 
-def _branching_items(n_max: int, k_max: int, variables: int) -> list:
+def _branching_items(n_max: int, k_max: int, variables: int, grading: str) -> list:
     return [
-        (k, lam, variables)
+        (k, lam, variables, grading)
         for k in range(2, k_max + 1)
         for n in range(0, n_max + 1)
         for lam in standard_shapes(k, n)
@@ -664,8 +637,8 @@ CHECKS: dict[str, Check] = {
     ),
     "bijection-injectivity": Check(_injectivity_instance, _additivity_items, {"n_max": 7}),
     "t1-branching": Check(
-        _t1_branching_instance,
-        _branching_items,
+        _branching_instance,
+        partial(_branching_items, grading="none"),
         {"n_max": 6, "k_max": 3, "variables": 4},
     ),
     "sigma-involution": Check(
@@ -681,8 +654,8 @@ CHECKS: dict[str, Check] = {
         gating=False,
     ),
     "generic-t-branching": Check(
-        _generic_t_instance,
-        _branching_items,
+        _branching_instance,
+        partial(_branching_items, grading="charge"),
         {"n_max": 5, "k_max": 3, "variables": 3},
         gating=False,
     ),
@@ -699,7 +672,7 @@ def resolve_params(name: str, **params) -> dict:
     """The parameters a run of ``name`` uses: ``params`` over its defaults.
 
     Raises KeyError for an unknown check and ValueError for a parameter
-    the check does not declare or a variable count below 1.
+    the check does not declare or one below its least value.
     """
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
@@ -711,8 +684,9 @@ def resolve_params(name: str, **params) -> dict:
             f"check {name!r} does not take {', '.join(unknown)}; it takes {takes}"
         )
     params = {**defaults, **params}
-    if params.get("variables", 1) < 1:
-        raise ValueError(f"variables must be at least 1: {params['variables']}")
+    for key, least in (("n_max", 0), ("size_max", 0), ("k_max", 2), ("variables", 1)):
+        if params.get(key, least) < least:
+            raise ValueError(f"{key} must be at least {least}: {params[key]}")
     return params
 
 

@@ -131,7 +131,8 @@ def test_verify_unknown_check(capsys):
 
 
 def test_verify_zero_instances_fails(capsys):
-    code, out, _ = run(capsys, "verify", "--check", "theorem-additivity", "--n-max", "-3")
+    # n_max 0 is in range and gives theorem-additivity no items
+    code, out, _ = run(capsys, "verify", "--check", "theorem-additivity", "--n-max", "0")
     assert code == 1
     assert "FAIL theorem-additivity instances=0" in out
     assert "no instances ran" in out
@@ -152,6 +153,9 @@ def test_verify_bad_worker_count(capsys, monkeypatch, value):
         (["--check", "theorem-additivity", "--size-max", "3"], "size_max"),
         (["--check", "t1-branching", "--vars", "0"], "variables"),
         (["--check", "all", "--vars", "0"], "variables"),
+        (["--check", "bijection-counting", "--k-max", "1"], "k_max"),
+        (["--check", "theorem-additivity", "--n-max", "-1"], "n_max"),
+        (["--check", "classical-agreement", "--size-max", "-2"], "size_max"),
     ],
 )
 def test_verify_bad_parameters(capsys, argv, message):

@@ -1,4 +1,5 @@
 import re
+from functools import lru_cache
 from typing import Iterator
 
 import pytest
@@ -8,6 +9,7 @@ from kshape.partitions import (
     Partition,
     addable_corners,
     boundary_size,
+    contains,
     diag,
     is_p_core,
     removable_corners,
@@ -15,6 +17,7 @@ from kshape.partitions import (
 from kshape.poset import (
     COVER,
     ROW,
+    Path,
     build_poset,
     classify_string,
     corner_chains,
@@ -29,7 +32,7 @@ from kshape.poset import (
     move_cocharge,
     move_from_cells,
     next_corner,
-    path_classes,
+    path_classes_from,
     row_shape,
 )
 from kshape.weak_tableaux import standard_shapes
@@ -380,10 +383,11 @@ def test_poset_trivial_and_dot():
 def test_paths_fixtures():
     paths = enumerate_paths((3, 1, 1), (4, 3, 2, 1), 2)
     assert sorted(p.charge() for p in paths) == [2, 3]
-    assert len(path_classes((3, 1, 1), (4, 3, 2, 1), 2)) == 2
+    assert len(path_classes_from((3, 1, 1), 2)[(4, 3, 2, 1)]) == 2
     paths3 = enumerate_paths((3, 2, 1), (4, 2, 1, 1), 3)
     assert [p.charge() for p in paths3] == [1, 1]
-    assert len(path_classes((3, 2, 1), (4, 2, 1, 1), 3)) == 1
+    assert len(path_classes_from((3, 2, 1), 3)[(4, 2, 1, 1)]) == 1
+    # (3,1,1) is not a 2-core, so its empty path shows only here
     selfp = enumerate_paths((3, 1, 1), (3, 1, 1), 2)
     assert len(selfp) == 1 and not selfp[0].moves
     with pytest.raises(ValueError):
@@ -404,6 +408,47 @@ def test_paths_reject_endpoints_that_are_not_k_shapes(lam, mu, k, message):
         enumerate_paths(lam, mu, k)
 
 
+def targeted_paths(lam: Partition, mu: Partition, k: int) -> tuple[Path, ...]:
+    """Oracle for the grouped walk: a walk toward one end, which follows
+    a move only if its target still fits inside mu (moves add cells)."""
+
+    @lru_cache(maxsize=None)
+    def suffixes(nu: Partition):
+        if nu == mu:
+            return ((),)
+        out = []
+        for m in enumerate_moves(nu, k):
+            if not contains(mu, m.target):
+                continue
+            for rest in suffixes(m.target):
+                out.append((m,) + rest)
+        return tuple(out)
+
+    return tuple(Path(start=lam, moves=ms) for ms in suffixes(lam))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_grouped_walk_matches_targeted_oracle(k):
+    pairs = 0
+    for n in range(0, 8):
+        shapes = kshapes_of_size(k, n)
+        cores = set(standard_shapes(k - 1, n))
+        for lam in shapes:
+            classes = path_classes_from(lam, k)
+            reached = set()
+            for mu in shapes:
+                want = targeted_paths(lam, mu, k)
+                # same paths in the same order: `kshape paths` prints them so
+                assert enumerate_paths(lam, mu, k) == want
+                if want and is_p_core(mu, k):
+                    reached.add(mu)
+                    assert classes[mu] == equivalence_classes(want, k)
+                pairs += bool(want)
+            assert set(classes) == reached
+            assert reached <= cores
+    assert pairs > 0
+
+
 def test_composite_move_is_equivalent_to_factorization():
     paths = enumerate_paths((3, 1, 1, 1), (4, 2, 1, 1), 3)
     lengths = sorted(len(p.moves) for p in paths)
@@ -415,10 +460,14 @@ def test_charge_constant_on_classes():
     for k, size in ((2, 6), (3, 6)):
         p = build_poset(k, size)
         tops = [v for v in p.vertices if is_p_core(v, k + 1)]
-        bots = [v for v in p.vertices if is_p_core(v, k)]
+        bots = {v for v in p.vertices if is_p_core(v, k)}
         for a in tops:
+            by_end = path_classes_from(a, k)
+            assert set(by_end) <= bots
             for b in bots:
-                for cls in path_classes(a, b, k):
+                want = equivalence_classes(targeted_paths(a, b, k), k)
+                assert len(by_end.get(b, ())) == len(want)
+                for cls in by_end.get(b, ()):
                     charges = {q.charge() for q in cls.members}
                     cocharges = {q.cocharge() for q in cls.members}
                     assert len(charges) == 1 and len(cocharges) == 1

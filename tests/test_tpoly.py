@@ -1,10 +1,11 @@
 import pytest
 
 from kshape.partitions import is_p_core
-from kshape.poset import kshapes_of_size, path_classes
+from kshape.poset import equivalence_classes, kshapes_of_size, path_classes_from
 from kshape.tpoly import TPoly, TruncatedSymPoly
-from kshape.verify import branching_poly, dual_kschur_truncated
+from kshape.verify import dual_kschur_truncated
 from kshape.weak_tableaux import standard_shapes
+from test_poset import targeted_paths
 
 
 def test_tpoly_arithmetic():
@@ -35,8 +36,14 @@ def test_truncated_sym_poly():
         TruncatedSymPoly.of(2, {(1, 0, 0): TPoly.of([1])})
 
 
+def branching_poly(lam, mu, k) -> TPoly:
+    """Sum of t^charge over the path classes from lam to the k-core mu."""
+    return TPoly.from_powers(c.charge for c in path_classes_from(lam, k).get(mu, ()))
+
+
 def test_branching_poly_trivials():
-    assert branching_poly((3, 1, 1), (3, 1, 1), 2) == TPoly.of([1])
+    # (1,) is a 3-core and a 2-core, so its one path is the empty one
+    assert branching_poly((1,), (1,), 2) == TPoly.of([1])
     b = branching_poly((3, 1, 1), (4, 3, 2, 1), 2)
     assert b == TPoly.of([0, 0, 1, 1])  # classes of charge 2 and 3
 
@@ -58,7 +65,7 @@ def test_branching_at_one_counts_classes():
             for lam in tops:
                 for mu in standard_shapes(k - 1, size):
                     b = branching_poly(lam, mu, k)
-                    assert b(1) == len(path_classes(lam, mu, k))
+                    assert b(1) == len(equivalence_classes(targeted_paths(lam, mu, k), k))
                     assert all(c >= 0 for c in b.coeffs)
 
 

@@ -4,7 +4,7 @@ from kshape.partitions import is_p_core
 from kshape.poset import kshapes_of_size
 from kshape.weak_tableaux import standard_shapes
 from kshape import verify
-from kshape.verify import CHECKS, run_check
+from kshape.verify import CHECKS, resolve_params, run_check
 
 GATING = {
     "kshape-fixture",
@@ -67,6 +67,26 @@ def test_undeclared_parameter_rejected(name):
 def test_variables_below_one_rejected(name):
     with pytest.raises(ValueError, match="variables"):
         run_check(name, variables=0)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("bijection-counting", {"k_max": 1}),
+        ("theorem-additivity", {"n_max": -1}),
+        ("classical-agreement", {"size_max": -2}),
+        ("charge-cocharge-duality", {"n_max": -1, "k_max": 2}),
+    ],
+)
+def test_parameters_below_least_value_rejected(name, params):
+    key = next(iter(params))
+    with pytest.raises(ValueError, match=f"{key} must be at least"):
+        resolve_params(name, **params)
+
+
+def test_least_values_accepted():
+    assert resolve_params("bijection-counting", n_max=0, k_max=2)["k_max"] == 2
+    assert resolve_params("classical-agreement", size_max=0) == {"size_max": 0}
 
 
 def test_unknown_check_rejected():
