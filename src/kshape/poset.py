@@ -258,7 +258,7 @@ def _grow_row_move(
     s1 = classify_string(lam, add_cells(lam, s1_cells), k)
     if s1 is None or s1.kind != ROW:
         return
-    sig = _string_signature(s1, k)
+    sig = None  # computed once a second string is tried
     strings = [s1]
     cells = frozenset(s1.cells)
     current = s1.outer
@@ -275,7 +275,11 @@ def _grow_row_move(
                 return
             nxt_outer = add_cells(current, chain)
             s = classify_string(current, nxt_outer, k)
-            if s is None or s.kind != ROW or _string_signature(s, k) != sig:
+            if s is None or s.kind != ROW:
+                return
+            if sig is None:
+                sig = _string_signature(s1, k)
+            if _string_signature(s, k) != sig:
                 return
             strings.append(s)
             cells = cells.union(s.cells)
@@ -292,17 +296,55 @@ def _grow_row_move(
             )
 
 
+def _pushes_out(lam: Partition, cell: Cell, k: int) -> bool:
+    """Whether adding the addable corner ``cell``, with cells only in lower
+    rows, pushes a cell of its row out of the k-boundary of lam.
+
+    The cells of that row left of ``cell`` gain exactly 1 in hook, and
+    hooks fall along a row, so only the first boundary cell can reach
+    k + 1: it does iff it lies left of ``cell`` with hook exactly k.
+    """
+    i, c = cell
+    interior = k_interior(lam, k)
+    j = (interior[i - 1] if i <= len(interior) else 0) + 1
+    return j < c and lam[i - 1] - j + conjugate(lam)[j - 1] - i + 1 == k
+
+
 @lru_cache(maxsize=None)
 def enumerate_row_moves(lam: Partition, k: int) -> tuple[Move, ...]:
+    """All row moves with source lam, duplicate-free.
+
+    Only corner chains that can be row strings are grown; two necessary
+    conditions on the row profile reject the rest before they are
+    classified.  Let t be the chain's top cell and b its bottom cell.
+
+    Top test: every other cell lies in a lower row, so t's row gains t
+    and keeps its width only if a cell left of t leaves the boundary;
+    unless ``_pushes_out(lam, t)``, the row profile rises.  The test
+    reads t alone, so it settles every chain from one start corner.
+
+    Bottom test: the same argument on the conjugate; if
+    ``_pushes_out(lam', b transposed)``, a cell of b's column below b
+    leaves the boundary, in a row that holds no cell of the string and
+    gains none, so the row profile falls.
+    """
     if not is_k_shape(lam, k):
         raise ValueError(f"{lam} is not a {k}-shape")
+    conj = conjugate(lam)
+    corners = addable_corners(lam)
     seen: dict[frozenset[Cell], Move] = {}
-    for chain in corner_chains(lam, k):
-        try:
-            for m in _grow_row_move(lam, chain, k):
-                seen.setdefault(m.cells, m)
-        except IntegrityError:
-            continue  # ambiguous strings cannot occur inside a valid move
+    for start in corners:
+        if not _pushes_out(lam, start, k):
+            continue
+        chain = (start,) + corner_run(corners, start, k)
+        for end, b in enumerate(chain, start=1):
+            if _pushes_out(conj, (b[1], b[0]), k):
+                continue
+            try:
+                for m in _grow_row_move(lam, chain[:end], k):
+                    seen.setdefault(m.cells, m)
+            except IntegrityError:
+                continue  # ambiguous strings cannot occur inside a valid move
     return tuple(sorted(seen.values(), key=Move.sort_key))
 
 

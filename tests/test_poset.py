@@ -7,17 +7,24 @@ import pytest
 from kshape.errors import IntegrityError
 from kshape.partitions import (
     Partition,
+    add_cells,
     addable_corners,
     boundary_size,
+    conjugate,
     contains,
     diag,
     is_p_core,
+    partitions_of,
     removable_corners,
 )
 from kshape.poset import (
     COVER,
     ROW,
+    Move,
     Path,
+    _conjugate_move,
+    _grow_row_move,
+    _pushes_out,
     build_poset,
     classify_string,
     corner_chains,
@@ -299,10 +306,6 @@ def test_connected_row_chains_strictly_descend():
 
 def test_move_rank_bound():
     # regrow without the production cap: no valid move reaches rank k
-    from kshape.errors import IntegrityError
-    from kshape.poset import _grow_row_move, corner_chains
-    from kshape.partitions import conjugate
-
     for k in (2, 3):
         for size in range(0, 7):
             for lam in kshapes_of_size(k, size):
@@ -313,6 +316,100 @@ def test_move_rank_bound():
                                 assert m.rank <= k - 1, (shape, k, m.rank)
                         except IntegrityError:
                             continue
+
+
+def unpruned_row_moves(lam: Partition, k: int) -> tuple[Move, ...]:
+    """Reference row-move enumeration: every corner chain is grown, and
+    chains holding an ambiguous string are skipped."""
+    seen = {}
+    for chain in corner_chains(lam, k):
+        try:
+            for m in _grow_row_move(lam, chain, k):
+                seen.setdefault(m.cells, m)
+        except IntegrityError:
+            continue
+    return tuple(sorted(seen.values(), key=Move.sort_key))
+
+
+def kshapes_by_cells(k: int, max_cells: int) -> list[Partition]:
+    """Every k-shape of at most max_cells cells, found without the move
+    enumeration (``kshapes_of_size`` walks ``enumerate_moves``)."""
+    return [
+        lam for n in range(max_cells + 1) for lam in partitions_of(n) if is_k_shape(lam, k)
+    ]
+
+
+def _move_fields(moves):
+    return [(m.orientation, m.source, m.cells, m.rank, m.length, m.strings, m.target) for m in moves]
+
+
+def test_row_moves_match_unpruned_oracle():
+    """k=2..6, every k-shape of at most 12 cells: the pruned enumeration
+    returns the oracle's moves, in order, with the same strings and targets."""
+    shapes = moves = 0
+    for k in range(2, 7):
+        for lam in kshapes_by_cells(k, 12):
+            rows = unpruned_row_moves(lam, k)
+            assert _move_fields(enumerate_row_moves(lam, k)) == _move_fields(rows), (lam, k)
+            cols = tuple(_conjugate_move(m) for m in unpruned_row_moves(conjugate(lam), k))
+            both = sorted(rows + cols, key=Move.sort_key)
+            assert _move_fields(enumerate_moves(lam, k)) == _move_fields(both), (lam, k)
+            shapes += 1
+            moves += len(both)
+    assert (shapes, moves) == (520, 562)
+
+
+def _first_string_kind(lam: Partition, chain, k: int):
+    try:
+        s = classify_string(lam, add_cells(lam, chain), k)
+    except IntegrityError:
+        return "ambiguous"
+    return None if s is None else s.kind
+
+
+def test_boundary_push_tests_are_necessary():
+    """Over every corner-chain prefix of the k-shapes of at most 12 cells,
+    k=2..6, a chain that the top or the bottom test rejects is not a row
+    string."""
+    by_top = by_bottom = 0
+    for k in range(2, 7):
+        for lam in kshapes_by_cells(k, 12):
+            conj = conjugate(lam)
+            for chain in corner_chains(lam, k):
+                b = chain[-1]
+                if not _pushes_out(lam, chain[0], k):
+                    by_top += 1
+                elif _pushes_out(conj, (b[1], b[0]), k):
+                    by_bottom += 1
+                else:
+                    continue
+                assert _first_string_kind(lam, chain, k) != ROW, (lam, k, chain)
+    assert (by_top, by_bottom) == (2260, 51)
+
+
+def test_row_move_first_strings_are_row_strings(monkeypatch):
+    """The cost of the row-move enumeration tracks its output: for k=2..5
+    and k-boundary at most 10, every first string it classifies is a row
+    string."""
+    from kshape import poset
+
+    shapes = [(k, lam) for k in range(2, 6) for n in range(11) for lam in kshapes_of_size(k, n)]
+    classify = poset.classify_string
+    calls = []
+
+    def recording(inner, outer, k):
+        s = classify(inner, outer, k)
+        calls.append((inner, s))
+        return s
+
+    monkeypatch.setattr(poset, "classify_string", recording)
+    firsts = []
+    for k, lam in shapes:
+        calls.clear()
+        enumerate_row_moves.__wrapped__(lam, k)  # bypass the memo table
+        firsts += [s for inner, s in calls if inner == lam]
+    assert len(firsts) == 1136
+    assert all(s is not None and s.kind == ROW for s in firsts)
 
 
 def test_move_from_cells_round_trip():
