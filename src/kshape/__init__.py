@@ -9,7 +9,6 @@ from .partitions import (
     boundary_size,
     col_shape,
     conjugate,
-    corners,
     diag,
     diag_count,
     format_partition,

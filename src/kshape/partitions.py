@@ -54,12 +54,6 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
-def cells(lam: Partition) -> Iterator[Cell]:
-    for i, part in enumerate(lam, start=1):
-        for j in range(1, part + 1):
-            yield (i, j)
-
-
 def cell_in(lam: Partition, cell: Cell) -> bool:
     i, j = cell
     return 1 <= i <= len(lam) and 1 <= j <= lam[i - 1]
@@ -152,13 +146,11 @@ def residue(cell: Cell, k: int) -> int:
     return (cell[1] - cell[0]) % (k + 1)
 
 
-def diag_count(lam: Partition, b1: Cell, b2: Cell, e: int, k: int) -> int:
+def diag_count(b1: Cell, b2: Cell, e: int, k: int) -> int:
     """Number of diagonals of residue e strictly between cells b1 and b2.
 
     b2 must be weakly below b1; the count ranges over diagonal indices
-    strictly between diag(b1) and diag(b2), exclusive at both ends.  The
-    partition is taken only to keep call sites explicit about which
-    (k+1)-core's cells are in play.
+    strictly between diag(b1) and diag(b2), exclusive at both ends.
     """
     if not 0 <= e <= k:
         raise ValueError(f"residue {e} out of range 0..{k}")
@@ -191,10 +183,6 @@ def removable_corners(lam: Partition) -> tuple[Cell, ...]:
     return tuple(out)
 
 
-def corners(lam: Partition) -> tuple[tuple[Cell, ...], tuple[Cell, ...]]:
-    return addable_corners(lam), removable_corners(lam)
-
-
 def add_cells(lam: Partition, new: Iterable[Cell]) -> Partition:
     """Add a set of cells to lam; the result must be a partition shape."""
     rows = list(lam)
@@ -208,7 +196,7 @@ def add_cells(lam: Partition, new: Iterable[Cell]) -> Partition:
 
 
 def union_shape(a: Partition, b: Partition) -> Partition:
-    """Componentwise max; its cells are exactly cells(a) | cells(b)."""
+    """Componentwise max; its cells are exactly those of a and of b."""
     n = max(len(a), len(b))
     return partition(
         max(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)

@@ -21,7 +21,6 @@ from .partitions import (
     Partition,
     add_cells,
     addable_corners,
-    boundary_size,
     format_partition,
     union_shape,
 )
@@ -30,16 +29,13 @@ from .poset import (
     ROW,
     Move,
     Path,
-    PathClass,
     StringOfCells,
-    class_holding,
     corner_run,
     is_k_shape,
     move_from_cells,
-    path_classes_from,
 )
 from .kshape_tableaux import CHARGE, COCHARGE, cover_status, letter_term, make_cover
-from .weak_tableaux import WeakTableau, is_weak_strip, make_weak_tableau
+from .weak_tableaux import WeakTableau, is_standard_step, make_weak_tableau
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,10 +231,9 @@ class WeakBijectionResult:
 
     @property
     def target_tableau(self) -> WeakTableau:
-        return make_weak_tableau(self.k - 1, self.target_chain)
-
-    def path_class(self) -> PathClass:
-        return class_holding(self.path, path_classes_from(self.path.start, self.k))
+        """The target chain as a standard (k-1)-tableau.  ``_letter_step``
+        checked each of its steps, so it is not validated again."""
+        return WeakTableau(k=self.k - 1, chain=self.target_chain, weight=self.source.weight)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -280,30 +275,21 @@ def _root(k: int) -> _Prefix:
     return _Prefix(None, k, None, None, Path(start=()), (), 0, 0, 0, 0)
 
 
-def _is_standard_strip(inner: Partition, outer: Partition, k: int) -> bool:
-    """outer/inner is a weak strip at k that grows the k-boundary by 1:
-    the step check of ``make_weak_tableau`` for weight 1, through the
-    memoized strip test."""
-    return is_weak_strip(inner, outer, k) and (
-        boundary_size(outer, k) == boundary_size(inner, k) + 1
-    )
-
-
 @lru_cache(maxsize=None)
 def _letter_step(state: _Prefix, outer: Partition) -> _Prefix:
     """The state one letter longer: the next letter fills outer/shape.
 
     Its cover is pushed through the path so far (the memoized strip).  The
-    input step must be a standard weak strip at k with a reverse-maximal
-    cover; the output cover must chain onto the target, be maximal, and be
-    a standard weak strip at k-1.  A step that raises stores nothing.
+    input step must be a standard step at k with a reverse-maximal cover;
+    the output cover must chain onto the target, be maximal, and be a
+    standard step at k-1.  A step that raises stores nothing.
     """
     k = state.k
     prev, prev_out = state.cover, state.cover_out
     root = prev is None
     shape = () if root else prev.outer
     target = () if root else prev_out.outer
-    if not _is_standard_strip(shape, outer, k):
+    if not is_standard_step(shape, outer, k):
         raise ValueError(f"{outer}/{shape} is not a standard weak strip at k={k}")
     c = make_cover(shape, outer, k)
     if not cover_status(c, k).reverse_maximal:
@@ -313,7 +299,7 @@ def _letter_step(state: _Prefix, outer: Partition) -> _Prefix:
         raise IntegrityError("output covers do not chain")
     if not cover_status(c_out, k).maximal:
         raise IntegrityError("output chain is not a maximal-cover chain")
-    if not _is_standard_strip(target, c_out.outer, k - 1):
+    if not is_standard_step(target, c_out.outer, k - 1):
         raise IntegrityError(f"output step {c_out.outer}/{target} is not standard at k={k - 1}")
     if root:  # letter 1 adds nothing to either statistic
         return _Prefix(state, k, c, c_out, path, strip, 0, 0, 0, 0)
@@ -425,7 +411,7 @@ def descend(t: WeakTableau) -> DescentRecord:
     for k in range(t.k, 1, -1):
         res = weak_bijection_standard(cur)
         levels.append(res)
-        cur = WeakTableau(k=k - 1, chain=res.target_chain, weight=cur.weight)
+        cur = res.target_tableau
     return DescentRecord(source=t, levels=tuple(levels))
 
 

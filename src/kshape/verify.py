@@ -327,7 +327,7 @@ def _additivity_instance(args):
     count = 0
     for t in enumerate_standard_k_tableaux(lam, k):
         res = weak_bijection_standard(t)
-        target = make_weak_tableau(k - 1, res.target_chain)
+        target = res.target_tableau
         if charge_standard(t) != charge_standard(target) + res.path.charge():
             fails.append(f"charge additivity: k={k} {t.text()}")
         if cocharge_standard(t) != cocharge_standard(target) + res.path.cocharge():
@@ -383,14 +383,6 @@ def _stability_instance(args):
     return count, fails
 
 
-def _is_standard_chain(chain, k: int) -> bool:
-    if k < 1:
-        return False
-    return all(
-        is_standard_step(inner, outer, k) for inner, outer in zip(chain, chain[1:])
-    )
-
-
 def _characterization_instance(args):
     k, n = args
     fails = []
@@ -405,7 +397,8 @@ def _characterization_instance(args):
             fails.append(f"k-tableau flag: k={k} {t.text()}")
         if is_k:
             seen_k.add(t.chain)
-        if is_km1 != _is_standard_chain(t.chain, k - 1):
+        steps = zip(t.chain, t.chain[1:])
+        if is_km1 != all(is_standard_step(a, b, k - 1) for a, b in steps):
             fails.append(f"(k-1)-tableau flag: k={k} {t.text()}")
         count += 1
     if seen_k != direct_k:
@@ -541,9 +534,7 @@ def _sigma_commutation_instance(args):
             count += 1
             u = sigma_involution(t, i)
             res_u = weak_bijection_standard(u)
-            target_sigma = sigma_involution(
-                make_weak_tableau(k - 1, res.target_chain), i
-            )
+            target_sigma = sigma_involution(res.target_tableau, i)
             if res_u.target_chain != target_sigma.chain:
                 fails.append(f"target differs: k={k} {t.text()} i={i}")
             if res_u.path not in cls.members:

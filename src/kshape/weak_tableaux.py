@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import IntegrityError
 from .partitions import (
@@ -129,9 +130,6 @@ class WeakTableau(ChainTableau):
 
     weight: tuple[int, ...]
 
-    def residues_of_letter(self, n: int) -> tuple[int, ...]:
-        return tuple(sorted({residue(c, self.k) for c in self.cells_of_letter(n)}))
-
     def is_standard(self) -> bool:
         return all(a == 1 for a in self.weight)
 
@@ -196,6 +194,7 @@ def parse_tableau_text(k: int, text: str) -> WeakTableau:
     return weak_tableau_from_filling(k, split_tableau_text(text))
 
 
+@lru_cache(maxsize=None)
 def is_standard_step(inner: Partition, outer: Partition, k: int) -> bool:
     """Vertical-and-horizontal strip between cores growing the boundary by 1."""
     if not contains(outer, inner) or inner == outer:
@@ -297,23 +296,24 @@ def standard_shapes(k: int, n: int) -> tuple[Partition, ...]:
 
 
 @lru_cache(maxsize=None)
-def _strips_over(nu: Partition, k: int) -> tuple[Partition, ...]:
-    """Every weak strip over the (k+1)-core nu, nu itself included, sorted.
+def _strips_over(nu: Partition, k: int) -> Mapping[frozenset[int], Partition]:
+    """Every weak strip s_A nu over the (k+1)-core nu, nu itself included,
+    keyed by its residue set A and ordered by strip.
 
     A depth-first walk over residue sets in their order of application:
     for each largest left-out residue g, apply s_{g+1}..s_k, then every
     increasing run of residues below g.  A prefix that adds no cells ends
-    its branch, so the walk visits only strips.
+    its branch, so the walk visits only strips, each A at most once.
     """
     _require_core(nu, k)
-    out: list[Partition] = []
+    out: dict[frozenset[int], Partition] = {}
 
-    def grow(shape: Partition, lo: int, hi: int) -> None:
-        out.append(shape)
+    def grow(shape: Partition, applied: frozenset[int], lo: int, hi: int) -> None:
+        out[applied] = shape
         for r in range(lo, hi):
             nxt = _add_residue(shape, r, k)
             if nxt is not None:
-                grow(nxt, r + 1, hi)
+                grow(nxt, applied | {r}, r + 1, hi)
 
     for g in range(k + 1):
         shape: Partition | None = nu
@@ -322,18 +322,17 @@ def _strips_over(nu: Partition, k: int) -> tuple[Partition, ...]:
             if shape is None:
                 break
         else:
-            grow(shape, 0, g)
-    out.sort()
-    for xi in out:
+            grow(shape, frozenset(range(g + 1, k + 1)), 0, g)
+    for xi in out.values():
         if not is_weak_strip(nu, xi, k):
             raise IntegrityError(f"residue strip {xi}/{nu} is not a weak strip at k={k}")
-    return tuple(out)
+    return MappingProxyType(dict(sorted(out.items(), key=lambda item: item[1])))
 
 
 def weak_successors(nu: Partition, bound: Partition, k: int) -> tuple[Partition, ...]:
     """Cores xi with nu <= xi <= bound forming a weak strip over the
     (k+1)-core nu."""
-    return tuple(xi for xi in _strips_over(nu, k) if contains(bound, xi))
+    return tuple(xi for xi in _strips_over(nu, k).values() if contains(bound, xi))
 
 
 def enumerate_weak_tableaux(
@@ -360,7 +359,7 @@ def enumerate_weak_tableaux(
 # charge and cocharge, standard case
 
 
-def _up_marker_charge(shape: Partition, k: int, ups: Sequence[Cell]) -> int:
+def _up_marker_charge(k: int, ups: Sequence[Cell]) -> int:
     """Sum of the running charges of consecutive uppermost markers.
 
     Each step adds one plus the diagonals of the earlier marker's residue
@@ -371,9 +370,9 @@ def _up_marker_charge(shape: Partition, k: int, ups: Sequence[Cell]) -> int:
     ch = 0
     for prev_up, cur_up in zip(ups, ups[1:]):
         if prev_up[0] >= cur_up[0]:  # weakly above
-            ch = ch + diag_count(shape, prev_up, cur_up, residue(prev_up, k), k) + 1
+            ch = ch + diag_count(prev_up, cur_up, residue(prev_up, k), k) + 1
         else:
-            ch = ch - diag_count(shape, cur_up, prev_up, residue(cur_up, k), k)
+            ch = ch - diag_count(cur_up, prev_up, residue(cur_up, k), k)
         total += ch
     return total
 
@@ -382,7 +381,7 @@ def charge_standard(t: WeakTableau) -> int:
     """Sum of the per-letter charges driven by the uppermost markers."""
     if not t.is_standard():
         raise ValueError("charge_standard requires a standard tableau")
-    return _up_marker_charge(t.shape, t.k, [t.up(n) for n in range(1, t.letters + 1)])
+    return _up_marker_charge(t.k, [t.up(n) for n in range(1, t.letters + 1)])
 
 
 def cocharge_standard(t: WeakTableau) -> int:
@@ -391,7 +390,7 @@ def cocharge_standard(t: WeakTableau) -> int:
         raise ValueError("cocharge_standard requires a standard tableau")
     n = t.letters
     downs = [t.down(m) for m in range(1, n + 1)]
-    return n * (n - 1) // 2 - _up_marker_charge(t.shape, t.k, downs)
+    return n * (n - 1) // 2 - _up_marker_charge(t.k, downs)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +450,7 @@ def _marked_word_charge(t: WeakTableau, word) -> int:
     """Charge of the subtableau picked out by a residue-marked word."""
     classes = _letter_classes(t)
     ups = [max(classes[letter - 1][res], key=lambda c: c[0]) for letter, res in word]
-    return _up_marker_charge(t.shape, t.k, ups)
+    return _up_marker_charge(t.k, ups)
 
 
 def charge_dominant_semistandard(t: WeakTableau) -> int:
@@ -472,18 +471,11 @@ def _strip_with_residues(
 ) -> Partition:
     """s_A nu for the residue set A: the unique weak strip over nu of the
     given size whose cells occupy exactly those residues, inside bound."""
-    missing = [r for r in range(k + 1) if r not in residues]
-    if not missing:
+    if all(r in residues for r in range(k + 1)):
         raise IntegrityError(f"a weak strip leaves out some residue: {sorted(residues)}")
-    g = missing[-1]
-    xi = nu
-    for r in list(range(g + 1, k + 1)) + sorted(r for r in residues if r < g):
-        nxt = _add_residue(xi, r, k)
-        if nxt is None:
-            raise IntegrityError(f"s_{r} adds no cell to {xi} on the way up from {nu}")
-        xi = nxt
-    if not is_weak_strip(nu, xi, k):
-        raise IntegrityError(f"residue strip {xi}/{nu} is not a weak strip at k={k}")
+    xi = _strips_over(nu, k).get(residues) if is_p_core(nu, k + 1) else None
+    if xi is None:
+        raise IntegrityError(f"no weak strip over {nu} has residues {sorted(residues)} at k={k}")
     if boundary_size(xi, k) - boundary_size(nu, k) != size or not contains(bound, xi):
         raise IntegrityError(
             f"strip {xi} over {nu} at residues {sorted(residues)} does not have"
@@ -498,10 +490,10 @@ def sigma_involution(t: WeakTableau, i: int) -> WeakTableau:
     Letters of i and i+1 are listed by residue; occurrences of i+1 whose
     residue class has some cell with no i directly below are kept in
     place, the others are shifted one residue up.  After sorting by
-    residue (shifted i+1 before i at equal residue) and cancelling
-    adjacent (i+1, i) factors, the unpaired block a^r b^s becomes a^s b^r
-    on the same residue slots; the chain is rebuilt around the new letter
-    i and revalidated.
+    residue (shifted i+1 before i at equal residue) and pairing each i
+    with the nearest unpaired i+1 before it, the unpaired block a^r b^s
+    becomes a^s b^r on the same residue slots; the chain is rebuilt around
+    the new letter i and revalidated.
     """
     if not 1 <= i < t.letters:
         raise ValueError(f"index {i} out of range 1..{t.letters - 1}")
@@ -522,23 +514,20 @@ def sigma_involution(t: WeakTableau, i: int) -> WeakTableau:
 
     items = [(r, 1) for r in a_residues] + [(r, 0) for r in relabeled]
     items.sort()  # (residue, type): shifted b before a at equal residue
-    unpaired = list(range(len(items)))
-    changed = True
-    while changed:
-        changed = False
-        for p in range(len(unpaired) - 1):
-            x, y = unpaired[p], unpaired[p + 1]
-            if items[x][1] == 0 and items[y][1] == 1:
-                del unpaired[p : p + 2]
-                changed = True
-                break
-    slots = [items[x] for x in unpaired]
-    r_u = sum(1 for s in slots if s[1] == 1)
-    s_u = len(slots) - r_u
-    if any(s[1] != 1 for s in slots[:r_u]):
-        raise IntegrityError("unpaired letters are not of the form a^r b^s")
-    new_a = [items[x][0] for x in unpaired[:s_u]]
-    paired_a = [r for p, (r, typ) in enumerate(items) if typ == 1 and p not in unpaired]
+    # bracket matching: each a closes the nearest open b before it, so the
+    # unpaired letters are a^r (closing nothing) then b^s (left open)
+    open_b: list[int] = []
+    unpaired_a: list[int] = []
+    paired_a: list[int] = []
+    for r, typ in items:
+        if typ == 0:
+            open_b.append(r)
+        elif open_b:
+            open_b.pop()
+            paired_a.append(r)
+        else:
+            unpaired_a.append(r)
+    new_a = (unpaired_a + open_b)[: len(open_b)]
     new_a_residues = frozenset(paired_a + new_a)
     if len(new_a_residues) != len(relabeled):
         raise IntegrityError("residues of the swapped letter collide")

@@ -11,7 +11,13 @@ from kshape.classical import (
     standard_young_tableaux,
     word_charge,
 )
-from kshape.partitions import cells, conjugate, partitions_of
+from kshape.partitions import conjugate, partitions_of
+
+
+def cells(lam):
+    for i, part in enumerate(lam, start=1):
+        for j in range(1, part + 1):
+            yield (i, j)
 
 
 def hook_length(lam, cell):

@@ -12,16 +12,51 @@ README = SRC.parents[1] / "README.md"
 MODULES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
-def _used_names(top: ast.AST) -> set[str]:
-    """Names read, attributes taken and names imported under a node."""
+def _bound_names(top: ast.AST) -> set[str]:
+    """Names a top-level statement binds anywhere inside it: targets,
+    parameters, definitions and exception names."""
     out = set()
     for node in ast.walk(top):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            out.add(node.name)
+    return out
+
+
+def _source_module(node: ast.ImportFrom) -> str | None:
+    """The package module a ``from ... import`` names, or None."""
+    if node.level == 1:
+        return node.module  # None for ``from . import module``
+    if (node.module or "").startswith("kshape."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def _used_definitions(module: str, tree: ast.Module, top: ast.AST) -> set[tuple[str, str]]:
+    """The (module, name) pairs a top-level statement of ``module`` uses:
+    a load of a name the statement does not bind, an import of a name
+    from its own module, or an attribute read on that module.  A local
+    variable or a field that shares a definition's name is not a use."""
+    modules = {
+        a.asname or a.name: a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for a in node.names
+    }
+    bound = _bound_names(top)
+    out = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            out.add((module, node.id))
+        elif isinstance(node, ast.ImportFrom) and _source_module(node):
+            out.update((_source_module(node), a.name) for a in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            out.add((modules[node.value.id], node.attr))
     return out
 
 
@@ -59,12 +94,11 @@ def _unused_definitions(private: bool) -> list[str]:
     top-level statement in src/ uses.  An ``__init__`` re-export counts
     only for a name in ``PUBLIC_API``."""
     uses = [
-        (node, _used_names(node))
+        (node, _used_definitions(name.removesuffix(".py"), tree, node))
         for name, tree in MODULES.items()
         if name != "__init__.py"
         for node in tree.body
     ]
-    uses.append((None, PUBLIC_API))
     unused = []
     for name, tree in MODULES.items():
         for node in tree.body:
@@ -72,9 +106,30 @@ def _unused_definitions(private: bool) -> list[str]:
                 continue
             if node.name.startswith("__") or node.name.startswith("_") != private:
                 continue
-            if not any(node.name in used for other, used in uses if other is not node):
+            key = (name.removesuffix(".py"), node.name)
+            if node.name not in PUBLIC_API and not any(
+                key in used for other, used in uses if other is not node
+            ):
                 unused.append(f"{name}:{node.lineno} {node.name}")
     return unused
+
+
+def test_a_local_or_field_of_the_same_name_is_not_a_use():
+    source = (
+        "from . import classical\n"
+        "from .partitions import addable_corners\n"
+        "def f(lam, k):\n"
+        "    corners = addable_corners(lam)\n"
+        "    return [c.cells for c in corners], classical.charge(lam), g(k)\n"
+    )
+    tree = ast.parse(source)
+    assert _used_definitions("poset", tree, tree.body[2]) == {
+        ("poset", "addable_corners"),
+        ("poset", "classical"),
+        ("poset", "g"),
+        ("classical", "charge"),
+    }
+    assert _used_definitions("poset", tree, tree.body[1]) == {("partitions", "addable_corners")}
 
 
 def test_private_definitions_are_used():

@@ -304,7 +304,7 @@ def test_grounded_residue_connectivity():
                     from kshape.partitions import diag_count
 
                     gaps = [
-                        diag_count(lam, (r, j), (rp, jj), e, k)
+                        diag_count((r, j), (rp, jj), e, k)
                         for jj in ground_rp
                         if diag((rp, jj)) >= diag((r, j))
                     ]

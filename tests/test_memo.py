@@ -38,6 +38,7 @@ from kshape.pushout import (
 from kshape.weak_tableaux import (
     _strips_over,
     enumerate_standard_k_tableaux,
+    is_standard_step,
     is_weak_strip,
     standard_predecessors,
     standard_shapes,
@@ -226,6 +227,7 @@ BAD_CALLS = [
     (maximize_below, (make_cover((), (1,), 2), 2), ValueError),
     (maximize_above, (make_cover((), (1,), 2), 2), ValueError),
     (_letter_step, (_root(2), (2,)), ValueError),  # the boundary grows by 2
+    (is_standard_step, ((), (1,), 0), ValueError),
 ]
 
 

@@ -11,8 +11,10 @@ from kshape.kshape_tableaux import (
 from kshape.partitions import conjugate
 from kshape.poset import (
     Path,
+    class_holding,
     enumerate_moves,
     kshapes_of_size,
+    path_classes_from,
 )
 from kshape.pushout import (
     _letter_step,
@@ -202,7 +204,7 @@ def test_weak_bijection_shape_3_1():
     assert res.target_chain == ((), (1,), (2, 1), (3, 2, 1))
     assert charge_standard(t) == 2
     assert res.squares
-    cls = res.path_class()
+    cls = class_holding(res.path, path_classes_from(res.path.start, res.k))
     assert cls.charge == 2
 
 
@@ -293,7 +295,7 @@ def test_bijection_is_injective_small():
                 images = set()
                 for t in enumerate_standard_k_tableaux(lam, k):
                     res = weak_bijection_standard(t)
-                    cls = res.path_class()
+                    cls = class_holding(res.path, path_classes_from(lam, k))
                     key = (res.target_chain, cls.representative)
                     assert key not in images
                     images.add(key)
@@ -466,3 +468,25 @@ def test_descend_validates_every_level():
         rec = full_descent(ch)
         for lv in rec.levels:
             assert make_weak_tableau(lv.k - 1, lv.target_chain).is_standard()
+
+
+def test_target_tableau_matches_validated_chain():
+    """``target_tableau`` is built from the fold's checked steps without a
+    second validation; it equals what ``make_weak_tableau`` makes of the
+    target chain.  A hand-built non-strip input raises before any target
+    exists (``test_directly_built_non_strip_raises``, warm and cold)."""
+    seen = 0
+    for k in range(2, 6):
+        for n in range(0, 9):
+            for lam in standard_shapes(k, n):
+                for t in enumerate_standard_k_tableaux(lam, k):
+                    res = weak_bijection_standard(t)
+                    checked = make_weak_tableau(k - 1, res.target_chain)
+                    target = res.target_tableau
+                    assert (target.k, target.chain, target.weight) == (
+                        checked.k,
+                        checked.chain,
+                        checked.weight,
+                    )
+                    seen += 1
+    assert seen == 1244

@@ -16,6 +16,7 @@ from kshape.partitions import (
     add_cells,
     addable_corners,
     boundary_size,
+    contains,
     diag_count,
     is_p_core,
     partitions_of,
@@ -24,7 +25,9 @@ from kshape.partitions import (
     skew_cells,
 )
 from kshape.weak_tableaux import (
+    _residues_of,
     _strip_with_residues,
+    _strips_over,
     chain_of_filling,
     charge_any_weight,
     charge_dominant_semistandard,
@@ -66,7 +69,7 @@ def test_weight_23122_example():
     assert t.weight == (2, 3, 1, 2, 2)
     assert t.chain == ((), (2,), (5, 2), (5, 2, 1), (6, 3, 2, 1), (8, 5, 2, 2))
     assert t.text() == "1 1 2 2 2 4 5 5 / 2 2 4 5 5 / 3 4 / 4 5"
-    assert t.residues_of_letter(2) == (0, 2, 3)
+    assert _residues_of(t.cells_of_letter(2), 3) == [0, 2, 3]
 
 
 def test_enumerate_standard_small():
@@ -90,7 +93,7 @@ def test_single_residue_per_letter():
             for lam in standard_shapes(k, n):
                 for t in enumerate_standard_k_tableaux(lam, k):
                     for m in range(1, t.letters + 1):
-                        assert len(t.residues_of_letter(m)) == 1
+                        assert len(_residues_of(t.cells_of_letter(m), k)) == 1
 
 
 def test_charge_cocharge_nonnegative():
@@ -407,9 +410,9 @@ def mirrored_cocharge(t):
     for n in range(2, t.letters + 1):
         prev_dn, cur_dn = t.down(n - 1), t.down(n)
         if prev_dn[0] >= cur_dn[0]:
-            co -= diag_count(t.shape, prev_dn, cur_dn, residue(prev_dn, t.k), t.k)
+            co -= diag_count(prev_dn, cur_dn, residue(prev_dn, t.k), t.k)
         else:
-            co += diag_count(t.shape, cur_dn, prev_dn, residue(cur_dn, t.k), t.k) + 1
+            co += diag_count(cur_dn, prev_dn, residue(cur_dn, t.k), t.k) + 1
         total += co
     return total
 
@@ -423,3 +426,94 @@ def test_cocharge_matches_mirrored_recursion():
                     assert cocharge_standard(t) == mirrored_cocharge(t)
                     seen += 1
     assert seen == 1244
+
+
+# ---------------------------------------------------------------------------
+# one standard-step test, one residue walk, one stack pass: their oracles
+
+
+def weak_strip_standard_step(inner, outer, k):
+    """The step test the weak bijection used before ``is_standard_step``:
+    a weak strip at k that grows the k-boundary by exactly 1."""
+    return is_weak_strip(inner, outer, k) and (
+        boundary_size(outer, k) == boundary_size(inner, k) + 1
+    )
+
+
+def test_standard_step_matches_weak_strip_test():
+    pairs = standard = 0
+    for k in range(1, 6):
+        cores = [lam for n in range(13) for lam in partitions_of(n) if is_p_core(lam, k + 1)]
+        for inner in cores:
+            for outer in cores:
+                if 0 < sum(outer) - sum(inner) <= k + 2 and contains(outer, inner):
+                    got = is_standard_step(inner, outer, k)
+                    assert got == weak_strip_standard_step(inner, outer, k), (inner, outer, k)
+                    pairs += 1
+                    standard += got
+    assert (pairs, standard) == (2831, 359)
+
+
+def test_strips_over_keys_are_the_residues_of_their_strips():
+    cores = strips = 0
+    for k in range(2, 6):
+        for n in range(0, 9):
+            for bound in standard_shapes(k, n):
+                for nu in reachable_below(bound, k):
+                    table = _strips_over(nu, k)
+                    assert list(table.values()) == sorted(table.values())
+                    for a, xi in table.items():
+                        assert sorted(a) == _residues_of(skew_cells(xi, nu), k)
+                        assert len(a) <= k
+                        strips += 1
+                    with pytest.raises(TypeError):
+                        table[frozenset()] = nu
+                    cores += 1
+    assert (cores, strips) == (2414, 19067)
+
+
+def cancelled_residues(t, i):
+    """The new residue set of letter i by the cancellation loop that
+    ``sigma_involution`` used before its stack pass: delete the first
+    adjacent (shifted i+1, i) pair until none is left."""
+    k, m = t.k, t.k + 1
+    a_cells = t.cells_of_letter(i)
+    b_classes = {}
+    for c in t.cells_of_letter(i + 1):
+        b_classes.setdefault(residue(c, k), []).append(c)
+    relabeled = [
+        r if any((c[0] - 1, c[1]) not in set(a_cells) for c in cls) else (r + 1) % m
+        for r, cls in sorted(b_classes.items())
+    ]
+    items = sorted([(r, 1) for r in _residues_of(a_cells, k)] + [(r, 0) for r in relabeled])
+    unpaired = list(range(len(items)))
+    changed = True
+    while changed:
+        changed = False
+        for p in range(len(unpaired) - 1):
+            x, y = unpaired[p], unpaired[p + 1]
+            if items[x][1] == 0 and items[y][1] == 1:
+                del unpaired[p : p + 2]
+                changed = True
+                break
+    s_u = sum(1 for x in unpaired if items[x][1] == 0)
+    new_a = [items[x][0] for x in unpaired[:s_u]]
+    paired_a = [r for p, (r, typ) in enumerate(items) if typ == 1 and p not in unpaired]
+    return frozenset(paired_a + new_a)
+
+
+def test_sigma_stack_pass_matches_cancellation_loop():
+    seen = 0
+    for k in range(2, 5):
+        for n in range(1, 6):
+            for lam in standard_shapes(k, n):
+                for letters in range(1, n + 1):
+                    for t in enumerate_weak_tableaux(lam, k, letters):
+                        if any(a > k for a in t.weight):
+                            continue
+                        for i in range(1, t.letters):
+                            u = sigma_involution(t, i)
+                            want = cancelled_residues(t, i)
+                            assert frozenset(_residues_of(u.cells_of_letter(i), k)) == want
+                            seen += 1
+    assert seen == 5406
