@@ -83,15 +83,9 @@ def enumerate_covers(lam: Partition, k: int) -> tuple[StringOfCells, ...]:
     """All covers with the given inner k-shape."""
     if not is_k_shape(lam, k):
         raise ValueError(f"{lam} is not a {k}-shape")
-    out = []
-    for chain in corner_chains(lam, k):
-        outer = add_cells(lam, chain)
-        if not is_k_shape(outer, k):
-            continue
-        s = classify_string(lam, outer, k)
-        if s is not None and s.kind == COVER:
-            out.append(s)
-    return tuple(sorted(out, key=lambda c: c.top))
+    strings = (classify_string(lam, add_cells(lam, chain), k) for chain in corner_chains(lam, k))
+    covers = [s for s in strings if s.kind == COVER and is_k_shape(s.outer, k)]
+    return tuple(sorted(covers, key=lambda c: c.top))
 
 
 @dataclass(frozen=True)

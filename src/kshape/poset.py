@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import takewhile
 from typing import Iterator
 
 from .errors import IntegrityError
@@ -41,6 +41,13 @@ COVER = "cover"
 COCOVER = "cocover"
 
 
+def _cached_hash(value) -> int:
+    """``__hash__`` of the value types below: computed once, in
+    ``__post_init__``, from fields that hold no string (string hashes
+    change from process to process, and a pickled value keeps its hash)."""
+    return value._hash
+
+
 @dataclass(frozen=True, slots=True)
 class StringOfCells:
     """A contiguity chain of cells between two shapes, with its type."""
@@ -49,6 +56,12 @@ class StringOfCells:
     inner: Partition
     outer: Partition
     kind: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.cells, self.inner, self.outer)))
+
+    __hash__ = _cached_hash
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -62,37 +75,70 @@ class StringOfCells:
         return self.cells[-1]
 
 
+def _weakly_decreasing(profile) -> bool:
+    return all(a >= b for a, b in zip(profile, profile[1:]))
+
+
 @lru_cache(maxsize=None)
 def is_k_shape(lam: Partition, k: int) -> bool:
     """True iff both k-boundary profiles of lam are partitions."""
     if k < 2:
         raise ValueError(f"k must be at least 2: {k}")
-    rs = row_shape(lam, k)
-    if any(rs[i] < rs[i + 1] for i in range(len(rs) - 1)):
-        return False
-    cs = col_shape(lam, k)
-    return all(cs[i] >= cs[i + 1] for i in range(len(cs) - 1))
+    return _weakly_decreasing(row_shape(lam, k)) and _weakly_decreasing(col_shape(lam, k))
 
 
-def _signs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[bool, bool]:
-    """Whether some entry of a exceeds, and whether some falls below, the
-    same entry of b, padding the shorter profile with zeros."""
-    rises = falls = False
-    for x, y in zip_longest(a, b, fillvalue=0):
-        if x > y:
-            rises = True
-        elif x < y:
-            falls = True
-    return rises, falls
+def _pushed_column(lam: Partition, cell: Cell, k: int) -> int:
+    """The column of the cell that adding the addable corner ``cell``,
+    with cells only in lower rows, pushes out of the k-boundary of its
+    row of lam; 0 when it pushes none out.
+
+    The cells of that row left of ``cell`` gain exactly 1 in hook, and
+    hooks fall along a row, so only the first boundary cell, in column j,
+    can reach k + 1: it does iff j lies left of ``cell`` with hook exactly k.
+    """
+    i, c = cell
+    interior = k_interior(lam, k)
+    j = (interior[i - 1] if i <= len(interior) else 0) + 1
+    return j if j < c and lam[i - 1] - j + conjugate(lam)[j - 1] - i + 1 == k else 0
+
+
+def _string_kind(lam: Partition, top: Cell, bottom: Cell, k: int) -> str:
+    """The type of the string over lam with these top and bottom cells,
+    read off their two boundary pushes (``classify_string``)."""
+    p_t = _pushed_column(lam, top, k) > 0
+    p_b = _pushed_column(conjugate(lam), (bottom[1], bottom[0]), k) > 0
+    return (COVER, COLUMN, ROW, COCOVER)[2 * p_t + p_b]
 
 
 def classify_string(inner: Partition, outer: Partition, k: int) -> StringOfCells | None:
     """Classify outer/inner as a string, or return None if it is not one.
 
     The cells must form a chain, top to bottom, with consecutive cells in
-    strictly lower rows at diagonal distance k or k+1.  The kind is read
-    off the change of the boundary profiles; a string matching none or
-    several of the four type conditions raises IntegrityError.
+    strictly lower rows at diagonal distance k or k+1.  No two then share
+    a column (they would be adjacent, one diagonal apart), so each is an
+    addable corner of inner, and columns grow from the top cell t to the
+    bottom cell b.  The kind is read off two boundary pushes.
+
+    An inner cell gains 1 in hook for each chain cell right of it in its
+    row or above it in its column; chain cells have hook 1.  For chain
+    cells (r, c) above (r', c'), x = (r', c) gains 2 from hook
+    diag(r', c') - diag(r, c) - 1: k - 1 or k if the two are consecutive,
+    so x leaves the boundary, else at least 2k - 1 > k.  Cells left of or
+    below x have hook at least hook(x) + 2 (column c - 1 is taller than
+    column c, row r' - 1 longer than row r'), and cells between x and the
+    chain gain 1 from a hook below hook(x): all stay put.  So every chain
+    row but t's and every chain column but b's trades x for its chain
+    cell.  Left of t only the push of ``_pushed_column(inner, t)`` (P_t)
+    drops a cell, in column j of the row's first boundary cell, left of
+    every chain column; by conjugation, below b only the push of b
+    transposed on inner' (P_b), in row i of the column's first boundary
+    cell:
+
+        row profile:    [not P_t] e_row(t) - [P_b] e_i
+        column profile: [not P_b] e_col(b) - [P_t] e_j
+
+    So (P_t, P_b) is (T, F) for a row string, (F, T) for a column string,
+    (F, F) for a cover and (T, T) for a cocover: exactly one type.
     """
     try:
         cs = skew_cells(outer, inner)
@@ -106,22 +152,8 @@ def classify_string(inner: Partition, outer: Partition, k: int) -> StringOfCells
             return None  # two cells share a row
         if abs(diag(a) - diag(b)) not in (k, k + 1):
             return None
-    row_up, row_down = _signs(row_shape(outer, k), row_shape(inner, k))
-    col_up, col_down = _signs(col_shape(outer, k), col_shape(inner, k))
-    kinds = []
-    if not (row_up or row_down):
-        kinds.append(ROW)
-    if not (col_up or col_down):
-        kinds.append(COLUMN)
-    if row_up and col_up:
-        kinds.append(COVER)
-    if row_down and col_down:
-        kinds.append(COCOVER)
-    if len(kinds) != 1:
-        raise IntegrityError(
-            f"string {outer}/{inner} matches type conditions {kinds or 'none'}"
-        )
-    return StringOfCells(cells=ordered, inner=inner, outer=outer, kind=kinds[0])
+    kind = _string_kind(inner, ordered[0], ordered[-1], k)
+    return StringOfCells(cells=ordered, inner=inner, outer=outer, kind=kind)
 
 
 def next_corner(corners, cell: Cell, k: int, down: bool = True) -> Cell | None:
@@ -202,6 +234,12 @@ class Move:
     length: int = field(compare=False)
     strings: tuple[StringOfCells, ...] = field(compare=False)
     target: Partition = field(compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.orientation == ROW, self.source, self.cells)))
+
+    __hash__ = _cached_hash
 
     def sort_key(self):
         s1 = self.strings[0]
@@ -243,108 +281,84 @@ def _conjugate_move(m: Move) -> Move:
     )
 
 
+def _col_shape_after_row_string(s: StringOfCells, k: int) -> list[int]:
+    """The column profile of the outer shape of a row string s, with a
+    trailing 0: that of the inner shape, less the cell the top cell
+    pushes out of its row (column j), plus the bottom cell in its own
+    column (``classify_string``)."""
+    cs = [*col_shape(s.inner, k), 0]
+    cs[_pushed_column(s.inner, s.top, k) - 1] -= 1
+    cs[s.bottom[1] - 1] += 1
+    return cs
+
+
 def _grow_row_move(
     lam: Partition, s1_cells: tuple[Cell, ...], k: int, max_rank: int | None = None
 ) -> Iterator[Move]:
-    """Extend a row-type string to ranks 1..max_rank and yield the valid
-    moves (the default cap k-1 is the proven bound on ranks).
+    """Extend the corner chain s1_cells of the k-shape lam (top first, as
+    from ``corner_chains``) to moves of ranks 1..max_rank and yield the
+    valid ones (the default cap k-1 is the proven bound on ranks).
 
     The i-th string is forced: its top cell is the unique addable corner
     of the intermediate shape in the next column over, and the chain from
-    it must be a translate of the first string.  Intermediate shapes need
-    not be k-shapes; a move is emitted whenever the final shape is one.
+    it must be a row string (``_string_kind``) and a translate of the
+    first.  Intermediate shapes need not be k-shapes; a move is emitted
+    whenever the final shape is one.  At rank 1 a row string keeps lam's
+    row profile and moves one column count, so that test is
+    ``_col_shape_after_row_string``; higher ranks call ``is_k_shape``.
     """
     ell = len(s1_cells)
-    s1 = classify_string(lam, add_cells(lam, s1_cells), k)
-    if s1 is None or s1.kind != ROW:
-        return
-    sig = None  # computed once a second string is tried
-    strings = [s1]
-    cells = frozenset(s1.cells)
-    current = s1.outer
+    chain, strings, sig = s1_cells, [], None
     for r in range(1, (k - 1 if max_rank is None else max_rank) + 1):
+        inner = strings[-1].outer if strings else lam
         if r > 1:
-            prev_top = strings[-1].top
-            col = prev_top[1] + 1
-            corners = addable_corners(current)
-            tops = [c for c in corners if c[1] == col]
+            corners = addable_corners(inner)
+            tops = [c for c in corners if c[1] == strings[-1].top[1] + 1]
             if not tops:
                 return
             chain = (tops[0],) + corner_run(corners, tops[0], k)[: ell - 1]
             if len(chain) < ell:
                 return
-            nxt_outer = add_cells(current, chain)
-            s = classify_string(current, nxt_outer, k)
-            if s is None or s.kind != ROW:
-                return
-            if sig is None:
-                sig = _string_signature(s1, k)
+        if _string_kind(inner, chain[0], chain[-1], k) != ROW:
+            return
+        s = StringOfCells(cells=chain, inner=inner, outer=add_cells(inner, chain), kind=ROW)
+        if r == 1:
+            is_shape = _weakly_decreasing(_col_shape_after_row_string(s, k))
+        else:
+            if sig is None:  # computed once a second string is tried
+                sig = _string_signature(strings[0], k)
             if _string_signature(s, k) != sig:
                 return
-            strings.append(s)
-            cells = cells.union(s.cells)
-            current = nxt_outer
-        if is_k_shape(current, k):
+            is_shape = is_k_shape(s.outer, k)
+        strings.append(s)
+        if is_shape:
             yield Move(
                 orientation=ROW,
                 source=lam,
-                cells=cells,
+                cells=frozenset(c for x in strings for c in x.cells),
                 rank=r,
                 length=ell,
                 strings=tuple(strings),
-                target=current,
+                target=s.outer,
             )
-
-
-def _pushes_out(lam: Partition, cell: Cell, k: int) -> bool:
-    """Whether adding the addable corner ``cell``, with cells only in lower
-    rows, pushes a cell of its row out of the k-boundary of lam.
-
-    The cells of that row left of ``cell`` gain exactly 1 in hook, and
-    hooks fall along a row, so only the first boundary cell can reach
-    k + 1: it does iff it lies left of ``cell`` with hook exactly k.
-    """
-    i, c = cell
-    interior = k_interior(lam, k)
-    j = (interior[i - 1] if i <= len(interior) else 0) + 1
-    return j < c and lam[i - 1] - j + conjugate(lam)[j - 1] - i + 1 == k
 
 
 @lru_cache(maxsize=None)
 def enumerate_row_moves(lam: Partition, k: int) -> tuple[Move, ...]:
-    """All row moves with source lam, duplicate-free.
-
-    Only corner chains that can be row strings are grown; two necessary
-    conditions on the row profile reject the rest before they are
-    classified.  Let t be the chain's top cell and b its bottom cell.
-
-    Top test: every other cell lies in a lower row, so t's row gains t
-    and keeps its width only if a cell left of t leaves the boundary;
-    unless ``_pushes_out(lam, t)``, the row profile rises.  The test
-    reads t alone, so it settles every chain from one start corner.
-
-    Bottom test: the same argument on the conjugate; if
-    ``_pushes_out(lam', b transposed)``, a cell of b's column below b
-    leaves the boundary, in a row that holds no cell of the string and
-    gains none, so the row profile falls.
-    """
+    """All row moves with source lam, duplicate-free: the corner chains
+    are grown by ``_grow_row_move``, which turns away all but the row
+    strings before it builds a shape."""
     if not is_k_shape(lam, k):
         raise ValueError(f"{lam} is not a {k}-shape")
-    conj = conjugate(lam)
     corners = addable_corners(lam)
     seen: dict[frozenset[Cell], Move] = {}
     for start in corners:
-        if not _pushes_out(lam, start, k):
-            continue
+        if not _pushed_column(lam, start, k):
+            continue  # no chain from start is a row string (``_string_kind``)
         chain = (start,) + corner_run(corners, start, k)
-        for end, b in enumerate(chain, start=1):
-            if _pushes_out(conj, (b[1], b[0]), k):
-                continue
-            try:
-                for m in _grow_row_move(lam, chain[:end], k):
-                    seen.setdefault(m.cells, m)
-            except IntegrityError:
-                continue  # ambiguous strings cannot occur inside a valid move
+        for end in range(1, len(chain) + 1):
+            for m in _grow_row_move(lam, chain[:end], k):
+                seen.setdefault(m.cells, m)
     return tuple(sorted(seen.values(), key=Move.sort_key))
 
 
@@ -370,18 +384,17 @@ def _parse_move(source: Partition, cells: frozenset[Cell], orientation: str, k: 
         cs = frozenset(_conjugate_cells(cells))
         return _conjugate_move(_parse_move(conjugate(source), cs, ROW, k))
     n = len(cells)
-    # the leftmost cell is always the top of the first string
+    # a move leaves a k-shape, and its leftmost cell, the top of its first
+    # string, is an addable corner
     start = min(cells, key=lambda c: (c[1], c[0]))
-    chain = [start]
-    for c in corner_run(addable_corners(source), start, k):
-        if c not in cells:
-            break
-        chain.append(c)
+    corners = addable_corners(source) if is_k_shape(source, k) else ()
+    run = (start,) + corner_run(corners, start, k) if start in corners else ()
+    chain = tuple(takewhile(cells.__contains__, run))
     # the first string is the prefix of length ell, for ell dividing n
     for ell in range(min(n, len(chain)), 0, -1):
         if n % ell:
             continue
-        for m in _grow_row_move(source, tuple(chain[:ell]), k):
+        for m in _grow_row_move(source, chain[:ell], k):
             if m.cells == cells:
                 return m
     raise IntegrityError(f"cells {sorted(cells)} do not form a row move over {source}")
@@ -397,15 +410,17 @@ class Path:
 
     start: Partition
     moves: tuple[Move, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cur = self.start
         for m in self.moves:
             if m.source != cur:
-                raise ValueError(
-                    f"move from {m.source} does not compose at {cur}"
-                )
+                raise ValueError(f"move from {m.source} does not compose at {cur}")
             cur = m.target
+        object.__setattr__(self, "_hash", hash((self.start, self.moves)))
+
+    __hash__ = _cached_hash
 
     @property
     def end(self) -> Partition:
@@ -542,9 +557,7 @@ def enumerate_paths(lam: Partition, mu: Partition, k: int) -> tuple[Path, ...]:
         if not is_k_shape(shape, k):
             raise ValueError(f"{shape} is not a {k}-shape")
     if boundary_size(lam, k) != boundary_size(mu, k):
-        raise ValueError(
-            f"boundary sizes differ: {lam} vs {mu} at k={k}"
-        )
+        raise ValueError(f"boundary sizes differ: {lam} vs {mu} at k={k}")
     return tuple(Path(start=lam, moves=ms) for ms in _suffixes_by_end(lam, k).get(mu, ()))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -55,6 +54,7 @@ from .weak_tableaux import (
     charge_dominant_semistandard,
     charge_standard,
     cocharge_standard,
+    count_standard_k_tableaux,
     enumerate_standard_k_tableaux,
     enumerate_weak_tableaux,
     is_standard_step,
@@ -140,6 +140,7 @@ def _map_instances(fn: Callable, items: list) -> list:
     workers = _worker_count()
     if workers == 1 or len(items) < 2:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only to fan out
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=1))
 
@@ -429,9 +430,9 @@ def _classical_agreement_instance(lam):
 
 def _bijection_count_instance(args):
     k, lam = args
-    left = len(enumerate_standard_k_tableaux(lam, k))
+    left = count_standard_k_tableaux(lam, k)
     right = sum(
-        len(enumerate_standard_k_tableaux(mu, k - 1)) * len(classes)
+        count_standard_k_tableaux(mu, k - 1) * len(classes)
         for mu, classes in path_classes_from(lam, k).items()
     )
     fails = []

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -47,25 +48,11 @@ from .partitions import (
 
 
 def _is_horizontal_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    """big/small has at most one cell per column (interlacing profiles)."""
+    """big/small has at most one cell per column: the padded profiles
+    interlace, big_i >= small_i >= big_{i+1}."""
     n = max(len(big), len(small))
-    b = lambda i: big[i] if i < len(big) else 0
-    s = lambda i: small[i] if i < len(small) else 0
-    for i in range(n):
-        if b(i) < s(i):
-            return False
-        if i + 1 < n and s(i) < b(i + 1):
-            return False
-    return True
-
-
-def _is_vertical_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    n = max(len(big), len(small))
-    for i in range(n):
-        d = (big[i] if i < len(big) else 0) - (small[i] if i < len(small) else 0)
-        if d not in (0, 1):
-            return False
-    return True
+    b, s = (*big, *[0] * (n + 1 - len(big))), (*small, *[0] * (n - len(small)))
+    return all(b[i] >= s[i] >= b[i + 1] for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +67,7 @@ def is_weak_strip(inner: Partition, outer: Partition, k: int) -> bool:
         return False
     cs_o = row_shape(conjugate(outer), k)
     cs_i = row_shape(conjugate(inner), k)
-    return _is_vertical_strip(cs_o, cs_i)
+    return all(0 <= x - y <= 1 for x, y in zip_longest(cs_o, cs_i, fillvalue=0))
 
 
 @dataclass(frozen=True)
@@ -134,19 +121,24 @@ class WeakTableau(ChainTableau):
         return all(a == 1 for a in self.weight)
 
 
-def make_weak_tableau(k: int, chain: Sequence[Partition]) -> WeakTableau:
-    """Validate a chain of (k+1)-cores and derive its weight."""
+def _chain_weight(k: int, chain: tuple[Partition, ...]) -> tuple[int, ...]:
+    """The weight of a chain of (k+1)-cores grown by weak strips from the
+    empty partition; ValueError for any other chain."""
     if k < 1:
         raise ValueError(f"k must be at least 1: {k}")
-    chain = tuple(tuple(c) for c in chain)
     if not chain or chain[0] != ():
         raise ValueError("chain must start at the empty partition")
-    weight = []
     for inner, outer in zip(chain, chain[1:]):
         if not is_weak_strip(inner, outer, k):
             raise ValueError(f"invalid weak strip {outer}/{inner} at k={k}")
-        weight.append(boundary_size(outer, k) - boundary_size(inner, k))
-    return WeakTableau(k=k, chain=chain, weight=tuple(weight))
+    sizes = [boundary_size(nu, k) for nu in chain]
+    return tuple(b - a for a, b in zip(sizes, sizes[1:]))
+
+
+def make_weak_tableau(k: int, chain: Sequence[Partition]) -> WeakTableau:
+    """Validate a chain of (k+1)-cores and derive its weight."""
+    chain = tuple(tuple(c) for c in chain)
+    return WeakTableau(k=k, chain=chain, weight=_chain_weight(k, chain))
 
 
 def chain_of_filling(rows: Sequence[Sequence[int]]) -> tuple[Partition, ...]:
@@ -265,24 +257,22 @@ def standard_predecessors(nu: Partition, k: int) -> tuple[Partition, ...]:
 
 
 def enumerate_standard_k_tableaux(lam: Partition, k: int) -> tuple[WeakTableau, ...]:
-    """All standard k-tableaux of shape lam, a (k+1)-core."""
+    """All standard k-tableaux of shape lam, a (k+1)-core: the chains grown
+    downward one standard predecessor per letter, in predecessor order."""
     _require_core(lam, k)
+    chains = [(lam,)]
+    for _ in range(boundary_size(lam, k)):
+        chains = [(prev,) + ch for ch in chains for prev in standard_predecessors(ch[0], k)]
+    return tuple(WeakTableau(k=k, chain=ch, weight=(1,) * (len(ch) - 1)) for ch in chains)
 
-    @lru_cache(maxsize=None)
-    def chains_to(nu: Partition) -> tuple[tuple[Partition, ...], ...]:
-        if nu == ():
-            return (((),),)
-        out = []
-        for prev in standard_predecessors(nu, k):
-            for ch in chains_to(prev):
-                out.append(ch + (nu,))
-        return tuple(out)
 
-    tabs = tuple(
-        WeakTableau(k=k, chain=ch, weight=(1,) * (len(ch) - 1)) for ch in chains_to(lam)
-    )
-    chains_to.cache_clear()
-    return tabs
+@lru_cache(maxsize=None)
+def count_standard_k_tableaux(lam: Partition, k: int) -> int:
+    """The number of standard k-tableaux of shape lam, a (k+1)-core: the
+    chains down to the empty core, counted through ``standard_predecessors``."""
+    if lam == ():
+        return 1
+    return sum(count_standard_k_tableaux(prev, k) for prev in standard_predecessors(lam, k))
 
 
 def standard_shapes(k: int, n: int) -> tuple[Partition, ...]:
@@ -492,11 +482,15 @@ def sigma_involution(t: WeakTableau, i: int) -> WeakTableau:
     place, the others are shifted one residue up.  After sorting by
     residue (shifted i+1 before i at equal residue) and pairing each i
     with the nearest unpaired i+1 before it, the unpaired block a^r b^s
-    becomes a^s b^r on the same residue slots; the chain is rebuilt around
-    the new letter i and revalidated.
+    becomes a^s b^r on the same residue slots.  The input chain is
+    validated as ``make_weak_tableau`` validates one, and its weight must
+    be the boundary growth (ValueError otherwise); of the output, the
+    rebuilt letter's two steps are checked.
     """
     if not 1 <= i < t.letters:
         raise ValueError(f"index {i} out of range 1..{t.letters - 1}")
+    if _chain_weight(t.k, t.chain) != t.weight:
+        raise ValueError(f"weight {t.weight} is not the boundary growth of {t.chain}")
     k, m = t.k, t.k + 1
     a_cells = t.cells_of_letter(i)
     b_classes: dict[int, list[Cell]] = {}
@@ -539,14 +533,12 @@ def sigma_involution(t: WeakTableau, i: int) -> WeakTableau:
     chain[i] = xi
     if not is_weak_strip(xi, chain[i + 1], k):
         raise IntegrityError("rebuilt chain step is not a weak strip")
-    result = make_weak_tableau(k, tuple(chain))
     want = list(t.weight)
     want[i - 1], want[i] = want[i], want[i - 1]
-    if list(result.weight) != want:
-        raise IntegrityError(
-            f"weight after swap is {result.weight}, expected {tuple(want)}"
-        )
-    return result
+    sizes = [boundary_size(nu, k) for nu in chain[i - 1 : i + 2]]
+    if (sizes[1] - sizes[0], sizes[2] - sizes[1]) != (want[i - 1], want[i]):
+        raise IntegrityError(f"after the swap, letters {i}, {i + 1} do not fit {tuple(want)}")
+    return WeakTableau(k=k, chain=tuple(chain), weight=tuple(want))
 
 
 def sort_to_dominant(t: WeakTableau) -> WeakTableau:

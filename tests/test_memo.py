@@ -1,7 +1,10 @@
 """The memo tables are transparent: a cached predicate returns what its
 uncached body returns, never stores an exception, and hands out values
 that are immutable and survive pickling."""
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
@@ -37,6 +40,7 @@ from kshape.pushout import (
 )
 from kshape.weak_tableaux import (
     _strips_over,
+    count_standard_k_tableaux,
     enumerate_standard_k_tableaux,
     is_standard_step,
     is_weak_strip,
@@ -228,6 +232,9 @@ BAD_CALLS = [
     (maximize_above, (make_cover((), (1,), 2), 2), ValueError),
     (_letter_step, (_root(2), (2,)), ValueError),  # the boundary grows by 2
     (is_standard_step, ((), (1,), 0), ValueError),
+    (count_standard_k_tableaux, ((2, 1), 2), ValueError),
+    (_parse_move, ((3, 1, 1), frozenset({(5, 2)}), ROW, 2), IntegrityError),  # not addable
+    (_parse_move, ((2, 2, 1), frozenset({(1, 3)}), ROW, 2), IntegrityError),  # not a 2-shape
 ]
 
 
@@ -261,6 +268,27 @@ def test_cached_values_pickle(index):
     assert back == value
     if isinstance(value, Move):
         assert _same_move(back, value)
+
+
+def test_pickled_hash_holds_under_another_hash_seed():
+    # a cached hash reads no string, so a value unpickled in a process
+    # with other string hashes hashes like one built there
+    values = [v for v in _values() if isinstance(v, (StringOfCells, Move, Path))]
+    assert {type(v) for v in values} == {StringOfCells, Move, Path}
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    code = (
+        "import dataclasses, pickle, sys\n"
+        "values = pickle.loads(sys.stdin.buffer.read())\n"
+        "print([hash(v) == hash(dataclasses.replace(v)) for v in values])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        input=pickle.dumps(values),
+        capture_output=True,
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+        check=True,
+    )
+    assert done.stdout.decode().strip() == str([True] * len(values))
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from kshape.poset import (
     Path,
     _conjugate_move,
     _grow_row_move,
-    _pushes_out,
+    _pushed_column,
     build_poset,
     classify_string,
     corner_chains,
@@ -266,27 +266,75 @@ def test_classify_string_matches_sorted_delta_oracle():
     assert set(tally) == {"none", ROW, "column", COVER, "cocover"}, tally
 
 
-@pytest.mark.parametrize(
-    "row_profile, col_profile, message",
-    [
-        (lambda lam, k: (), lambda lam, k: (), "['row', 'column']"),
-        (lambda lam, k: lam, lambda lam, k: tuple(-x for x in lam), "none"),
-    ],
-)
-def test_classify_string_ambiguity_matches_oracle(monkeypatch, row_profile, col_profile, message):
-    # no real string up to 8 cells is ambiguous, so the IntegrityError
-    # branch is compared under profiles that force zero or two types
+def test_classify_string_reads_no_profile(monkeypatch):
+    # the kind comes from two boundary pushes over inner, so classify_string
+    # returns the oracle's strings without reading a profile of either shape
     from kshape import poset
-    from kshape.partitions import partitions_of
 
-    inners = [lam for n in range(6) for lam in partitions_of(n)]
-    monkeypatch.setattr(poset, "row_shape", row_profile)
-    monkeypatch.setattr(poset, "col_shape", col_profile)
-    tally = {}
-    _classify_outcomes(_nearby_pairs(inners, 6, 3), 2, tally)
-    assert set(tally) == {"none", "integrity"}, tally
-    with pytest.raises(IntegrityError, match=re.escape(message)):
-        classify_string((), (1,), 2)
+    inners = [lam for n in range(7) for lam in partitions_of(n)]
+    pairs = [(inner, outer, k) for k in range(2, 5) for inner, outer in _nearby_pairs(inners, 7, 3)]
+    want = [_sorted_delta_classify(*p) for p in pairs]
+    assert {s.kind for s in want if s is not None} == {ROW, "column", COVER, "cocover"}
+
+    def no_profile(lam, k):
+        raise AssertionError("classify_string read a boundary profile")
+
+    monkeypatch.setattr(poset, "row_shape", no_profile)
+    monkeypatch.setattr(poset, "col_shape", no_profile)
+    assert [classify_string(*p) for p in pairs] == want
+
+
+def _weakly_decreasing(profile) -> bool:
+    return all(a >= b for a, b in zip(profile, profile[1:]))
+
+
+def _padded(profile, length: int) -> list[int]:
+    return list(profile) + [0] * (length - len(profile))
+
+
+def test_boundary_pushes_give_the_profile_change():
+    """Every corner-chain string over every partition of at most 12 cells,
+    k=2..7, with top cell t and bottom cell b.  Let P_t and P_b be the
+    pushes of t and of b transposed (on the conjugate), j the first
+    boundary column of t's row and i the first boundary row of b's
+    column.  Entry by entry, the row profile changes by
+    [not P_t] e_row(t) - [P_b] e_i and the column profile by
+    [not P_b] e_col(b) - [P_t] e_j.  For a row string, the outer shape is
+    a k-shape iff the row profile of lam and the rank-1 column profile of
+    ``_col_shape_after_row_string`` are weakly decreasing."""
+    from kshape.partitions import col_shape, k_interior
+    from kshape.poset import _col_shape_after_row_string
+
+    strings = row_strings = 0
+    for k in range(2, 8):
+        for lam in (lam for n in range(13) for lam in partitions_of(n)):
+            conj = conjugate(lam)
+            interior, conj_interior = k_interior(lam, k), k_interior(conj, k)
+            for chain in corner_chains(lam, k):
+                t, b = chain[0], chain[-1]
+                outer = add_cells(lam, chain)
+                p_t = _pushed_column(lam, t, k) > 0
+                p_b = _pushed_column(conj, (b[1], b[0]), k) > 0
+                j = (interior[t[0] - 1] if t[0] <= len(interior) else 0) + 1
+                i = (conj_interior[b[1] - 1] if b[1] <= len(conj_interior) else 0) + 1
+                drs = [0] * len(outer)
+                drs[t[0] - 1] += not p_t
+                drs[i - 1] -= p_b
+                dcs = [0] * outer[0]
+                dcs[b[1] - 1] += not p_b
+                dcs[j - 1] -= p_t
+                rows = [x - y for x, y in zip(row_shape(outer, k), _padded(row_shape(lam, k), len(outer)))]
+                cols = [x - y for x, y in zip(col_shape(outer, k), _padded(col_shape(lam, k), outer[0]))]
+                assert (rows, cols) == (drs, dcs), (lam, k, chain)
+                strings += 1
+                if p_t and not p_b:
+                    s = classify_string(lam, outer, k)
+                    after = _col_shape_after_row_string(s, k)
+                    assert after == _padded(col_shape(outer, k), len(conj) + 1), (lam, k, chain)
+                    rank_one = _weakly_decreasing(row_shape(lam, k)) and _weakly_decreasing(after)
+                    assert rank_one == is_k_shape(outer, k), (lam, k, chain)
+                    row_strings += 1
+    assert (strings, row_strings) == (7260, 1322)
 
 
 def test_connected_row_chains_strictly_descend():
@@ -318,16 +366,48 @@ def test_move_rank_bound():
                             continue
 
 
+def _oracle_grow_row_move(lam: Partition, s1_cells, k: int) -> Iterator[Move]:
+    """``_grow_row_move`` before the boundary-push rule: every string is
+    classified by the sorted-delta oracle, and the shape at every rank
+    goes through ``is_k_shape``."""
+    from kshape.poset import _string_signature
+
+    s1 = _sorted_delta_classify(lam, add_cells(lam, s1_cells), k)
+    if s1 is None or s1.kind != ROW:
+        return
+    strings = [s1]
+    for r in range(1, k):
+        if r > 1:
+            corners = addable_corners(strings[-1].outer)
+            tops = [c for c in corners if c[1] == strings[-1].top[1] + 1]
+            if not tops:
+                return
+            chain = (tops[0],) + corner_run(corners, tops[0], k)[: len(s1_cells) - 1]
+            if len(chain) < len(s1_cells):
+                return
+            s = _sorted_delta_classify(strings[-1].outer, add_cells(strings[-1].outer, chain), k)
+            if s is None or s.kind != ROW or _string_signature(s, k) != _string_signature(s1, k):
+                return
+            strings.append(s)
+        if is_k_shape(strings[-1].outer, k):
+            yield Move(
+                orientation=ROW,
+                source=lam,
+                cells=frozenset(c for s in strings for c in s.cells),
+                rank=r,
+                length=len(s1_cells),
+                strings=tuple(strings),
+                target=strings[-1].outer,
+            )
+
+
 def unpruned_row_moves(lam: Partition, k: int) -> tuple[Move, ...]:
-    """Reference row-move enumeration: every corner chain is grown, and
-    chains holding an ambiguous string are skipped."""
+    """Reference row-move enumeration: every corner chain is grown by the
+    oracle grower."""
     seen = {}
     for chain in corner_chains(lam, k):
-        try:
-            for m in _grow_row_move(lam, chain, k):
-                seen.setdefault(m.cells, m)
-        except IntegrityError:
-            continue
+        for m in _oracle_grow_row_move(lam, chain, k):
+            seen.setdefault(m.cells, m)
     return tuple(sorted(seen.values(), key=Move.sort_key))
 
 
@@ -361,7 +441,7 @@ def test_row_moves_match_unpruned_oracle():
 
 def _first_string_kind(lam: Partition, chain, k: int):
     try:
-        s = classify_string(lam, add_cells(lam, chain), k)
+        s = _sorted_delta_classify(lam, add_cells(lam, chain), k)
     except IntegrityError:
         return "ambiguous"
     return None if s is None else s.kind
@@ -377,9 +457,9 @@ def test_boundary_push_tests_are_necessary():
             conj = conjugate(lam)
             for chain in corner_chains(lam, k):
                 b = chain[-1]
-                if not _pushes_out(lam, chain[0], k):
+                if not _pushed_column(lam, chain[0], k):
                     by_top += 1
-                elif _pushes_out(conj, (b[1], b[0]), k):
+                elif _pushed_column(conj, (b[1], b[0]), k):
                     by_bottom += 1
                 else:
                     continue
@@ -389,27 +469,30 @@ def test_boundary_push_tests_are_necessary():
 
 def test_row_move_first_strings_are_row_strings(monkeypatch):
     """The cost of the row-move enumeration tracks its output: for k=2..5
-    and k-boundary at most 10, every first string it classifies is a row
-    string."""
+    and k-boundary at most 10, it calls ``classify_string`` on no string,
+    and every first string it grows is a row string by the sorted-delta
+    oracle."""
     from kshape import poset
 
     shapes = [(k, lam) for k in range(2, 6) for n in range(11) for lam in kshapes_of_size(k, n)]
-    classify = poset.classify_string
-    calls = []
+    classify, after = poset.classify_string, poset._col_shape_after_row_string
+    classified, grown = [], []
 
-    def recording(inner, outer, k):
-        s = classify(inner, outer, k)
-        calls.append((inner, s))
-        return s
+    def recording_classify(inner, outer, k):
+        classified.append((inner, outer, k))
+        return classify(inner, outer, k)
 
-    monkeypatch.setattr(poset, "classify_string", recording)
-    firsts = []
+    def recording_after(s, k):
+        grown.append((s, k))
+        return after(s, k)
+
+    monkeypatch.setattr(poset, "classify_string", recording_classify)
+    monkeypatch.setattr(poset, "_col_shape_after_row_string", recording_after)
     for k, lam in shapes:
-        calls.clear()
         enumerate_row_moves.__wrapped__(lam, k)  # bypass the memo table
-        firsts += [s for inner, s in calls if inner == lam]
-    assert len(firsts) == 1136
-    assert all(s is not None and s.kind == ROW for s in firsts)
+    assert classified == []
+    assert len(grown) == 1136
+    assert all(_sorted_delta_classify(s.inner, s.outer, k) == s for s, k in grown)
 
 
 def test_move_from_cells_round_trip():

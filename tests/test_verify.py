@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from kshape.partitions import is_p_core
@@ -125,3 +130,26 @@ def test_injectivity_gate_fails_when_images_collide(monkeypatch):
     report = run_check("bijection-injectivity", n_max=4)
     assert not report.passed and report.instances > 0
     assert any("share an image" in f for f in report.failures)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool is imported only when a sweep fans out to more than one worker
+    src = Path(verify.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kshape; print('concurrent.futures.process' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+def test_two_workers_give_the_one_worker_report(monkeypatch):
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("KSHAPE_WORKERS", workers)
+        r = run_check("bijection-counting", n_max=5, k_max=3)
+        reports.append((r.passed, r.instances, r.failures))
+    assert reports[0] == reports[1] and reports[0][0] and reports[0][1] > 1

@@ -25,6 +25,7 @@ from kshape.partitions import (
     skew_cells,
 )
 from kshape.weak_tableaux import (
+    WeakTableau,
     _residues_of,
     _strip_with_residues,
     _strips_over,
@@ -33,6 +34,7 @@ from kshape.weak_tableaux import (
     charge_dominant_semistandard,
     charge_standard,
     cocharge_standard,
+    count_standard_k_tableaux,
     enumerate_standard_k_tableaux,
     enumerate_weak_tableaux,
     extract_words,
@@ -79,6 +81,21 @@ def test_enumerate_standard_small():
     assert tabs[0].text() == "1 2 3 / 3"
     with pytest.raises(ValueError):
         enumerate_standard_k_tableaux((2, 1), 2)  # hook 3 present
+
+
+def test_count_matches_enumeration():
+    """k=2..5, k-boundary at most 10: counting chains through the
+    predecessor table gives the number of tableaux enumerated."""
+    total = 0
+    for k in range(2, 6):
+        for n in range(11):
+            for lam in standard_shapes(k, n):
+                count = count_standard_k_tableaux(lam, k)
+                assert count == len(enumerate_standard_k_tableaux(lam, k)), (lam, k)
+                total += count
+    assert total == 6944
+    with pytest.raises(ValueError):
+        count_standard_k_tableaux((2, 1), 2)  # hook 3 present
 
 
 def test_ejemplo1_membership():
@@ -160,6 +177,19 @@ def test_sigma_equal_weight_is_neutral():
     u = sigma_involution(t, 1)
     assert u.weight == t.weight
     assert sigma_involution(u, 1).chain == t.chain
+
+
+@pytest.mark.parametrize(
+    "chain, weight",
+    [
+        (((), (2,), (2, 1, 1)), (1, 1)),  # (2,1,1)/(2) is not a weak strip
+        (((), (1,), (2,)), (2, 1)),  # the first letter grows the boundary by 1
+        (((), (1,), (2, 1)), (1, 2)),  # (2,1) is not a 3-core
+    ],
+)
+def test_sigma_rejects_bad_input(chain, weight):
+    with pytest.raises(ValueError):
+        sigma_involution(WeakTableau(k=2, chain=chain, weight=weight), 1)
 
 
 def test_sigma_involution_sweep():
