@@ -45,6 +45,7 @@ from .weak_tableaux import (
     cocharge_standard,
     enumerate_standard_k_tableaux,
     enumerate_weak_tableaux,
+    kostka_k,
     make_weak_tableau,
     parse_tableau_text,
     sigma_involution,
@@ -73,11 +74,10 @@ from .pushout import (
     push_cover_through_path,
     weak_bijection_standard,
 )
-from .tpoly import TPoly, TruncatedSymPoly
+from .tpoly import TPoly
 from .verify import (
     VerificationReport,
     classical_charge,
-    dual_kschur_truncated,
     run_check,
 )
 

@@ -4,10 +4,10 @@ bijection, and the verification sweeps.
 Exit codes: 0 success, 1 failed gating check, 2 usage or domain error.
 Exit 2 also covers a tableau grid that is not a chain of partitions
 (an entry below 1, a row that decreases, letters that do not stack),
-a ``verify`` parameter the named check does not take, a group run
-(``gating``, ``all``) given a parameter no check in it takes, and
-``--vars`` below 1.  A group run passes each check only the parameters
-it declares.  KSHAPE_WORKERS sets the sweep worker count.
+a ``verify`` parameter the named check does not take, and a group run
+(``gating``, ``all``) given a parameter no check in it takes.  A group
+run passes each check only the parameters it declares.  KSHAPE_WORKERS
+sets the sweep worker count.
 """
 from __future__ import annotations
 
@@ -119,7 +119,7 @@ def _cmd_bijection(args) -> int:
 def _cmd_verify(args) -> int:
     given = {
         p: getattr(args, p)
-        for p in ("n_max", "k_max", "variables", "size_max")
+        for p in ("n_max", "k_max", "size_max")
         if getattr(args, p) is not None
     }
     if args.check in ("gating", "all"):
@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--vars", dest="variables", type=int, default=None)
     p.add_argument("--size-max", type=int, default=None)
     p.add_argument("--report", metavar="FILE.json")
     p.set_defaults(fn=_cmd_verify)

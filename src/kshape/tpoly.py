@@ -1,14 +1,12 @@
-"""Exact integer polynomials in t and truncated symmetric polynomials.
+"""Exact integer polynomials in t.
 
 Everything is integer arithmetic; a TPoly is a coefficient tuple with
-trailing zeros trimmed, a TruncatedSymPoly maps exponent vectors over a
-fixed variable count to TPoly coefficients and supports reduction by
-the ideal spanned by monomials with an exponent above a threshold.
+trailing zeros trimmed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -64,48 +62,3 @@ class TPoly:
                 head = "" if c == 1 else ("-" if c == -1 else str(c) + "*")
                 terms.append(f"{head}t^{i}" if i > 1 else f"{head}t")
         return " + ".join(terms)
-
-
-@dataclass(frozen=True)
-class TruncatedSymPoly:
-    """Integer-coefficient polynomial in a fixed number of variables,
-    graded by t, stored monomial by monomial."""
-
-    variables: int
-    terms: tuple[tuple[tuple[int, ...], TPoly], ...]
-
-    @staticmethod
-    def of(variables: int, mapping: Mapping[tuple[int, ...], TPoly]) -> "TruncatedSymPoly":
-        items = []
-        for expo, poly in mapping.items():
-            if len(expo) != variables:
-                raise ValueError(f"exponent {expo} does not match {variables} variables")
-            if poly:
-                items.append((tuple(int(e) for e in expo), poly))
-        return TruncatedSymPoly(variables=variables, terms=tuple(sorted(items)))
-
-    def as_dict(self) -> dict[tuple[int, ...], TPoly]:
-        return dict(self.terms)
-
-    def __add__(self, other: "TruncatedSymPoly") -> "TruncatedSymPoly":
-        if self.variables != other.variables:
-            raise ValueError("variable counts differ")
-        acc = self.as_dict()
-        for expo, poly in other.terms:
-            acc[expo] = acc.get(expo, TPoly()) + poly
-        return TruncatedSymPoly.of(self.variables, acc)
-
-    def scale(self, poly: TPoly) -> "TruncatedSymPoly":
-        return TruncatedSymPoly.of(
-            self.variables, {expo: p * poly for expo, p in self.terms}
-        )
-
-    def reduce_mod(self, max_exponent: int) -> "TruncatedSymPoly":
-        """Drop every monomial with an exponent above the threshold."""
-        return TruncatedSymPoly.of(
-            self.variables,
-            {expo: p for expo, p in self.terms if max(expo, default=0) <= max_exponent},
-        )
-
-    def at_t(self, t: int) -> dict[tuple[int, ...], int]:
-        return {expo: p(t) for expo, p in self.terms if p(t)}

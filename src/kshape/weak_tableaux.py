@@ -45,6 +45,7 @@ from .partitions import (
     skew_cells,
     conjugate,
 )
+from .tpoly import TPoly
 
 
 def _is_horizontal_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
@@ -319,30 +320,39 @@ def _strips_over(nu: Partition, k: int) -> Mapping[frozenset[int], Partition]:
     return MappingProxyType(dict(sorted(out.items(), key=lambda item: item[1])))
 
 
-def weak_successors(nu: Partition, bound: Partition, k: int) -> tuple[Partition, ...]:
-    """Cores xi with nu <= xi <= bound forming a weak strip over the
-    (k+1)-core nu."""
-    return tuple(xi for xi in _strips_over(nu, k).values() if contains(bound, xi))
-
-
 def enumerate_weak_tableaux(
-    lam: Partition, k: int, letters: int
+    lam: Partition, k: int, weight: Sequence[int]
 ) -> tuple[WeakTableau, ...]:
-    """All weak tableaux of shape lam using at most the given letters."""
+    """All weak tableaux of shape lam, a (k+1)-core, and the given weight:
+    letter i is each strip s_A over the core below it with |A| = weight[i]
+    that lies inside lam."""
+    _require_core(lam, k)
+    weight = tuple(weight)
     out: list[WeakTableau] = []
 
     def rec(chain: list[Partition]):
-        if len(chain) == letters + 1:
+        if len(chain) == len(weight) + 1:
             if chain[-1] == lam:
-                out.append(make_weak_tableau(k, tuple(chain)))
+                out.append(WeakTableau(k=k, chain=tuple(chain), weight=weight))
             return
-        for nxt in weak_successors(chain[-1], lam, k):
-            chain.append(nxt)
-            rec(chain)
-            chain.pop()
+        size = weight[len(chain) - 1]
+        for a, xi in _strips_over(chain[-1], k).items():
+            if len(a) == size and contains(lam, xi):
+                chain.append(xi)
+                rec(chain)
+                chain.pop()
 
     rec([()])
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def kostka_k(lam: Partition, mu: Partition, k: int) -> TPoly:
+    """K^{(k)}_{lam mu}(t): the sum of t^charge over the weak tableaux of
+    shape lam, a (k+1)-core, and partition weight mu."""
+    return TPoly.from_powers(
+        charge_dominant_semistandard(t) for t in enumerate_weak_tableaux(lam, k, mu)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -477,20 +487,28 @@ def _strip_with_residues(
 def sigma_involution(t: WeakTableau, i: int) -> WeakTableau:
     """Swap the multiplicities of letters i and i+1.
 
+    The input chain is validated as ``make_weak_tableau`` validates one,
+    and its weight must be the boundary growth (ValueError otherwise);
+    then ``_sigma_step`` swaps the letters.
+    """
+    if _chain_weight(t.k, t.chain) != t.weight:
+        raise ValueError(f"weight {t.weight} is not the boundary growth of {t.chain}")
+    return _sigma_step(t, i)
+
+
+def _sigma_step(t: WeakTableau, i: int) -> WeakTableau:
+    """``sigma_involution`` on a tableau whose chain is already valid.
+
     Letters of i and i+1 are listed by residue; occurrences of i+1 whose
     residue class has some cell with no i directly below are kept in
     place, the others are shifted one residue up.  After sorting by
     residue (shifted i+1 before i at equal residue) and pairing each i
     with the nearest unpaired i+1 before it, the unpaired block a^r b^s
-    becomes a^s b^r on the same residue slots.  The input chain is
-    validated as ``make_weak_tableau`` validates one, and its weight must
-    be the boundary growth (ValueError otherwise); of the output, the
+    becomes a^s b^r on the same residue slots.  Of the output, only the
     rebuilt letter's two steps are checked.
     """
     if not 1 <= i < t.letters:
         raise ValueError(f"index {i} out of range 1..{t.letters - 1}")
-    if _chain_weight(t.k, t.chain) != t.weight:
-        raise ValueError(f"weight {t.weight} is not the boundary growth of {t.chain}")
     k, m = t.k, t.k + 1
     a_cells = t.cells_of_letter(i)
     b_classes: dict[int, list[Cell]] = {}
@@ -542,14 +560,15 @@ def sigma_involution(t: WeakTableau, i: int) -> WeakTableau:
 
 
 def sort_to_dominant(t: WeakTableau) -> WeakTableau:
-    """Apply adjacent swaps, leftmost inversion first, until dominant."""
-    cur = t
+    """Apply adjacent swaps, leftmost inversion first, until dominant.  The
+    first swap validates t; the later ones act on its checked chain."""
+    cur, swap = t, sigma_involution
     while True:
         w = cur.weight
         idx = next((i for i in range(len(w) - 1) if w[i] < w[i + 1]), None)
         if idx is None:
             return cur
-        cur = sigma_involution(cur, idx + 1)
+        cur, swap = swap(cur, idx + 1), _sigma_step
 
 
 def charge_any_weight(t: WeakTableau) -> int:

@@ -98,7 +98,7 @@ def test_criterion_6b_bijection_injectivity(capsys):
 
 def test_criterion_7_t1_branching(capsys):
     with capsys.disabled():
-        _gate("t1-branching", n_max=6, k_max=3, variables=4)
+        _gate("t1-branching", n_max=6, k_max=3)
 
 
 def test_criterion_8_conjecture_reports(capsys):
@@ -106,7 +106,7 @@ def test_criterion_8_conjecture_reports(capsys):
     with capsys.disabled():
         for name, params in (
             ("sigma-involution", dict(n_max=5, k_max=3)),
-            ("generic-t-branching", dict(n_max=5, k_max=3, variables=3)),
+            ("generic-t-branching", dict(n_max=5, k_max=3)),
             ("sigma-bijection-commutation", dict(n_max=4, k_max=3)),
         ):
             report = _report(name, **params)

@@ -151,8 +151,8 @@ def test_verify_bad_worker_count(capsys, monkeypatch, value):
     "argv, message",
     [
         (["--check", "theorem-additivity", "--size-max", "3"], "size_max"),
-        (["--check", "t1-branching", "--vars", "0"], "variables"),
-        (["--check", "all", "--vars", "0"], "variables"),
+        (["--check", "t1-branching", "--k-max", "1"], "k_max"),
+        (["--check", "generic-t-branching", "--n-max", "-1"], "n_max"),
         (["--check", "bijection-counting", "--k-max", "1"], "k_max"),
         (["--check", "theorem-additivity", "--n-max", "-1"], "n_max"),
         (["--check", "classical-agreement", "--size-max", "-2"], "size_max"),
@@ -163,6 +163,18 @@ def test_verify_bad_parameters(capsys, argv, message):
     assert code == 2
     assert message in err
     assert out == ""  # rejected before any sweep ran
+
+
+def test_verify_has_no_vars_flag(capsys, monkeypatch):
+    import kshape.cli as cli
+
+    monkeypatch.setattr(cli, "run_check", lambda name, **params: pytest.fail("a sweep ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "t1-branching", "--vars", "4"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --vars 4" in out.err
+    assert out.out == ""
 
 
 def test_verify_group_rejects_parameter_no_check_takes(capsys, monkeypatch):
@@ -189,10 +201,10 @@ def test_verify_group_passes_only_declared_parameters(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_check", spy)
     code, out, _ = run(
         capsys, "verify", "--check", "all",
-        "--n-max", "2", "--k-max", "2", "--size-max", "1", "--vars", "1",
+        "--n-max", "2", "--k-max", "2", "--size-max", "1",
     )
     assert code == 0
-    given = {"n_max": 2, "k_max": 2, "size_max": 1, "variables": 1}
+    given = {"n_max": 2, "k_max": 2, "size_max": 1}
     assert [name for name, _ in calls] == list(cli.CHECKS)
     for name, params in calls:
         declared = cli.CHECKS[name].defaults

@@ -44,6 +44,7 @@ from kshape.weak_tableaux import (
     enumerate_standard_k_tableaux,
     is_standard_step,
     is_weak_strip,
+    kostka_k,
     standard_predecessors,
     standard_shapes,
     standard_successors,
@@ -235,6 +236,7 @@ BAD_CALLS = [
     (count_standard_k_tableaux, ((2, 1), 2), ValueError),
     (_parse_move, ((3, 1, 1), frozenset({(5, 2)}), ROW, 2), IntegrityError),  # not addable
     (_parse_move, ((2, 2, 1), frozenset({(1, 3)}), ROW, 2), IntegrityError),  # not a 2-shape
+    (kostka_k, ((2, 1), (2, 1), 2), ValueError),  # (2,1) is not a 3-core
 ]
 
 

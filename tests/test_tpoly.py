@@ -1,10 +1,10 @@
 import pytest
 
-from kshape.partitions import is_p_core
+from kshape.classical import kostka_foulkes
+from kshape.partitions import is_p_core, partitions_of
 from kshape.poset import equivalence_classes, kshapes_of_size, path_classes_from
-from kshape.tpoly import TPoly, TruncatedSymPoly
-from kshape.verify import dual_kschur_truncated
-from kshape.weak_tableaux import standard_shapes
+from kshape.tpoly import TPoly
+from kshape.weak_tableaux import enumerate_weak_tableaux, kostka_k, standard_shapes
 from test_poset import targeted_paths
 
 
@@ -19,21 +19,6 @@ def test_tpoly_arithmetic():
     assert TPoly.from_powers([0, 2, 2])(1) == 3
     assert a(3) == 7
     assert TPoly.of([1, 1]).text() == "1 + t"
-
-
-def test_truncated_sym_poly():
-    p = TruncatedSymPoly.of(2, {(2, 0): TPoly.of([1]), (1, 1): TPoly.of([0, 1])})
-    q = TruncatedSymPoly.of(2, {(1, 1): TPoly.of([1])})
-    s = p + q
-    assert s.as_dict()[(1, 1)].coeffs == (1, 1)
-    assert s.scale(TPoly.of([2])).as_dict()[(2, 0)].coeffs == (2,)
-    reduced = s.reduce_mod(1)
-    assert (2, 0) not in reduced.as_dict()
-    assert reduced.reduce_mod(1) == reduced  # idempotent
-    # reduction is linear
-    assert (p + q).reduce_mod(1) == p.reduce_mod(1) + q.reduce_mod(1)
-    with pytest.raises(ValueError):
-        TruncatedSymPoly.of(2, {(1, 0, 0): TPoly.of([1])})
 
 
 def branching_poly(lam, mu, k) -> TPoly:
@@ -70,22 +55,23 @@ def test_branching_at_one_counts_classes():
 
 
 def test_dual_kschur_single_cell():
-    s = dual_kschur_truncated((1,), 3, 3)
-    assert s.as_dict() == {
-        (1, 0, 0): TPoly.of([1]),
-        (0, 1, 0): TPoly.of([1]),
-        (0, 0, 1): TPoly.of([1]),
-    }
+    # the dual k-Schur function of one cell is x1 + x2 + x3 in three
+    # variables: one weak tableau of shape (1,) for each weight with a
+    # single 1, none for any other weight of size one, and charge 0
+    for k in (1, 2, 3):
+        for i in range(3):
+            weight = tuple(int(j == i) for j in range(3))
+            assert len(enumerate_weak_tableaux((1,), k, weight)) == 1
+        assert enumerate_weak_tableaux((1,), k, (1, 1, 0)) == ()
+        assert kostka_k((1,), (1,), k) == TPoly.of([1])
 
 
 def test_dual_kschur_large_k_is_schur():
-    # for large k the tableaux are ordinary SSYT and the t power is the
-    # classical charge
-    from kshape.classical import kostka_foulkes
-
-    lam = (2, 1)
-    s = dual_kschur_truncated(lam, 3, 3)
-    for weight in [(2, 1, 0), (1, 1, 1)]:
-        got = s.as_dict()[weight]
-        want = kostka_foulkes(lam, tuple(sorted(weight, reverse=True)))
-        assert {i: c for i, c in enumerate(got.coeffs) if c} == want
+    # for k >= n the weak tableaux are ordinary SSYT and the t power is the
+    # classical charge, so K^(k)(t) is the Kostka-Foulkes polynomial
+    for n in range(1, 6):
+        for k in (n, n + 1):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    got = kostka_k(lam, mu, k)
+                    assert {i: c for i, c in enumerate(got.coeffs) if c} == kostka_foulkes(lam, mu)

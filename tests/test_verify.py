@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from kshape.partitions import is_p_core
-from kshape.poset import kshapes_of_size
+from kshape.poset import PathClass, kshapes_of_size
 from kshape.weak_tableaux import standard_shapes
 from kshape import verify
 from kshape.verify import CHECKS, resolve_params, run_check
@@ -45,9 +45,9 @@ DEFAULTS = {
     "classical-agreement": {"size_max": 6},
     "bijection-counting": {"n_max": 7, "k_max": 4},
     "bijection-injectivity": {"n_max": 7},
-    "t1-branching": {"n_max": 6, "k_max": 3, "variables": 4},
+    "t1-branching": {"n_max": 6, "k_max": 3},
     "sigma-involution": {"n_max": 5, "k_max": 3},
-    "generic-t-branching": {"n_max": 5, "k_max": 3, "variables": 3},
+    "generic-t-branching": {"n_max": 5, "k_max": 3},
     "sigma-bijection-commutation": {"n_max": 4, "k_max": 3},
 }
 
@@ -66,12 +66,6 @@ def test_defaults_and_order():
 def test_undeclared_parameter_rejected(name):
     with pytest.raises(ValueError, match="bogus"):
         run_check(name, bogus=1)
-
-
-@pytest.mark.parametrize("name", ["t1-branching", "generic-t-branching"])
-def test_variables_below_one_rejected(name):
-    with pytest.raises(ValueError, match="variables"):
-        run_check(name, variables=0)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +95,7 @@ def test_unknown_check_rejected():
 
 def test_given_parameters_override_defaults():
     report = run_check("t1-branching", n_max=2, k_max=2)
-    assert report.params == {"n_max": 2, "k_max": 2, "variables": 4}
+    assert report.params == {"n_max": 2, "k_max": 2}
     assert report.passed and report.instances > 0
     assert run_check("paths-fixture").params == {}
     conjecture = run_check("sigma-bijection-commutation", n_max=2, k_max=2)
@@ -130,6 +124,28 @@ def test_injectivity_gate_fails_when_images_collide(monkeypatch):
     report = run_check("bijection-injectivity", n_max=4)
     assert not report.passed and report.instances > 0
     assert any("share an image" in f for f in report.failures)
+
+
+def test_branching_checks_fail_when_classes_are_wrong(monkeypatch):
+    # weighing each path class t^(charge+1) multiplies the right side by t,
+    # and every start has a tableau of (k-1)-bounded weight, so every item
+    # fails; at t=1 a class weighs 1 whatever its charge, so only a lost
+    # class fails the t=1 rule
+    monkeypatch.setenv("KSHAPE_WORKERS", "1")
+    assert run_check("generic-t-branching", n_max=7, k_max=4).passed
+    shifted = property(lambda c: c.representative.charge() + 1)
+    monkeypatch.setattr(PathClass, "charge", shifted)
+    report = run_check("generic-t-branching", n_max=7, k_max=4)
+    assert not report.passed and report.instances == len(report.failures) == 89
+    assert all("generic-t branching differs" in f for f in report.failures)
+    assert run_check("t1-branching", n_max=7, k_max=4).passed
+    real = verify.path_classes_from
+    monkeypatch.setattr(
+        verify, "path_classes_from", lambda lam, k: {mu: c[1:] for mu, c in real(lam, k).items()}
+    )
+    report = run_check("t1-branching", n_max=7, k_max=4)
+    assert not report.passed and report.instances == 89
+    assert all("t=1 branching differs" in f for f in report.failures)
 
 
 def test_import_leaves_the_process_pool_unloaded():

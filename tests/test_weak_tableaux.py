@@ -48,13 +48,38 @@ from kshape.weak_tableaux import (
     standard_predecessors,
     standard_shapes,
     standard_successors,
-    weak_successors,
     weak_tableau_from_filling,
     word_charges,
 )
 
 EXA21 = "1 2 3 5 7 9 10 / 4 6 10 / 5 7 / 8 / 10"
 DOMINANT_EXAMPLE = "1 1 2 3 4 4 5 5 6 / 2 3 5 5 6 / 3 4 7 / 5 6 / 6 / 7"
+
+
+def weak_successors(nu, bound, k):
+    """Cores xi with nu <= xi <= bound forming a weak strip over the
+    (k+1)-core nu: every strip of the residue table inside bound."""
+    return tuple(xi for xi in _strips_over(nu, k).values() if contains(bound, xi))
+
+
+def all_weight_weak_tableaux(lam, k, letters):
+    """The enumerator ``enumerate_weak_tableaux`` replaced: every weak
+    tableau of shape lam on the given number of letters, of any weight,
+    each chain validated and its weight read off the boundary growth."""
+    out = []
+
+    def rec(chain):
+        if len(chain) == letters + 1:
+            if chain[-1] == lam:
+                out.append(make_weak_tableau(k, tuple(chain)))
+            return
+        for nxt in weak_successors(chain[-1], lam, k):
+            chain.append(nxt)
+            rec(chain)
+            chain.pop()
+
+    rec([()])
+    return tuple(out)
 
 
 def test_parse_and_format_round_trip():
@@ -197,7 +222,7 @@ def test_sigma_involution_sweep():
         for n in range(1, 6):
             for lam in standard_shapes(k, n):
                 for letters in range(1, n + 1):
-                    for t in enumerate_weak_tableaux(lam, k, letters):
+                    for t in all_weight_weak_tableaux(lam, k, letters):
                         for i in range(1, t.letters):
                             u = sigma_involution(t, i)
                             w = list(t.weight)
@@ -237,9 +262,7 @@ def test_charge_multiset_permutation_invariant():
                 base = None
                 for wt in set(itertools.permutations(wt_sorted)):
                     charges = sorted(
-                        charge_any_weight(t)
-                        for t in enumerate_weak_tableaux(lam, k, len(wt))
-                        if t.weight == wt
+                        charge_any_weight(t) for t in enumerate_weak_tableaux(lam, k, wt)
                     )
                     if base is None:
                         base = charges
@@ -289,7 +312,7 @@ def test_letters_match_weight_and_chain():
         for n in range(0, 6):
             for lam in standard_shapes(k, n):
                 made = list(enumerate_standard_k_tableaux(lam, k))
-                made += enumerate_weak_tableaux(lam, k, n)
+                made += all_weight_weak_tableaux(lam, k, n)
                 made += [make_weak_tableau(k, t.chain) for t in made]
                 for t in made:
                     assert t.letters == len(t.weight) == len(t.chain) - 1
@@ -538,12 +561,44 @@ def test_sigma_stack_pass_matches_cancellation_loop():
         for n in range(1, 6):
             for lam in standard_shapes(k, n):
                 for letters in range(1, n + 1):
-                    for t in enumerate_weak_tableaux(lam, k, letters):
-                        if any(a > k for a in t.weight):
-                            continue
+                    for t in all_weight_weak_tableaux(lam, k, letters):
                         for i in range(1, t.letters):
                             u = sigma_involution(t, i)
                             want = cancelled_residues(t, i)
                             assert frozenset(_residues_of(u.cells_of_letter(i), k)) == want
                             seen += 1
     assert seen == 5406
+
+
+# ---------------------------------------------------------------------------
+# the weight-directed enumerator against the all-weight one it replaced
+
+
+def oracle_triples(n, k_max):
+    """Check the weight-directed enumerator against the all-weight oracle
+    filtered by weight at every shape of boundary n for k = 1..k_max, on
+    every composition weight the oracle meets and every partition weight;
+    return the number of (lam, mu, k) triples with mu a partition."""
+    triples = 0
+    for k in range(1, k_max + 1):
+        for lam in standard_shapes(k, n):
+            by_weight = {}
+            for letters in range(1, n + 1):
+                for t in all_weight_weak_tableaux(lam, k, letters):
+                    assert max(t.weight) <= k  # a weak strip s_A has |A| <= k
+                    by_weight.setdefault(t.weight, set()).add(t.chain)
+            for wt, chains in by_weight.items():
+                made = enumerate_weak_tableaux(lam, k, wt)
+                assert {t.chain for t in made} == chains and len(made) == len(chains)
+                assert all(t.weight == wt for t in made)
+            for mu in partitions_of(n):
+                made = {t.chain for t in enumerate_weak_tableaux(lam, k, mu)}
+                assert made == by_weight.get(mu, set())
+                triples += 1
+    return triples
+
+
+@pytest.mark.parametrize("sizes, k_max, triples", [(range(1, 7), 6, 706), ((7,), 4, 360)])
+def test_weight_directed_enumeration_matches_all_weight_oracle(sizes, k_max, triples):
+    # past k = n the tableaux of boundary n no longer change
+    assert sum(oracle_triples(n, min(n, k_max)) for n in sizes) == triples
