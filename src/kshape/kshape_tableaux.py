@@ -22,6 +22,7 @@ from .partitions import (
     diag,
     is_p_core,
     k_interior,
+    partition,
     removable_corners,
 )
 from .poset import COVER, StringOfCells, classify_string, corner_chains, is_k_shape
@@ -94,7 +95,7 @@ class KShapeTableau(ChainTableau):
 
 
 def make_kshape_tableau(k: int, chain: Sequence[Partition]) -> KShapeTableau:
-    chain = tuple(tuple(c) for c in chain)
+    chain = tuple(map(partition, chain))
     if not chain or chain[0] != ():
         raise ValueError("chain must start at the empty partition")
     for inner, outer in zip(chain, chain[1:]):
@@ -113,7 +114,9 @@ def chain_characterization(chain: Sequence[Partition], k: int) -> tuple[bool, bo
     every cover is reverse-maximal; it is a standard (k-1)-tableau iff
     every cover is maximal.
     """
-    chain = tuple(tuple(c) for c in chain)
+    chain = tuple(map(partition, chain))
+    if not chain:
+        raise ValueError("a chain needs at least one shape")
     statuses = []
     for inner, outer in zip(chain, chain[1:]):
         statuses.append(cover_status(make_cover(inner, outer, k), k))

@@ -7,7 +7,7 @@ bottom row and rows grow upward, so "above" means larger row index.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import le
+from operator import le, lt
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -21,7 +21,7 @@ def partition(parts: Iterable[int]) -> Partition:
         p = p[:-1]
     if p and min(p) <= 0:
         raise ValueError(f"partition parts must be positive: {p!r}")
-    if any(a < b for a, b in zip(p, p[1:])):
+    if any(map(lt, p, p[1:])):
         raise ValueError(f"parts must be weakly decreasing: {p!r}")
     return p
 

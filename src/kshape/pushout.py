@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from typing import Sequence
+from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 from .errors import IntegrityError
 from .partitions import (
@@ -236,99 +237,69 @@ class WeakBijectionResult:
         return WeakTableau(k=self.k - 1, chain=self.target_chain, weight=self.source.weight)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class _Prefix:
-    """The weak bijection at level k after the first n letters of a chain.
+# built once: a Path checks its moves and hashes itself when built
+_EMPTY_PATH = Path(start=())
 
-    It depends only on those letters, so each distinct (level, prefix) is
-    one object, made once by ``_letter_step`` and hashed by identity.  It
-    holds letter n's cover in the source and in the target (none at the
-    root), the path so far, the squares of letter n's strip, and the
-    charge and cocharge of the source and target prefixes, both read as
-    k-shape tableaux.  The target chain and the squares of a whole chain
-    are read by walking the parents.
-    """
 
-    parent: _Prefix | None
-    k: int
-    cover: StringOfCells | None
-    cover_out: StringOfCells | None
+class _Step(NamedTuple):
+    """One letter of the weak bijection: its cover in the source and in
+    the target, the path after it, the squares of its strip, and its terms
+    in the charge and cocharge of the source and of the target."""
+
+    cover: StringOfCells
+    cover_out: StringOfCells
     path: Path
     strip: tuple[PushoutSquare, ...]
-    charge: int
-    cocharge: int
-    target_charge: int
-    target_cocharge: int
-
-    def lineage(self) -> list[_Prefix]:
-        """The states of letters 1..n, in order."""
-        out = []
-        state = self
-        while state.parent is not None:
-            out.append(state)
-            state = state.parent
-        return out[::-1]
+    terms: tuple[int, int, int, int]
 
 
 @lru_cache(maxsize=None)
-def _root(k: int) -> _Prefix:
-    return _Prefix(None, k, None, None, Path(start=()), (), 0, 0, 0, 0)
-
-
-@lru_cache(maxsize=None)
-def _letter_step(state: _Prefix, outer: Partition) -> _Prefix:
-    """The state one letter longer: the next letter fills outer/shape.
+def _letter_step(
+    prev: StringOfCells | None, prev_out: StringOfCells | None, path: Path, outer: Partition, k: int
+) -> _Step:
+    """The next letter, which fills outer/shape, after the letter whose
+    source and target covers are prev and prev_out (none for letter 1).
 
     Its cover is pushed through the path so far (the memoized strip).  The
     input step must be a standard step at k with a reverse-maximal cover;
     the output cover must chain onto the target, be maximal, and be a
     standard step at k-1.  A step that raises stores nothing.
     """
-    k = state.k
-    prev, prev_out = state.cover, state.cover_out
-    root = prev is None
-    shape = () if root else prev.outer
-    target = () if root else prev_out.outer
+    shape = () if prev is None else prev.outer
+    target = () if prev is None else prev_out.outer
     if not is_standard_step(shape, outer, k):
         raise ValueError(f"{outer}/{shape} is not a standard weak strip at k={k}")
     c = make_cover(shape, outer, k)
     if not cover_status(c, k).reverse_maximal:
         raise IntegrityError(f"standard tableau step {outer}/{shape} is not reverse-maximal")
-    c_out, path, strip = push_cover_through_path(c, state.path, k)
+    c_out, path, strip = push_cover_through_path(c, path, k)
     if c_out.inner != target:
         raise IntegrityError("output covers do not chain")
     if not cover_status(c_out, k).maximal:
         raise IntegrityError("output chain is not a maximal-cover chain")
     if not is_standard_step(target, c_out.outer, k - 1):
         raise IntegrityError(f"output step {c_out.outer}/{target} is not standard at k={k - 1}")
-    if root:  # letter 1 adds nothing to either statistic
-        return _Prefix(state, k, c, c_out, path, strip, 0, 0, 0, 0)
-    # A letter's own charge is the running sum of the terms up to it, and
-    # a prefix's charge sums those, so with T(n) the charge of letters
-    # 1..n: T(n+1) = T(n) + (T(n) - T(n-1)) + term(n+1).  Likewise for
-    # cocharge, and for the target.
-    p = state.parent
-    return _Prefix(
-        state,
-        k,
-        c,
-        c_out,
-        path,
-        strip,
-        2 * state.charge - p.charge + letter_term(CHARGE, prev, c, k),
-        2 * state.cocharge - p.cocharge + letter_term(COCHARGE, prev, c, k),
-        2 * state.target_charge - p.target_charge + letter_term(CHARGE, prev_out, c_out, k),
-        2 * state.target_cocharge - p.target_cocharge + letter_term(COCHARGE, prev_out, c_out, k),
+    if prev is None:  # letter 1 adds nothing to either statistic
+        return _Step(c, c_out, path, strip, (0, 0, 0, 0))
+    terms = (
+        letter_term(CHARGE, prev, c, k),
+        letter_term(COCHARGE, prev, c, k),
+        letter_term(CHARGE, prev_out, c_out, k),
+        letter_term(COCHARGE, prev_out, c_out, k),
     )
+    return _Step(c, c_out, path, strip, terms)
 
 
 def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
     """Map a standard k-tableau to a standard (k-1)-tableau and a path.
 
-    A left fold of ``_letter_step`` over the chain: every cover is pushed
+    A loop of ``_letter_step`` over the chain: every cover is pushed
     through the path produced so far, and the maximal covers it yields
-    form the output chain.  Charge and cocharge additivity across the
-    square diagram is asserted on the folded sums.
+    form the output chain.  A letter's charge is the running sum of the
+    terms up to it, and a tableau's charge sums those, as in
+    ``kshape_tableaux._letter_statistic``; likewise for cocharge and for
+    the target.  Additivity across the square diagram is asserted on
+    these sums.
     """
     if not t.is_standard():
         raise ValueError("the weak bijection requires a standard tableau")
@@ -337,18 +308,28 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
         raise ValueError("descent requires k >= 2")
     if t.chain[:1] != ((),):
         raise ValueError("chain must start at the empty partition")
-    end = reduce(_letter_step, t.chain[1:], _root(k))
-    if end.charge != end.target_charge + end.path.charge():
+    prev = prev_out = None
+    path = _EMPTY_PATH
+    steps = []
+    for outer in t.chain[1:]:
+        step = _letter_step(prev, prev_out, path, outer, k)
+        steps.append(step)
+        prev, prev_out, path = step[:3]
+    # one column of terms per statistic; the leading zeros give a chain
+    # of no letters zero statistics
+    charge, cocharge, target_charge, target_cocharge = map(
+        sum, map(accumulate, zip((0, 0, 0, 0), *(s.terms for s in steps)))
+    )
+    if charge != target_charge + path.charge():
         raise IntegrityError("charge additivity failed")
-    if end.cocharge != end.target_cocharge + end.path.cocharge():
+    if cocharge != target_cocharge + path.cocharge():
         raise IntegrityError("cocharge additivity failed")
-    states = end.lineage()
     return WeakBijectionResult(
         k=k,
         source=t,
-        target_chain=((),) + tuple(s.cover_out.outer for s in states),
-        path=end.path,
-        squares=tuple(sq for s in states for sq in s.strip),
+        target_chain=((),) + tuple(s.cover_out.outer for s in steps),
+        path=path,
+        squares=tuple(sq for s in steps for sq in s.strip),
     )
 
 
@@ -417,6 +398,4 @@ def descend(t: WeakTableau) -> DescentRecord:
 
 def full_descent(chain: Sequence[Partition]) -> DescentRecord:
     """Descend from an ordinary standard Young tableau given as a chain."""
-    chain = tuple(tuple(c) for c in chain)
-    n = len(chain) - 1
-    return descend(make_weak_tableau(max(n, 1), chain))
+    return descend(make_weak_tableau(max(len(chain) - 1, 1), chain))

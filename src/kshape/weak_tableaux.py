@@ -138,7 +138,7 @@ def _chain_weight(k: int, chain: tuple[Partition, ...]) -> tuple[int, ...]:
 
 def make_weak_tableau(k: int, chain: Sequence[Partition]) -> WeakTableau:
     """Validate a chain of (k+1)-cores and derive its weight."""
-    chain = tuple(tuple(c) for c in chain)
+    chain = tuple(map(partition, chain))
     return WeakTableau(k=k, chain=chain, weight=_chain_weight(k, chain))
 
 
@@ -412,8 +412,9 @@ def _letter_classes(t: WeakTableau) -> list[dict[int, tuple[Cell, ...]]]:
     return out
 
 
-def extract_words(t: WeakTableau) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The residue-marked words w_1, w_2, ... of a dominant-weight tableau.
+def _extract_words(t: WeakTableau):
+    """``_letter_classes`` of a dominant-weight tableau, and its
+    residue-marked words w_1, w_2, ...
 
     Each word is a sequence (letter, residue).  A word starts at the
     rightmost remaining 1 and repeatedly appends the next letter at the
@@ -443,14 +444,7 @@ def extract_words(t: WeakTableau) -> tuple[tuple[tuple[int, int], ...], ...]:
             j = nxt
             n += 1
         words.append(tuple(word))
-    return tuple(words)
-
-
-def _marked_word_charge(t: WeakTableau, word) -> int:
-    """Charge of the subtableau picked out by a residue-marked word."""
-    classes = _letter_classes(t)
-    ups = [max(classes[letter - 1][res], key=lambda c: c[0]) for letter, res in word]
-    return _up_marker_charge(t.k, ups)
+    return classes, tuple(words)
 
 
 def charge_dominant_semistandard(t: WeakTableau) -> int:
@@ -459,7 +453,15 @@ def charge_dominant_semistandard(t: WeakTableau) -> int:
 
 
 def word_charges(t: WeakTableau) -> tuple[int, ...]:
-    return tuple(_marked_word_charge(t, w) for w in extract_words(t))
+    """The charge of the subtableau that each word picks out, read from
+    the top cell of each of its (letter, residue) classes."""
+    classes, words = _extract_words(t)
+    return tuple(
+        _up_marker_charge(
+            t.k, [max(classes[letter - 1][res], key=lambda c: c[0]) for letter, res in word]
+        )
+        for word in words
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from kshape.poset import (
 from kshape.pushout import (
     PushoutSquare,
     _letter_step,
-    _root,
     maximal_pushout,
     maximize_above,
     maximize_below,
@@ -182,8 +181,8 @@ def test_warm_strip_table_keeps_every_square():
     kinds_seen = set()
     with_squares = 0
     for t in _standard_tableaux(range(2, 7), 6):
-        # the prefix table would hand back the states, strips included,
-        # without asking the strip table
+        # the step table would hand back each letter's strip without
+        # asking the strip table
         _letter_step.cache_clear()
         push_cover_through_path.cache_clear()
         cold = weak_bijection_standard(t).squares
@@ -231,7 +230,7 @@ BAD_CALLS = [
     (maximal_pushout, (make_cover((2, 1, 1), (3, 1, 1), 2), move_from_cells((2, 1, 1), {(1, 3), (2, 2)}, ROW, 2), 2), ValueError),
     (maximize_below, (make_cover((), (1,), 2), 2), ValueError),
     (maximize_above, (make_cover((), (1,), 2), 2), ValueError),
-    (_letter_step, (_root(2), (2,)), ValueError),  # the boundary grows by 2
+    (_letter_step, (None, None, Path(start=()), (2,), 2), ValueError),  # the boundary grows by 2
     (is_standard_step, ((), (1,), 0), ValueError),
     (count_standard_k_tableaux, ((2, 1), 2), ValueError),
     (_parse_move, ((3, 1, 1), frozenset({(5, 2)}), ROW, 2), IntegrityError),  # not addable

@@ -1,12 +1,21 @@
+from dataclasses import dataclass
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kshape.errors import IntegrityError
 from kshape.kshape_tableaux import (
+    CHARGE,
+    COCHARGE,
     _interval,
+    chain_characterization,
     cover_status,
     enumerate_covers,
+    letter_term,
     make_cover,
+    make_kshape_tableau,
 )
 from kshape.partitions import conjugate
 from kshape.poset import (
@@ -17,8 +26,8 @@ from kshape.poset import (
     path_classes_from,
 )
 from kshape.pushout import (
+    PushoutSquare,
     _letter_step,
-    _root,
     descend,
     full_descent,
     maximal_pushout,
@@ -38,6 +47,7 @@ from kshape.weak_tableaux import (
     charge_standard,
     cocharge_standard,
     enumerate_standard_k_tableaux,
+    is_standard_step,
     make_weak_tableau,
     standard_shapes,
 )
@@ -390,26 +400,124 @@ def _all_standard(ks, n_max):
     ]
 
 
+def _prefix_sums(t):
+    """Walk ``_letter_step`` over a standard tableau by hand; after each
+    letter, yield the path so far and the four statistics of the prefix
+    (charge and cocharge of the source, then of the target), each the sum
+    of the letters' running sums of terms."""
+    prev = prev_out = None
+    path = Path(start=())
+    letter = total = (0, 0, 0, 0)
+    for outer in t.chain[1:]:
+        prev, prev_out, path, _, terms = _letter_step(prev, prev_out, path, outer, t.k)
+        letter = tuple(a + b for a, b in zip(letter, terms))
+        total = tuple(a + b for a, b in zip(total, letter))
+        yield path, total
+
+
 def test_prefix_states_fold_the_letter_statistic():
-    """Every prefix state holds the charge and cocharge of its prefix of
-    the tableau and of its image, as the whole-chain pass computes them."""
+    """After every prefix of the tableau, the summed terms of the letter
+    steps are the charge and cocharge of that prefix and of its image, as
+    the whole-chain pass computes them."""
     tableaux = _all_standard(range(2, 6), 8)
     assert len(tableaux) == 1244
     for t in tableaux:
         k = t.k
         res = weak_bijection_standard(t)
         image = res.target_chain
-        state = _root(k)
-        for i, outer in enumerate(t.chain[1:], start=2):
-            state = _letter_step(state, outer)
-            assert (state.charge, state.cocharge) == _charge_and_cocharge(t.chain[:i], k)
-            assert (state.target_charge, state.target_cocharge) == _charge_and_cocharge(image[:i], k)
-        assert state.path == res.path
+        path = Path(start=())
+        for i, (path, sums) in enumerate(_prefix_sums(t), start=2):
+            assert sums[:2] == _charge_and_cocharge(t.chain[:i], k)
+            assert sums[2:] == _charge_and_cocharge(image[:i], k)
+        assert path == res.path
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _Prefix:
+    """The weak bijection's state after a prefix of a chain, as the fold
+    kept it before each letter's step was keyed by what it reads: a parent
+    pointer, letter n's two covers, the path, letter n's strip and the
+    four statistics of the prefix, folded by a second-order recurrence."""
+
+    parent: "_Prefix | None"
+    k: int
+    cover: object
+    cover_out: object
+    path: Path
+    strip: tuple[PushoutSquare, ...]
+    charge: int
+    cocharge: int
+    target_charge: int
+    target_cocharge: int
+
+    def lineage(self):
+        out = []
+        state = self
+        while state.parent is not None:
+            out.append(state)
+            state = state.parent
+        return out[::-1]
+
+
+def _prefix_step(state, outer):
+    """The prefix fold's step, unmemoized; the oracle of ``_letter_step``."""
+    k = state.k
+    prev, prev_out = state.cover, state.cover_out
+    root = prev is None
+    shape = () if root else prev.outer
+    target = () if root else prev_out.outer
+    if not is_standard_step(shape, outer, k):
+        raise ValueError(f"{outer}/{shape} is not a standard weak strip at k={k}")
+    c = make_cover(shape, outer, k)
+    if not cover_status(c, k).reverse_maximal:
+        raise IntegrityError(f"standard tableau step {outer}/{shape} is not reverse-maximal")
+    c_out, path, strip = push_cover_through_path(c, state.path, k)
+    if c_out.inner != target:
+        raise IntegrityError("output covers do not chain")
+    if not cover_status(c_out, k).maximal:
+        raise IntegrityError("output chain is not a maximal-cover chain")
+    if not is_standard_step(target, c_out.outer, k - 1):
+        raise IntegrityError(f"output step {c_out.outer}/{target} is not standard at k={k - 1}")
+    if root:
+        return _Prefix(state, k, c, c_out, path, strip, 0, 0, 0, 0)
+    # T(n+1) = T(n) + (T(n) - T(n-1)) + term(n+1), T(n) the prefix's charge
+    p = state.parent
+    return _Prefix(
+        state,
+        k,
+        c,
+        c_out,
+        path,
+        strip,
+        2 * state.charge - p.charge + letter_term(CHARGE, prev, c, k),
+        2 * state.cocharge - p.cocharge + letter_term(COCHARGE, prev, c, k),
+        2 * state.target_charge - p.target_charge + letter_term(CHARGE, prev_out, c_out, k),
+        2 * state.target_cocharge - p.target_cocharge + letter_term(COCHARGE, prev_out, c_out, k),
+    )
+
+
+def test_letter_steps_match_the_prefix_fold():
+    """The loop over ``_letter_step`` gives the prefix fold's target
+    chain, path, squares and four statistics on every standard k-tableau,
+    2 <= k <= 5 and n <= 7."""
+    tableaux = _all_standard(range(2, 6), 7)
+    assert len(tableaux) == 548
+    for t in tableaux:
+        root = _Prefix(None, t.k, None, None, Path(start=()), (), 0, 0, 0, 0)
+        end = reduce(_prefix_step, t.chain[1:], root)
+        states = end.lineage()
+        res = weak_bijection_standard(t)
+        assert res.target_chain == ((),) + tuple(s.cover_out.outer for s in states)
+        assert res.path == end.path
+        assert res.squares == tuple(sq for s in states for sq in s.strip)
+        sums = (0, 0, 0, 0)
+        for _, sums in _prefix_sums(t):
+            pass
+        assert sums == (end.charge, end.cocharge, end.target_charge, end.target_cocharge)
 
 
 PUSHOUT_TABLES = (
     _letter_step,
-    _root,
     push_cover_through_path,
     maximal_pushout,
     maximize_below,
@@ -441,7 +549,7 @@ def test_cold_and_warm_bijection_agree():
 @pytest.mark.parametrize("warm", [False, True])
 def test_directly_built_non_strip_raises(chain, warm):
     t = WeakTableau(k=2, chain=chain, weight=(1,) * (len(chain) - 1))
-    if warm:  # the valid prefix is already in the prefix table
+    if warm:  # the steps of the valid prefix are already in the step table
         for ch in (chain[:-1], ((), (1,), (2,), (3, 1))):
             weak_bijection_standard(WeakTableau(k=2, chain=ch, weight=(1,) * (len(ch) - 1)))
     else:
@@ -458,6 +566,30 @@ def test_directly_built_non_strip_raises(chain, warm):
     assert _letter_step.cache_info().currsize == size
     if not warm:
         assert size == len(chain) - 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda ch: make_weak_tableau(2, ch),
+        lambda ch: make_kshape_tableau(2, ch),
+        lambda ch: chain_characterization(ch, 2),
+        full_descent,
+    ],
+    ids=["make_weak_tableau", "make_kshape_tableau", "chain_characterization", "full_descent"],
+)
+@pytest.mark.parametrize(
+    "chain",
+    [
+        ((), (1,), (1, 1), (1, 2)),  # increasing parts
+        ((), (1,), (1, -1)),  # a negative part
+        ((), (1,), "ab"),  # not integers
+        (),  # no shape at all
+    ],
+)
+def test_malformed_chain_raises_value_error(entry, chain):
+    with pytest.raises(ValueError):
+        entry(chain)
 
 
 def test_descend_validates_every_level():

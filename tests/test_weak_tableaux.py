@@ -26,6 +26,7 @@ from kshape.partitions import (
 )
 from kshape.weak_tableaux import (
     WeakTableau,
+    _extract_words,
     _residues_of,
     _strip_with_residues,
     _strips_over,
@@ -37,7 +38,6 @@ from kshape.weak_tableaux import (
     count_standard_k_tableaux,
     enumerate_standard_k_tableaux,
     enumerate_weak_tableaux,
-    extract_words,
     is_standard_step,
     is_weak_strip,
     make_weak_tableau,
@@ -164,7 +164,7 @@ def test_k2_worked_charge():
 def test_word_extraction_example():
     t = parse_tableau_text(4, DOMINANT_EXAMPLE)
     assert t.weight == (2, 2, 2, 2, 2, 2, 1)
-    w1, w2 = extract_words(t)
+    _, (w1, w2) = _extract_words(t)
     assert w1 == ((1, 1), (2, 4), (3, 3), (4, 0), (5, 2), (6, 1), (7, 0))
     assert w2 == ((1, 0), (2, 2), (3, 0), (4, 4), (5, 1), (6, 3))
     assert word_charges(t) == (5, 7)
