@@ -1,6 +1,7 @@
 """k-shapes: the poset, tableau charges, the pushout algorithm, and the
 weak bijection, with exhaustive desk-scale verification."""
 
+from .classical import classical_charge
 from .errors import IntegrityError
 from .partitions import (
     Cell,
@@ -75,10 +76,6 @@ from .pushout import (
     weak_bijection_standard,
 )
 from .tpoly import TPoly
-from .verify import (
-    VerificationReport,
-    classical_charge,
-    run_check,
-)
+from .verify import VerificationReport, run_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]

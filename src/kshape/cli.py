@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .errors import IntegrityError
 from .partitions import format_partition, parse_partition
@@ -67,7 +68,7 @@ def _cmd_paths(args) -> int:
     for p in paths:
         print(f"  {p.text()}  | charge {p.charge()} cocharge {p.cocharge()}")
     if args.classes:
-        classes = equivalence_classes(paths, args.k)
+        classes = equivalence_classes(paths)
         print(f"{len(classes)} equivalence classes")
         for c in sorted(classes, key=lambda c: c.representative.sort_key()):
             print(
@@ -138,19 +139,19 @@ def _cmd_verify(args) -> int:
         resolve_params(name, **params)  # reject bad input before any sweep runs
     failed = False
     reports = []
-    for name, params in runs:
-        report = run_check(name, **params)
-        reports.append(report)
-        print(report.line())
-        for f in report.failures:
-            print(f"    {f}")
-        if not report.passed and not report.conjecture:
-            failed = True
-    if args.report:
-        payload = "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n"
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"report written to {args.report}")
+    # open the report first, so a path that cannot be written fails before any sweep
+    with open(args.report, "w", encoding="utf-8") if args.report else nullcontext() as fh:
+        for name, params in runs:
+            report = run_check(name, **params)
+            reports.append(report)
+            print(report.line())
+            for f in report.failures:
+                print(f"    {f}")
+            if not report.passed and not report.conjecture:
+                failed = True
+        if args.report:
+            fh.write("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n")
+            print(f"report written to {args.report}")
     return 1 if failed else 0
 
 

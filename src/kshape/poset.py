@@ -25,7 +25,6 @@ from .partitions import (
     cell_in,
     col_shape,
     conjugate,
-    contains,
     diag,
     format_partition,
     is_p_core,
@@ -432,12 +431,6 @@ class Path:
     def cocharge(self) -> int:
         return sum(move_cocharge(m) for m in self.moves)
 
-    def shapes(self) -> tuple[Partition, ...]:
-        out = [self.start]
-        for m in self.moves:
-            out.append(m.target)
-        return tuple(out)
-
     def sort_key(self):
         return tuple(m.sort_key() + (m.target,) for m in self.moves)
 
@@ -561,83 +554,53 @@ def enumerate_paths(lam: Partition, mu: Partition, k: int) -> tuple[Path, ...]:
     return tuple(Path(start=lam, moves=ms) for ms in _suffixes_by_end(lam, k).get(mu, ()))
 
 
-@lru_cache(maxsize=None)
-def _moves_between(a: Partition, b: Partition, k: int) -> tuple[Move, ...]:
-    return tuple(m for m in enumerate_moves(a, k) if m.target == b)
+def equivalence_classes(paths) -> tuple[PathClass, ...]:
+    """Partition paths under the closure of single diamond rewrites.
 
-
-@lru_cache(maxsize=None)
-def _window_replacements(a: Partition, b: Partition, total_charge: int, k: int):
-    """Move windows from a to b (length one or two) of the given charge."""
-    out = []
-    for m in _moves_between(a, b, k):
-        if move_charge(m) == total_charge:
-            out.append((m,))
-    for m1 in enumerate_moves(a, k):
-        if not contains(b, m1.target):
-            continue
-        for m2 in _moves_between(m1.target, b, k):
-            if move_charge(m1) + move_charge(m2) == total_charge:
-                out.append((m1, m2))
-    return tuple(out)
-
-
-def _rewrite_neighbors(path: Path, k: int) -> Iterator[Path]:
-    """Single diamond rewrites: replace a window of one or two moves by
-    another window with the same endpoints and the same charge, allowing
-    one side of the diamond to be empty."""
-    moves = path.moves
-    shapes = path.shapes()
-    for i in range(len(moves)):
-        for width in (1, 2):
-            if i + width > len(moves):
-                continue
-            window = moves[i : i + width]
-            total = sum(move_charge(m) for m in window)
-            for repl in _window_replacements(shapes[i], shapes[i + width], total, k):
-                if tuple(repl) == tuple(window):
-                    continue
-                yield Path(start=path.start, moves=moves[:i] + tuple(repl) + moves[i + width :])
-
-
-def equivalence_classes(paths, k: int) -> tuple[PathClass, ...]:
-    """Partition paths under the closure of single diamond rewrites."""
-    paths = list(paths)
+    ``paths`` must be all the paths between two shapes, as
+    ``enumerate_paths`` returns them.  A rewrite replaces a window of one
+    or two moves by another window with the same endpoints and the same
+    charge.  The paths share both endpoints, so two of them are one
+    rewrite apart exactly when they agree before and after a window and
+    have the same charge inside it: each path files itself under
+    (prefix, suffix, window charge) for every window, and paths that
+    share a key are joined.  Classes come in the order of their first
+    paths; duplicate paths are dropped.
+    """
+    paths = list(dict.fromkeys(paths))
     if not paths:
         return ()
-    starts = {p.start for p in paths}
-    ends = {p.end for p in paths}
-    if len(starts) != 1 or len(ends) != 1:
+    if len({p.start for p in paths}) != 1 or len({p.end for p in paths}) != 1:
         raise ValueError("paths must share both endpoints")
-    index = {p: None for p in paths}
-    classes = []
-    for p in paths:
-        if index[p] is not None:
-            continue
-        comp = {p}
-        frontier = [p]
-        while frontier:
-            q = frontier.pop()
-            for nb in _rewrite_neighbors(q, k):
-                if nb not in comp:
-                    if nb not in index:
-                        raise IntegrityError(
-                            f"rewrite left the enumerated path set: {nb.text()}"
-                        )
-                    comp.add(nb)
-                    frontier.append(nb)
-        for q in comp:
-            index[q] = len(classes)
-        rep = min(comp, key=Path.sort_key)
-        classes.append(PathClass(representative=rep, members=frozenset(comp)))
-    return tuple(classes)
+    parent = list(range(len(paths)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    first: dict[tuple, int] = {}
+    for i, p in enumerate(paths):
+        ms = p.moves
+        for j in range(len(ms)):
+            for w in (1, 2):
+                if j + w <= len(ms):
+                    key = (ms[:j], ms[j + w :], sum(map(move_charge, ms[j : j + w])))
+                    parent[find(i)] = find(first.setdefault(key, i))
+    groups: dict[int, list[Path]] = {}
+    for i, p in enumerate(paths):
+        groups.setdefault(find(i), []).append(p)
+    return tuple(
+        PathClass(representative=min(g, key=Path.sort_key), members=frozenset(g))
+        for g in groups.values()
+    )
 
 
 def path_classes_from(lam: Partition, k: int) -> dict[Partition, tuple[PathClass, ...]]:
     """The diamond classes of the paths from lam to each k-core it reaches;
     these ends are the shapes of standard (k-1)-tableaux."""
     return {
-        mu: equivalence_classes([Path(start=lam, moves=ms) for ms in seqs], k)
+        mu: equivalence_classes([Path(start=lam, moves=ms) for ms in seqs])
         for mu, seqs in _suffixes_by_end(lam, k).items()
         if is_p_core(mu, k)
     }

@@ -66,8 +66,6 @@ from .weak_tableaux import (
     word_charges,
 )
 
-classical_charge = classical.classical_charge
-
 
 # ---------------------------------------------------------------------------
 # report plumbing

@@ -41,6 +41,30 @@ def test_paths_command(capsys):
     assert "2 equivalence classes" in out
 
 
+@pytest.mark.parametrize(
+    "k, src, dst, classes",
+    [
+        # one class: a composite move and its factorization
+        (
+            "3", "3,1,1,1", "4,2,1,1",
+            "1 equivalence classes\n"
+            "  [2 paths, charge 0] rep 3,1,1,1; r:1:1@(2,2); r:1:1@(1,4)\n",
+        ),
+        (
+            "2", "3,1,1", "4,3,2,1",
+            "2 equivalence classes\n"
+            "  [1 paths, charge 3] rep 3,1,1; r:1:2@(2,2); c:1:3@(4,1)\n"
+            "  [1 paths, charge 2] rep 3,1,1; c:1:2@(4,1); r:1:3@(3,2)\n",
+        ),
+    ],
+)
+def test_paths_classes_text(capsys, k, src, dst, classes):
+    code, out, _ = run(capsys, "paths", "--k", k, "--from", src, "--to", dst, "--classes")
+    assert code == 0
+    assert out.endswith("\n" + classes)
+    assert out.count("equivalence classes") == 1
+
+
 def test_paths_domain_error(capsys):
     code, _, err = run(capsys, "paths", "--k", "3", "--from", "3,1,1", "--to", "4,3,2,1")
     assert code == 2
@@ -122,6 +146,17 @@ def test_verify_command(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload[0]["check"] == "paths-fixture"
     assert payload[0]["passed"] is True
+
+
+def test_verify_unwritable_report_fails_before_any_sweep(tmp_path, capsys):
+    report = tmp_path / "missing" / "r.json"
+    code, out, err = run(
+        capsys,
+        "verify", "--check", "theorem-additivity", "--n-max", "8", "--report", str(report),
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and not report.exists()
 
 
 def test_verify_unknown_check(capsys):

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: unused imports,
-module-level functions or classes that nothing in the package uses, and
-memo tables that README does not list."""
+module-level functions or classes that nothing in the package uses,
+memo tables that README does not list, and parameters that their
+function never reads."""
 import ast
 import re
 from pathlib import Path
@@ -227,3 +228,31 @@ def test_memo_tables_are_listed_in_readme():
     rows = dict(re.findall(r"^\| `(\w+)` \|(.*)\|$", section, flags=re.M))
     missing = [f"{mod}.{fn}" for mod, fn in tables if f"`{fn}`" not in rows.get(mod, "")]
     assert not missing, f"memo tables missing from README's Memo tables list: {missing}"
+
+
+def _parameters(node: ast.FunctionDef | ast.Lambda) -> list[str]:
+    a = node.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+    return [p.arg for p in params]
+
+
+def test_parameters_are_read():
+    # a parameter its body never reads is an argument every caller passes
+    # for nothing; a leading underscore marks one an interface requires
+    unread = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for param in _parameters(node):
+                if param in ("self", "cls") or param.startswith("_") or param in read:
+                    continue
+                unread.append(f"{name}:{node.lineno} {getattr(node, 'name', 'lambda')}({param})")
+    assert not unread, f"parameters their function never reads: {unread}"

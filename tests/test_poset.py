@@ -22,9 +22,11 @@ from kshape.poset import (
     ROW,
     Move,
     Path,
+    PathClass,
     _conjugate_move,
     _grow_row_move,
     _pushed_column,
+    _suffixes_by_end,
     build_poset,
     classify_string,
     corner_chains,
@@ -188,7 +190,7 @@ def _sorted_delta_classify(inner, outer, k):
     differences; kept as its oracle.  It reads the profiles through the
     poset module, as classify_string does, so both see a patched one."""
     from kshape import poset
-    from kshape.poset import COCOVER, COLUMN, StringOfCells, contains, skew_cells
+    from kshape.poset import COCOVER, COLUMN, StringOfCells, skew_cells
 
     def delta(a, b):
         n = max(len(a), len(b))
@@ -622,18 +624,99 @@ def test_grouped_walk_matches_targeted_oracle(k):
                 assert enumerate_paths(lam, mu, k) == want
                 if want and is_p_core(mu, k):
                     reached.add(mu)
-                    assert classes[mu] == equivalence_classes(want, k)
+                    assert classes[mu] == equivalence_classes(want)
                 pairs += bool(want)
             assert set(classes) == reached
             assert reached <= cores
     assert pairs > 0
 
 
+def rewrite_search_classes(paths, k: int) -> tuple[PathClass, ...]:
+    """Oracle for ``equivalence_classes``: the closure of single diamond
+    rewrites, found by building each rewritten path from the move tables
+    and searching outward from every path not yet in a class."""
+
+    @lru_cache(maxsize=None)
+    def moves_between(a: Partition, b: Partition) -> tuple[Move, ...]:
+        return tuple(m for m in enumerate_moves(a, k) if m.target == b)
+
+    @lru_cache(maxsize=None)
+    def window_replacements(a: Partition, b: Partition, total_charge: int):
+        """Move windows from a to b (length one or two) of the given charge."""
+        out = [(m,) for m in moves_between(a, b) if move_charge(m) == total_charge]
+        for m1 in enumerate_moves(a, k):
+            if contains(b, m1.target):
+                for m2 in moves_between(m1.target, b):
+                    if move_charge(m1) + move_charge(m2) == total_charge:
+                        out.append((m1, m2))
+        return tuple(out)
+
+    def rewrite_neighbors(path: Path) -> Iterator[Path]:
+        moves = path.moves
+        shapes = (path.start,) + tuple(m.target for m in moves)
+        for i in range(len(moves)):
+            for width in (1, 2):
+                if i + width > len(moves):
+                    continue
+                window = moves[i : i + width]
+                total = sum(move_charge(m) for m in window)
+                for repl in window_replacements(shapes[i], shapes[i + width], total):
+                    if repl != window:
+                        yield Path(start=path.start, moves=moves[:i] + repl + moves[i + width :])
+
+    paths = list(paths)
+    if not paths:
+        return ()
+    if len({p.start for p in paths}) != 1 or len({p.end for p in paths}) != 1:
+        raise ValueError("paths must share both endpoints")
+    index = {p: None for p in paths}
+    classes = []
+    for p in paths:
+        if index[p] is not None:
+            continue
+        comp = {p}
+        frontier = [p]
+        while frontier:
+            for nb in rewrite_neighbors(frontier.pop()):
+                if nb not in comp:
+                    if nb not in index:
+                        raise IntegrityError(f"rewrite left the enumerated path set: {nb.text()}")
+                    comp.add(nb)
+                    frontier.append(nb)
+        for q in comp:
+            index[q] = len(classes)
+        rep = min(comp, key=Path.sort_key)
+        classes.append(PathClass(representative=rep, members=frozenset(comp)))
+    return tuple(classes)
+
+
+def test_grouped_classes_match_rewrite_search_oracle():
+    # same classes in the same order, with the same representatives and
+    # members, on every pair of shapes joined by a path and on every
+    # ``path_classes_from`` entry, for k=2..5 and boundary size <= 9
+    pairs = entries = 0
+    for k in range(2, 6):
+        for n in range(0, 10):
+            for lam in kshapes_of_size(k, n):
+                by_end = path_classes_from(lam, k)
+                ends = _suffixes_by_end(lam, k)
+                assert set(by_end) <= set(ends)
+                for mu, seqs in ends.items():
+                    paths = [Path(start=lam, moves=ms) for ms in seqs]
+                    want = rewrite_search_classes(paths, k)
+                    assert equivalence_classes(paths) == want, (k, lam, mu)
+                    if mu in by_end:
+                        assert by_end[mu] == want, (k, lam, mu)
+                        entries += 1
+                    pairs += 1
+    assert (pairs, entries) == (1403, 704)
+
+
 def test_composite_move_is_equivalent_to_factorization():
     paths = enumerate_paths((3, 1, 1, 1), (4, 2, 1, 1), 3)
     lengths = sorted(len(p.moves) for p in paths)
     assert lengths == [1, 2]
-    assert len(equivalence_classes(paths, 3)) == 1
+    assert len(equivalence_classes(paths)) == 1
 
 
 def test_charge_constant_on_classes():
@@ -645,7 +728,7 @@ def test_charge_constant_on_classes():
             by_end = path_classes_from(a, k)
             assert set(by_end) <= bots
             for b in bots:
-                want = equivalence_classes(targeted_paths(a, b, k), k)
+                want = equivalence_classes(targeted_paths(a, b, k))
                 assert len(by_end.get(b, ())) == len(want)
                 for cls in by_end.get(b, ()):
                     charges = {q.charge() for q in cls.members}
@@ -657,7 +740,7 @@ def test_equivalence_requires_common_endpoints():
     p1 = enumerate_paths((3, 1, 1), (4, 3, 2, 1), 2)
     p2 = enumerate_paths((2, 2, 1, 1), (4, 3, 2, 1), 2)
     with pytest.raises(ValueError):
-        equivalence_classes(list(p1) + list(p2), 2)
+        equivalence_classes(list(p1) + list(p2))
 
 
 def test_corner_chain_strings_have_unique_continuation():

@@ -50,7 +50,7 @@ def test_branching_at_one_counts_classes():
             for lam in tops:
                 for mu in standard_shapes(k - 1, size):
                     b = branching_poly(lam, mu, k)
-                    assert b(1) == len(equivalence_classes(targeted_paths(lam, mu, k), k))
+                    assert b(1) == len(equivalence_classes(targeted_paths(lam, mu, k)))
                     assert all(c >= 0 for c in b.coeffs)
 
 
