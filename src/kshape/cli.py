@@ -43,20 +43,21 @@ def _read_tableau_text(source: str) -> str:
 
 
 def _cmd_poset(args) -> int:
-    poset = build_poset(args.k, args.size)
-    print(f"poset of {args.k}-shapes, boundary size {args.size}")
-    print(f"vertices: {len(poset.vertices)}  edges: {poset.edge_count}")
-    for v in poset.vertices:
-        for m in poset.edges[v]:
-            o = "r" if m.orientation == "row" else "c"
-            print(
-                f"  {format_partition(v)} -> {format_partition(m.target)}"
-                f"  {o} (rank {m.rank}, len {m.length})"
-            )
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
+    # open the DOT file first, so a path that cannot be written fails before any output
+    with open(args.dot, "w", encoding="utf-8") if args.dot else nullcontext() as fh:
+        poset = build_poset(args.k, args.size)
+        print(f"poset of {args.k}-shapes, boundary size {args.size}")
+        print(f"vertices: {len(poset.vertices)}  edges: {poset.edge_count}")
+        for v in poset.vertices:
+            for m in poset.edges[v]:
+                o = "r" if m.orientation == "row" else "c"
+                print(
+                    f"  {format_partition(v)} -> {format_partition(m.target)}"
+                    f"  {o} (rank {m.rank}, len {m.length})"
+                )
+        if args.dot:
             fh.write(poset.to_dot() + "\n")
-        print(f"dot written to {args.dot}")
+            print(f"dot written to {args.dot}")
     return 0
 
 

@@ -54,11 +54,6 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
-def cell_in(lam: Partition, cell: Cell) -> bool:
-    i, j = cell
-    return 1 <= i <= len(lam) and 1 <= j <= lam[i - 1]
-
-
 @lru_cache(maxsize=None)
 def _row_cells(i: int, width: int) -> tuple[Cell, ...]:
     """Cells (i, 1) .. (i, width); shared so that the strings held by the

@@ -13,16 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import takewhile
+from operator import ge
 from typing import Iterator
 
 from .errors import IntegrityError
 from .partitions import (
     Cell,
     Partition,
-    add_cells,
     addable_corners,
     boundary_size,
-    cell_in,
     col_shape,
     conjugate,
     diag,
@@ -75,7 +74,7 @@ class StringOfCells:
 
 
 def _weakly_decreasing(profile) -> bool:
-    return all(a >= b for a, b in zip(profile, profile[1:]))
+    return all(map(ge, profile, profile[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -86,27 +85,26 @@ def is_k_shape(lam: Partition, k: int) -> bool:
     return _weakly_decreasing(row_shape(lam, k)) and _weakly_decreasing(col_shape(lam, k))
 
 
-def _pushed_column(lam: Partition, cell: Cell, k: int) -> int:
-    """The column of the cell that adding the addable corner ``cell``,
-    with cells only in lower rows, pushes out of the k-boundary of its
-    row of lam; 0 when it pushes none out.
+def _push(cell: Cell, prof: int, heights, k: int) -> int:
+    """The column of the cell that adding the addable corner ``cell`` =
+    (i, c), with cells only in lower rows, pushes out of the k-boundary of
+    row i; 0 when it pushes none out.  ``prof`` is the boundary count of
+    row i and ``heights`` lists the column heights h_1, h_2, ...
 
-    The cells of that row left of ``cell`` gain exactly 1 in hook, and
-    hooks fall along a row, so only the first boundary cell, in column j,
-    can reach k + 1: it does iff j lies left of ``cell`` with hook exactly k.
+    The cells of row i left of ``cell`` gain exactly 1 in hook, and hooks
+    fall along a row, so only the first boundary cell, in column
+    j = c - prof, can reach k + 1: it does iff its hook
+    c - j + h_j - i = prof + h_j - i is exactly k.
     """
     i, c = cell
+    return c - prof if prof and prof + heights[c - prof - 1] - i == k else 0
+
+
+def _pushed_column(lam: Partition, cell: Cell, k: int) -> int:
+    """``_push`` of an addable corner of lam, read off the memo tables."""
     interior = k_interior(lam, k)
-    j = (interior[i - 1] if i <= len(interior) else 0) + 1
-    return j if j < c and lam[i - 1] - j + conjugate(lam)[j - 1] - i + 1 == k else 0
-
-
-def _string_kind(lam: Partition, top: Cell, bottom: Cell, k: int) -> str:
-    """The type of the string over lam with these top and bottom cells,
-    read off their two boundary pushes (``classify_string``)."""
-    p_t = _pushed_column(lam, top, k) > 0
-    p_b = _pushed_column(conjugate(lam), (bottom[1], bottom[0]), k) > 0
-    return (COVER, COLUMN, ROW, COCOVER)[2 * p_t + p_b]
+    width = interior[cell[0] - 1] if cell[0] <= len(interior) else 0
+    return _push(cell, cell[1] - 1 - width, conjugate(lam), k)
 
 
 def classify_string(inner: Partition, outer: Partition, k: int) -> StringOfCells | None:
@@ -151,7 +149,10 @@ def classify_string(inner: Partition, outer: Partition, k: int) -> StringOfCells
             return None  # two cells share a row
         if abs(diag(a) - diag(b)) not in (k, k + 1):
             return None
-    kind = _string_kind(inner, ordered[0], ordered[-1], k)
+    br, bc = ordered[-1]
+    p_t = _pushed_column(inner, ordered[0], k) > 0
+    p_b = _pushed_column(conjugate(inner), (bc, br), k) > 0
+    kind = (COVER, COLUMN, ROW, COCOVER)[2 * p_t + p_b]
     return StringOfCells(cells=ordered, inner=inner, outer=outer, kind=kind)
 
 
@@ -188,34 +189,29 @@ def corner_chains(lam: Partition, k: int) -> Iterator[tuple[Cell, ...]]:
             yield chain[:end]
 
 
-def _string_signature(s: StringOfCells, k: int):
-    """Translation-invariant diagram of a string.
+def _translate_signature(s: StringOfCells, row_prof, col_prof):
+    """Translation-invariant diagram of a row string s, read off the
+    boundary profiles of its inner shape (``col_prof`` padded with a 0,
+    for a bottom cell in a new column).  Two row strings are translates
+    exactly when these agree.
 
-    Records, relative to the top cell: the added cells, the boundary
-    cells of the inner shape that leave the boundary, and the lengths of
-    the surviving boundary segments in every touched row and column.
-    Two strings are translates exactly when their signatures agree.
+    Relative to the top cell t it records: the added cells; the inner
+    cells that leave the boundary (``classify_string``: for consecutive
+    cells the one in the lower cell's row and the upper cell's column,
+    and the cell (row(t), j) that t pushes out); and, in every touched
+    row and column, the boundary cells that stay: its profile entry less
+    the cells that leave, one in every row, in column j and in every
+    chain column but the bottom cell's.
     """
-    top = s.top
-    rel = lambda c: (c[0] - top[0], c[1] - top[1])
-    bullets = tuple(sorted(rel(c) for c in s.cells))
-    outer_int = k_interior(s.outer, k)
-    boundary = skew_cells(s.inner, k_interior(s.inner, k))
-    circles = tuple(sorted(rel(c) for c in boundary if cell_in(outer_int, c)))
-    rows = {c[0] for c in s.cells} | {c[0] + top[0] for c in circles}
-    cols = {c[1] for c in s.cells} | {c[1] + top[1] for c in circles}
-    shared = [
-        c
-        for c in boundary
-        if not cell_in(outer_int, c) and (c[0] in rows or c[1] in cols)
-    ]
-    row_segs = tuple(
-        sorted((r - top[0], sum(1 for c in shared if c[0] == r)) for r in rows)
+    cells, (tr, tc), bc = s.cells, s.top, s.bottom[1]
+    j = tc - row_prof[tr - 1]
+    circles = [(r - tr, c - tc) for (_, c), (r, _) in zip(cells, cells[1:])]
+    return (
+        tuple((r - tr, c - tc) for r, c in reversed(cells)),
+        tuple(sorted(circles + [(0, j - tc)])),
+        tuple((r - tr, row_prof[r - 1] - 1) for r, _ in reversed(cells)),
+        tuple((c - tc, col_prof[c - 1] - (c != bc)) for c in (j, *(c for _, c in cells))),
     )
-    col_segs = tuple(
-        sorted((c0 - top[1], sum(1 for c in shared if c[1] == c0)) for c0 in cols)
-    )
-    return bullets, circles, row_segs, col_segs
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,17 +276,6 @@ def _conjugate_move(m: Move) -> Move:
     )
 
 
-def _col_shape_after_row_string(s: StringOfCells, k: int) -> list[int]:
-    """The column profile of the outer shape of a row string s, with a
-    trailing 0: that of the inner shape, less the cell the top cell
-    pushes out of its row (column j), plus the bottom cell in its own
-    column (``classify_string``)."""
-    cs = [*col_shape(s.inner, k), 0]
-    cs[_pushed_column(s.inner, s.top, k) - 1] -= 1
-    cs[s.bottom[1] - 1] += 1
-    return cs
-
-
 def _grow_row_move(
     lam: Partition, s1_cells: tuple[Cell, ...], k: int, max_rank: int | None = None
 ) -> Iterator[Move]:
@@ -300,16 +285,23 @@ def _grow_row_move(
 
     The i-th string is forced: its top cell is the unique addable corner
     of the intermediate shape in the next column over, and the chain from
-    it must be a row string (``_string_kind``) and a translate of the
-    first.  Intermediate shapes need not be k-shapes; a move is emitted
-    whenever the final shape is one.  At rank 1 a row string keeps lam's
-    row profile and moves one column count, so that test is
-    ``_col_shape_after_row_string``; higher ranks call ``is_k_shape``.
+    it must be a row string and a translate of the first.  A row string
+    keeps the row profile and moves one column count, from the column j
+    its top cell pushes out to its bottom cell's column
+    (``classify_string``).  So every intermediate shape has lam's row
+    profile, and the grower carries only its column heights and column
+    profile: the two pushes (``_push``), the translate test
+    (``_translate_signature``) and the k-shape test, that the column
+    profile be weakly decreasing, all read these.  Intermediate shapes
+    need not be k-shapes; a move is emitted whenever the final shape is
+    one.
     """
     ell = len(s1_cells)
-    chain, strings, sig = s1_cells, [], None
+    # each padded with one 0, so that a corner in a new row or column finds its entries
+    row_prof = (*row_shape(lam, k), 0)
+    heights, col_prof = [*conjugate(lam), 0], [*col_shape(lam, k), 0]
+    inner, chain, strings, sig = lam, s1_cells, [], None
     for r in range(1, (k - 1 if max_rank is None else max_rank) + 1):
-        inner = strings[-1].outer if strings else lam
         if r > 1:
             corners = addable_corners(inner)
             tops = [c for c in corners if c[1] == strings[-1].top[1] + 1]
@@ -318,19 +310,29 @@ def _grow_row_move(
             chain = (tops[0],) + corner_run(corners, tops[0], k)[: ell - 1]
             if len(chain) < ell:
                 return
-        if _string_kind(inner, chain[0], chain[-1], k) != ROW:
-            return
-        s = StringOfCells(cells=chain, inner=inner, outer=add_cells(inner, chain), kind=ROW)
-        if r == 1:
-            is_shape = _weakly_decreasing(_col_shape_after_row_string(s, k))
-        else:
+        br, bc = chain[-1]
+        j = _push(chain[0], row_prof[chain[0][0] - 1], heights, k)
+        if not j or _push((bc, br), col_prof[bc - 1], inner, k):
+            return  # not a row string (``classify_string``)
+        outer = list(inner)
+        for i, c in chain:  # no row string adds a row
+            outer[i - 1] = c
+        s = StringOfCells(cells=chain, inner=inner, outer=tuple(outer), kind=ROW)
+        if r > 1:
             if sig is None:  # computed once a second string is tried
-                sig = _string_signature(strings[0], k)
-            if _string_signature(s, k) != sig:
+                sig = _translate_signature(strings[0], row_prof, [*col_shape(lam, k), 0])
+            if _translate_signature(s, row_prof, col_prof) != sig:
                 return
-            is_shape = is_k_shape(s.outer, k)
         strings.append(s)
-        if is_shape:
+        inner = s.outer
+        col_prof[j - 1] -= 1
+        col_prof[bc - 1] += 1
+        for _, c in chain:
+            heights[c - 1] += 1
+        if heights[-1]:
+            heights.append(0)
+            col_prof.append(0)
+        if _weakly_decreasing(col_prof):
             yield Move(
                 orientation=ROW,
                 source=lam,
@@ -338,7 +340,7 @@ def _grow_row_move(
                 rank=r,
                 length=ell,
                 strings=tuple(strings),
-                target=s.outer,
+                target=inner,
             )
 
 
@@ -353,7 +355,7 @@ def enumerate_row_moves(lam: Partition, k: int) -> tuple[Move, ...]:
     seen: dict[frozenset[Cell], Move] = {}
     for start in corners:
         if not _pushed_column(lam, start, k):
-            continue  # no chain from start is a row string (``_string_kind``)
+            continue  # no chain from start is a row string (``classify_string``)
         chain = (start,) + corner_run(corners, start, k)
         for end in range(1, len(chain) + 1):
             for m in _grow_row_move(lam, chain[:end], k):
@@ -400,7 +402,12 @@ def _parse_move(source: Partition, cells: frozenset[Cell], orientation: str, k: 
 
 
 def move_from_cells(source: Partition, cells, orientation: str, k: int) -> Move:
-    return _parse_move(source, frozenset(cells), orientation, k)
+    if orientation not in (ROW, COLUMN):
+        raise ValueError(f"orientation must be {ROW!r} or {COLUMN!r}: {orientation!r}")
+    cells = frozenset(cells)
+    if not cells:
+        raise ValueError("a move adds at least one cell; got no cells")
+    return _parse_move(source, cells, orientation, k)
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,6 +25,14 @@ def test_poset_command(tmp_path, capsys):
     assert '"4,2,1" -> "4,3,2,1" [label="c (1,3)"];' in text
 
 
+def test_poset_unwritable_dot_fails_before_any_output(tmp_path, capsys):
+    dot = tmp_path / "missing" / "x.dot"
+    code, out, err = run(capsys, "poset", "--k", "3", "--size", "3", "--dot", str(dot))
+    assert code == 2
+    assert "poset of" not in out and out == ""
+    assert "error:" in err and not dot.exists()
+
+
 def test_poset_negative_size(capsys):
     code, out, err = run(capsys, "poset", "--k", "2", "--size", "-1")
     assert code == 2

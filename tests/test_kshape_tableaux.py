@@ -39,9 +39,14 @@ def test_cover_status_small():
     assert st.continues_below and not st.continues_above
 
 
+def cell_in(lam, cell) -> bool:
+    i, j = cell
+    return 1 <= i <= len(lam) and 1 <= j <= lam[i - 1]
+
+
 def _brute_status(c, k):
     """Recompute continuation flags by scanning raw cells for corners."""
-    from kshape.partitions import cell_in, diag
+    from kshape.partitions import diag
 
     def is_addable(lam, cell):
         i, j = cell
@@ -275,7 +280,7 @@ def test_boundary_grows_by_one_per_cover():
 def test_grounded_residue_connectivity():
     # in a (k+1)-core, a grounded residue in a row recurs in the connected
     # row below it, with no other diagonal of that residue in between
-    from kshape.partitions import cell_in, diag, residue
+    from kshape.partitions import diag, residue
     from kshape.weak_tableaux import standard_shapes
 
     for k in (2, 3):

@@ -301,11 +301,13 @@ def test_boundary_pushes_give_the_profile_change():
     boundary column of t's row and i the first boundary row of b's
     column.  Entry by entry, the row profile changes by
     [not P_t] e_row(t) - [P_b] e_i and the column profile by
-    [not P_b] e_col(b) - [P_t] e_j.  For a row string, the outer shape is
-    a k-shape iff the row profile of lam and the rank-1 column profile of
-    ``_col_shape_after_row_string`` are weakly decreasing."""
+    [not P_b] e_col(b) - [P_t] e_j.  For a row string, the column profile
+    the grower carries to the outer shape (lam's, less e_j, plus
+    e_col(b)) is that of the outer shape, and the outer shape is a
+    k-shape iff that profile and lam's row profile are weakly decreasing;
+    so when lam's row profile is, the rank-1 grower emits the outer shape
+    exactly when it is a k-shape."""
     from kshape.partitions import col_shape, k_interior
-    from kshape.poset import _col_shape_after_row_string
 
     strings = row_strings = 0
     for k in range(2, 8):
@@ -330,11 +332,15 @@ def test_boundary_pushes_give_the_profile_change():
                 assert (rows, cols) == (drs, dcs), (lam, k, chain)
                 strings += 1
                 if p_t and not p_b:
-                    s = classify_string(lam, outer, k)
-                    after = _col_shape_after_row_string(s, k)
+                    after = [*col_shape(lam, k), 0]
+                    after[_pushed_column(lam, t, k) - 1] -= 1
+                    after[b[1] - 1] += 1
                     assert after == _padded(col_shape(outer, k), len(conj) + 1), (lam, k, chain)
                     rank_one = _weakly_decreasing(row_shape(lam, k)) and _weakly_decreasing(after)
                     assert rank_one == is_k_shape(outer, k), (lam, k, chain)
+                    if _weakly_decreasing(row_shape(lam, k)):
+                        grown = [m.target for m in _grow_row_move(lam, chain, k, max_rank=1)]
+                        assert grown == [outer] * rank_one, (lam, k, chain)
                     row_strings += 1
     assert (strings, row_strings) == (7260, 1322)
 
@@ -368,12 +374,40 @@ def test_move_rank_bound():
                             continue
 
 
+def _string_signature(s, k: int):
+    """Translation-invariant diagram of a string, by a scan of the whole
+    k-boundary of its inner shape; the oracle of ``_translate_signature``.
+
+    Records, relative to the top cell: the added cells, the boundary
+    cells of the inner shape that leave the boundary, and the lengths of
+    the surviving boundary segments in every touched row and column.
+    Two strings are translates exactly when their signatures agree.
+    """
+    from kshape.partitions import k_interior, skew_cells
+
+    top = s.top
+    rel = lambda c: (c[0] - top[0], c[1] - top[1])
+    bullets = tuple(sorted(rel(c) for c in s.cells))
+    outer_int = set(skew_cells(k_interior(s.outer, k), ()))
+    boundary = skew_cells(s.inner, k_interior(s.inner, k))
+    circles = tuple(sorted(rel(c) for c in boundary if c in outer_int))
+    rows = {c[0] for c in s.cells} | {c[0] + top[0] for c in circles}
+    cols = {c[1] for c in s.cells} | {c[1] + top[1] for c in circles}
+    shared = [c for c in boundary if c not in outer_int and (c[0] in rows or c[1] in cols)]
+    row_segs = tuple(
+        sorted((r - top[0], sum(1 for c in shared if c[0] == r)) for r in rows)
+    )
+    col_segs = tuple(
+        sorted((c0 - top[1], sum(1 for c in shared if c[1] == c0)) for c0 in cols)
+    )
+    return bullets, circles, row_segs, col_segs
+
+
 def _oracle_grow_row_move(lam: Partition, s1_cells, k: int) -> Iterator[Move]:
     """``_grow_row_move`` before the boundary-push rule: every string is
-    classified by the sorted-delta oracle, and the shape at every rank
-    goes through ``is_k_shape``."""
-    from kshape.poset import _string_signature
-
+    classified by the sorted-delta oracle, its translate test scans the
+    boundary (``_string_signature``), and the shape at every rank goes
+    through ``is_k_shape``."""
     s1 = _sorted_delta_classify(lam, add_cells(lam, s1_cells), k)
     if s1 is None or s1.kind != ROW:
         return
@@ -472,29 +506,102 @@ def test_boundary_push_tests_are_necessary():
 def test_row_move_first_strings_are_row_strings(monkeypatch):
     """The cost of the row-move enumeration tracks its output: for k=2..5
     and k-boundary at most 10, it calls ``classify_string`` on no string,
-    and every first string it grows is a row string by the sorted-delta
-    oracle."""
+    and every string it builds (1,584, of which 1,136 are first strings,
+    those over the source) is a row string by the sorted-delta oracle."""
     from kshape import poset
 
     shapes = [(k, lam) for k in range(2, 6) for n in range(11) for lam in kshapes_of_size(k, n)]
-    classify, after = poset.classify_string, poset._col_shape_after_row_string
-    classified, grown = [], []
+    classify, make_string = poset.classify_string, poset.StringOfCells
+    classified, built = [], []
 
     def recording_classify(inner, outer, k):
         classified.append((inner, outer, k))
         return classify(inner, outer, k)
 
-    def recording_after(s, k):
-        grown.append((s, k))
-        return after(s, k)
+    def recording_string(**fields):
+        built.append(make_string(**fields))
+        return built[-1]
 
     monkeypatch.setattr(poset, "classify_string", recording_classify)
-    monkeypatch.setattr(poset, "_col_shape_after_row_string", recording_after)
+    monkeypatch.setattr(poset, "StringOfCells", recording_string)
+    grown = []
     for k, lam in shapes:
+        del built[:]
         enumerate_row_moves.__wrapped__(lam, k)  # bypass the memo table
+        grown += [(s, k, s.inner == lam) for s in built]
+    monkeypatch.undo()  # the oracle builds strings too
     assert classified == []
-    assert len(grown) == 1136
-    assert all(_sorted_delta_classify(s.inner, s.outer, k) == s for s, k in grown)
+    assert (len(grown), sum(first for _, _, first in grown)) == (1584, 1136)
+    assert all(_sorted_delta_classify(s.inner, s.outer, k) == s for s, k, _ in grown)
+
+
+def test_translate_signature_matches_boundary_scan(monkeypatch):
+    """Every corner chain of every k-shape of at most 12 cells, k=2..7,
+    grown past the rank bound: at every rank, strings that fail the
+    translate test included, the signature read off the carried profiles
+    equals the boundary scan's, and the carried column profile is that of
+    the string's inner shape."""
+    from kshape import poset
+    from kshape.partitions import col_shape
+
+    read, calls = poset._translate_signature, []
+
+    def recording(s, row_prof, col_prof):
+        calls.append((s, list(col_prof), read(s, row_prof, col_prof)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(poset, "_translate_signature", recording)
+    checked = rejected = 0
+    for k in range(2, 8):
+        for lam in kshapes_by_cells(k, 12):
+            for chain in corner_chains(lam, k):
+                del calls[:]
+                for _ in _grow_row_move(lam, chain, k, max_rank=k + 1):
+                    pass
+                for s, col_prof, sig in calls:
+                    assert sig == _string_signature(s, k), (lam, k, s.cells)
+                    assert col_prof == _padded(col_shape(s.inner, k), len(col_prof)), (lam, k, s.cells)
+                checked += len(calls)
+                rejected += sum(sig != calls[0][2] for _, _, sig in calls[1:])
+    assert (checked, rejected) == (749, 39)
+
+
+def test_row_moves_read_no_table_of_an_intermediate_shape(monkeypatch):
+    """The grower carries the column heights and column profile of the
+    shapes it grows: for k=2..5 and k-boundary at most 10, the row-move
+    enumeration passes ``k_interior``, ``conjugate``, ``row_shape``,
+    ``col_shape`` and ``is_k_shape`` no shape but the source and its
+    conjugate."""
+    from kshape import poset
+
+    shapes = [(k, lam) for k in range(2, 6) for n in range(11) for lam in kshapes_of_size(k, n)]
+    seen = []
+
+    def recording(fn):
+        def wrapper(lam, *rest):
+            seen.append(lam)
+            return fn(lam, *rest)
+
+        return wrapper
+
+    for name in ("k_interior", "conjugate", "row_shape", "col_shape", "is_k_shape"):
+        monkeypatch.setattr(poset, name, recording(getattr(poset, name)))
+    calls = moves = 0
+    for k, lam in shapes:
+        del seen[:]
+        moves += len(enumerate_row_moves.__wrapped__(lam, k))  # bypass the memo table
+        assert set(seen) <= {lam, conjugate(lam)}, (lam, k, set(seen) - {lam, conjugate(lam)})
+        calls += len(seen)
+    assert moves > 0 and calls > 0
+
+
+def test_move_from_cells_rejects_bad_input():
+    for orientation in ("diag", "Row", ""):
+        with pytest.raises(ValueError, match="orientation must be"):
+            move_from_cells((2, 1), [(1, 3)], orientation, 2)
+    for cells in ([], frozenset(), ()):
+        with pytest.raises(ValueError, match="no cells"):
+            move_from_cells((2, 1), cells, ROW, 2)
 
 
 def test_move_from_cells_round_trip():

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 
@@ -309,6 +310,44 @@ def test_bijection_is_injective_small():
                     key = (res.target_chain, cls.representative)
                     assert key not in images
                     images.add(key)
+
+
+_TRANSPOSED_KIND = {"max-below": "max-above", "max-above": "max-below"}
+_TRANSPOSED_KIND.update(
+    {f"{a}-{x}": f"{b}-{x}" for x in ("I", "II", "III", "IV") for a, b in (("row", "col"), ("col", "row"))}
+)
+
+
+def test_weak_bijection_commutes_with_transposition():
+    """Every standard k-tableau t with 2 <= k <= n <= 8, and t' the
+    tableau of its conjugated chain: the image of t' is the conjugate
+    chain, its path charge and cocharge are those of t swapped, and its
+    squares are those of t with row and column, max-below and max-above
+    swapped, as multisets (in 68 tableaux the order differs).  So the
+    exhaustive row and column square counts agree tableau by tableau."""
+    kinds, tableaux, reordered = Counter(), 0, 0
+    for n in range(2, 9):
+        for k in range(2, n + 1):
+            for lam in standard_shapes(k, n):
+                for t in enumerate_standard_k_tableaux(lam, k):
+                    flipped = WeakTableau(k=k, chain=tuple(map(conjugate, t.chain)), weight=t.weight)
+                    res, res_t = weak_bijection_standard(t), weak_bijection_standard(flipped)
+                    assert res_t.target_chain == tuple(map(conjugate, res.target_chain)), t.chain
+                    assert (res_t.path.charge(), res_t.path.cocharge()) == (
+                        res.path.cocharge(),
+                        res.path.charge(),
+                    ), t.chain
+                    moved = [_TRANSPOSED_KIND[sq.kind] for sq in res.squares]
+                    seen = [sq.kind for sq in res_t.squares]
+                    assert Counter(moved) == Counter(seen), t.chain
+                    reordered += moved != seen
+                    kinds.update(sq.kind for sq in res.squares)
+                    tableaux += 1
+    assert (tableaux, reordered) == (3754, 68)
+    assert kinds == {
+        "row-I": 447, "row-II": 228, "row-III": 1133, "row-IV": 33, "max-below": 2273,
+        "col-I": 447, "col-II": 228, "col-III": 1133, "col-IV": 33, "max-above": 2273,
+    }
 
 
 def test_full_descent_small():
