@@ -12,8 +12,9 @@ sets the sweep worker count.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, suppress
 
 from .errors import IntegrityError
 from .partitions import format_partition, parse_partition
@@ -42,9 +43,30 @@ def _read_tableau_text(source: str) -> str:
         return fh.read()
 
 
+@contextmanager
+def _output_file(path: str | None):
+    """A text file that replaces ``path`` only when the block completes.
+
+    It is written as a temporary file beside ``path`` and renamed over it
+    at the end, so a run that raises leaves an existing file as it was.
+    The temporary file is opened on entry, so a path that cannot be
+    written fails before any output.  No path gives None.
+    """
+    if not path:
+        yield None
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def _cmd_poset(args) -> int:
-    # open the DOT file first, so a path that cannot be written fails before any output
-    with open(args.dot, "w", encoding="utf-8") if args.dot else nullcontext() as fh:
+    with _output_file(args.dot) as fh:
         poset = build_poset(args.k, args.size)
         print(f"poset of {args.k}-shapes, boundary size {args.size}")
         print(f"vertices: {len(poset.vertices)}  edges: {poset.edge_count}")
@@ -57,7 +79,8 @@ def _cmd_poset(args) -> int:
                 )
         if args.dot:
             fh.write(poset.to_dot() + "\n")
-            print(f"dot written to {args.dot}")
+    if args.dot:
+        print(f"dot written to {args.dot}")
     return 0
 
 
@@ -140,8 +163,7 @@ def _cmd_verify(args) -> int:
         resolve_params(name, **params)  # reject bad input before any sweep runs
     failed = False
     reports = []
-    # open the report first, so a path that cannot be written fails before any sweep
-    with open(args.report, "w", encoding="utf-8") if args.report else nullcontext() as fh:
+    with _output_file(args.report) as fh:
         for name, params in runs:
             report = run_check(name, **params)
             reports.append(report)
@@ -152,7 +174,8 @@ def _cmd_verify(args) -> int:
                 failed = True
         if args.report:
             fh.write("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n")
-            print(f"report written to {args.report}")
+    if args.report:
+        print(f"report written to {args.report}")
     return 1 if failed else 0
 
 

@@ -23,6 +23,7 @@ from .partitions import (
     add_cells,
     addable_corners,
     format_partition,
+    partition,
     union_shape,
 )
 from .poset import (
@@ -263,22 +264,26 @@ def _letter_step(
     Its cover is pushed through the path so far (the memoized strip).  The
     input step must be a standard step at k with a reverse-maximal cover;
     the output cover must chain onto the target, be maximal, and be a
-    standard step at k-1.  A step that raises stores nothing.
+    standard step at k-1.  A step that raises stores nothing.  Its
+    messages do not name k, which may be a level shared below the
+    tableau's own; ``weak_bijection_standard`` adds k and the step.
     """
     shape = () if prev is None else prev.outer
     target = () if prev is None else prev_out.outer
+    if partition(outer) != outer:  # partition() raises for a part below 1 or a rise
+        raise ValueError(f"{outer} is not a partition")
     if not is_standard_step(shape, outer, k):
-        raise ValueError(f"{outer}/{shape} is not a standard weak strip at k={k}")
+        raise ValueError("not a standard weak strip")
     c = make_cover(shape, outer, k)
     if not cover_status(c, k).reverse_maximal:
-        raise IntegrityError(f"standard tableau step {outer}/{shape} is not reverse-maximal")
+        raise IntegrityError("standard tableau step is not reverse-maximal")
     c_out, path, strip = push_cover_through_path(c, path, k)
     if c_out.inner != target:
         raise IntegrityError("output covers do not chain")
     if not cover_status(c_out, k).maximal:
         raise IntegrityError("output chain is not a maximal-cover chain")
     if not is_standard_step(target, c_out.outer, k - 1):
-        raise IntegrityError(f"output step {c_out.outer}/{target} is not standard at k={k - 1}")
+        raise IntegrityError(f"output step {c_out.outer}/{target} is not standard one level down")
     if prev is None:  # letter 1 adds nothing to either statistic
         return _Step(c, c_out, path, strip, (0, 0, 0, 0))
     terms = (
@@ -300,6 +305,24 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
     ``kshape_tableaux._letter_statistic``; likewise for cocharge and for
     the target.  Additivity across the square diagram is asserted on
     these sums.
+
+    Each letter's step is looked up at the level min(k, λ₁ + ℓ) of the
+    shape μ after it.  Suppose λ₁(μ) + ℓ(μ) ≤ k.  Then every hook of μ,
+    and of every shape inside μ, is at most k - 1, so both the k- and
+    the (k-1)-boundary are the whole shape, every such shape is a k-core
+    and a (k+1)-core, no cell has hook k (nothing is pushed, and no row
+    or column string or move exists), and all rows are k-connected.  The
+    addable corners of the previous shape are at most λ₁ + ℓ apart, and
+    that distance needs two corners outside μ, so no corner lies at
+    distance k or k + 1 from the letter's cell and every cover is
+    maximal and reverse-maximal.  The step is therefore the same for
+    every larger k: the same covers, no moves, the same squares and four
+    terms.  Shapes only grow, so these letters form a prefix of the
+    chain and the path before them has no moves.  A shared step ran each
+    of its checks at its own level, where each gives the verdict it
+    gives at k.  The bound is tight: at λ₁ + ℓ - 1 the (k-1)-boundary
+    loses the corner hook.  The result, and every error, names the
+    tableau's own k.
     """
     if not t.is_standard():
         raise ValueError("the weak bijection requires a standard tableau")
@@ -311,8 +334,15 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
     prev = prev_out = None
     path = _EMPTY_PATH
     steps = []
-    for outer in t.chain[1:]:
-        step = _letter_step(prev, prev_out, path, outer, k)
+    for n, outer in enumerate(t.chain[1:], start=1):
+        # () has no bound; a shape that is not a partition gets some
+        # level and is rejected by the step's first check
+        level = min(k, outer[0] + len(outer)) if outer else k
+        try:
+            step = _letter_step(prev, prev_out, path, outer, level)
+        except (ValueError, IntegrityError) as exc:
+            shape = () if prev is None else prev.outer
+            raise type(exc)(f"letter {n}, {outer}/{shape} at k={k}: {exc}") from exc
         steps.append(step)
         prev, prev_out, path = step[:3]
     # one column of terms per statistic; the leading zeros give a chain

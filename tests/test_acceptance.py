@@ -3,9 +3,32 @@ line.  The conjecture sweeps report findings without failing the suite.
 """
 import time
 
-from kshape.verify import run_check
+from kshape.verify import CHECKS, run_check
 
 TIME_BUDGET_THEOREM_SWEEP = 300.0  # seconds
+
+# instances each check runs at its default parameters, in the order
+# ``kshape verify --check all`` prints them; a sweep that drops or adds
+# items changes its count
+DEFAULT_INSTANCES = {
+    "kshape-fixture": 6,
+    "poset-fixture": 3,
+    "paths-fixture": 3,
+    "charge-fixture": 4,
+    "word-charge-fixture": 1,
+    "theorem-additivity": 1024,
+    "descent-classical": 119,
+    "charge-cocharge-duality": 319,
+    "charge-k-stability": 291,
+    "cover-characterization": 321,
+    "classical-agreement": 390,
+    "bijection-counting": 86,
+    "bijection-injectivity": 1024,
+    "t1-branching": 39,
+    "sigma-involution": 3978,
+    "generic-t-branching": 28,
+    "sigma-bijection-commutation": 46,
+}
 
 
 def _report(name, **params):
@@ -112,3 +135,11 @@ def test_criterion_8_conjecture_reports(capsys):
             report = _report(name, **params)
             assert report.conjecture
             assert report.instances > 0
+
+
+def test_default_instance_counts():
+    assert list(DEFAULT_INSTANCES) == list(CHECKS)
+    for name, want in DEFAULT_INSTANCES.items():
+        report = run_check(name)
+        assert report.instances == want, (name, report.instances)
+        assert report.passed or report.conjecture, (name, report.failures[:5])

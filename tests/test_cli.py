@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from kshape import cli
 from kshape.cli import main
 
 
@@ -31,6 +32,19 @@ def test_poset_unwritable_dot_fails_before_any_output(tmp_path, capsys):
     assert code == 2
     assert "poset of" not in out and out == ""
     assert "error:" in err and not dot.exists()
+
+
+def test_poset_failed_run_keeps_an_existing_dot_file(tmp_path, capsys):
+    dot = tmp_path / "existing.dot"
+    dot.write_text("keep\n")
+    code, out, err = run(capsys, "poset", "--k", "1", "--size", "3", "--dot", str(dot))
+    assert code == 2 and out == "" and "error:" in err
+    assert dot.read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [dot]  # no temporary file is left
+    code, out, _ = run(capsys, "poset", "--k", "2", "--size", "4", "--dot", str(dot))
+    assert code == 0 and f"dot written to {dot}" in out
+    assert dot.read_text().startswith("digraph")
+    assert list(tmp_path.iterdir()) == [dot]
 
 
 def test_poset_negative_size(capsys):
@@ -165,6 +179,28 @@ def test_verify_unwritable_report_fails_before_any_sweep(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err and not report.exists()
+
+
+def test_verify_failed_run_keeps_an_existing_report(tmp_path, capsys, monkeypatch):
+    """A check that raises after another has run exits 2 and leaves the
+    report file as it was."""
+    report = tmp_path / "r.json"
+    report.write_text("keep\n")
+    real = cli.run_check
+    calls = []
+
+    def raise_on_second(name, **params):
+        calls.append(name)
+        if len(calls) == 2:
+            raise ValueError("a check raised mid-run")
+        return real(name, **params)
+
+    monkeypatch.setattr(cli, "run_check", raise_on_second)
+    code, out, err = run(capsys, "verify", "--check", "gating", "--report", str(report))
+    assert code == 2 and "a check raised mid-run" in err
+    assert "PASS kshape-fixture" in out and "report written" not in out
+    assert report.read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [report]
 
 
 def test_verify_unknown_check(capsys):

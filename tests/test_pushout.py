@@ -608,6 +608,98 @@ def test_directly_built_non_strip_raises(chain, warm):
 
 
 @pytest.mark.parametrize(
+    "chain",
+    [
+        ((), (1, 2)),  # increasing parts
+        ((), (0, 1)),  # a zero part
+        ((), (-1,)),  # a negative part
+        ((), ()),  # a letter that adds no cell
+        ((), (1,), (1,)),  # a valid letter, then one that adds no cell, keyed at level 2
+    ],
+)
+@pytest.mark.parametrize("warm", [False, True])
+def test_malformed_step_raises_value_error_naming_the_tableau(chain, warm):
+    """A step shape that is not a partition, or adds nothing, raises
+    ValueError on every call, warm or cold, stores nothing, and names the
+    bad step and the tableau's k, not the level its step is keyed by."""
+    t = WeakTableau(k=3, chain=chain, weight=(1,) * (len(chain) - 1))
+    for table in PUSHOUT_TABLES:
+        table.cache_clear()
+    if warm:  # stores the step of (1,), at level 2
+        for ch in (((), (1,), (2,)), ((), (1,), (1, 1))):
+            weak_bijection_standard(WeakTableau(k=3, chain=ch, weight=(1, 1)))
+    where = f"letter {len(chain) - 1}, {chain[-1]}/{chain[-2]} at k=3: "
+    size = _letter_step.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError) as err:
+            weak_bijection_standard(t)
+        assert str(err.value).startswith(where) and "k=2" not in str(err.value)
+    assert _letter_step.cache_info().currsize == size + (not warm and len(chain) == 3)
+
+
+def _hook_bound_inputs():
+    """Every level of the full descent of every standard Young tableau
+    with n <= 8, and every standard k-tableau with 2 <= k <= n + 2, n <= 8."""
+    levels = [
+        lv.source
+        for n in range(1, 9)
+        for lam in partitions_of(n)
+        for ch in standard_young_tableaux(lam)
+        for lv in full_descent(ch).levels
+    ]
+    return levels + [
+        t
+        for n in range(1, 9)
+        for k in range(2, n + 3)
+        for lam in standard_shapes(k, n)
+        for t in enumerate_standard_k_tableaux(lam, k)
+    ]
+
+
+def _raw_steps(t):
+    """The fold of the unmemoized step at the tableau's own k: each
+    letter's arguments, without k, and its step."""
+    prev = prev_out = None
+    path = Path(start=())
+    for outer in t.chain[1:]:
+        step = _letter_step.__wrapped__(prev, prev_out, path, outer, t.k)
+        yield (prev, prev_out, path, outer), step
+        prev, prev_out, path = step[:3]
+
+
+def test_letter_steps_are_keyed_exactly_at_the_hook_bound():
+    """The step table holds each letter's step at min(k, λ₁ + ℓ) of its
+    shape and nothing else, and that step equals, field for field, the
+    unmemoized step at the tableau's k.  At λ₁ + ℓ - 1 every step (from
+    level 2 up) changes or raises, so the bound is tight."""
+    tableaux = _hook_bound_inputs()
+    assert len(tableaux) == 13248
+    _letter_step.cache_clear()
+    keys = set()
+    lower = []
+    for t in tableaux:
+        k = t.k
+        res = weak_bijection_standard(t)
+        raw = list(_raw_steps(t))
+        assert res.k == k
+        assert res.target_chain == ((),) + tuple(step.cover_out.outer for _, step in raw)
+        assert res.path == raw[-1][1].path
+        assert res.squares == tuple(sq for _, step in raw for sq in step.strip)
+        for args, step in raw:
+            bound = args[-1][0] + len(args[-1])
+            keys.add((*args, min(k, bound)))
+            assert _letter_step(*args, min(k, bound)) == step
+            if 2 <= bound - 1 < k:
+                try:
+                    lower.append(_letter_step.__wrapped__(*args, bound - 1) != step)
+                except (ValueError, IntegrityError):
+                    lower.append(True)
+    # every lookup above hit an entry that the bijection stored
+    assert _letter_step.cache_info().currsize == len(keys) == 895
+    assert len(lower) == 56980 and all(lower)
+
+
+@pytest.mark.parametrize(
     "entry",
     [
         lambda ch: make_weak_tableau(2, ch),
