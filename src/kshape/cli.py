@@ -28,7 +28,6 @@ from .pushout import descend, weak_bijection_standard
 from .verify import CHECKS, resolve_params, run_check
 from .weak_tableaux import (
     charge_any_weight,
-    charge_dominant_semistandard,
     charge_standard,
     cocharge_standard,
     parse_tableau_text,
@@ -110,15 +109,7 @@ def _cmd_charge(args) -> int:
         print(value)
         return 0
     t = parse_tableau_text(args.k, text)
-    if args.cocharge:
-        print(cocharge_standard(t))
-        return 0
-    if t.is_standard():
-        print(charge_standard(t))
-    elif all(t.weight[i] >= t.weight[i + 1] for i in range(len(t.weight) - 1)):
-        print(charge_dominant_semistandard(t))
-    else:
-        print(charge_any_weight(t))
+    print(cocharge_standard(t) if args.cocharge else charge_any_weight(t))
     return 0
 
 

@@ -335,14 +335,16 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
     path = _EMPTY_PATH
     steps = []
     for n, outer in enumerate(t.chain[1:], start=1):
-        # () has no bound; a shape that is not a partition gets some
-        # level and is rejected by the step's first check
-        level = min(k, outer[0] + len(outer)) if outer else k
         try:
+            # () has no bound; a shape that is not a partition gets some
+            # level and is rejected by the step's first check, or fails
+            # the sum here with TypeError, reported as bad input
+            level = min(k, outer[0] + len(outer)) if outer else k
             step = _letter_step(prev, prev_out, path, outer, level)
-        except (ValueError, IntegrityError) as exc:
+        except (TypeError, ValueError, IntegrityError) as exc:
             shape = () if prev is None else prev.outer
-            raise type(exc)(f"letter {n}, {outer}/{shape} at k={k}: {exc}") from exc
+            kind = ValueError if isinstance(exc, TypeError) else type(exc)
+            raise kind(f"letter {n}, {outer}/{shape} at k={k}: {exc}") from exc
         steps.append(step)
         prev, prev_out, path = step[:3]
     # one column of terms per statistic; the leading zeros give a chain

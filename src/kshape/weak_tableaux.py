@@ -468,55 +468,30 @@ def word_charges(t: WeakTableau) -> tuple[int, ...]:
 # the elementary weight-swapping involution
 
 
-def _strip_with_residues(
-    nu: Partition, bound: Partition, k: int, size: int, residues: frozenset[int]
-) -> Partition:
-    """s_A nu for the residue set A: the unique weak strip over nu of the
-    given size whose cells occupy exactly those residues, inside bound."""
-    if all(r in residues for r in range(k + 1)):
-        raise IntegrityError(f"a weak strip leaves out some residue: {sorted(residues)}")
-    xi = _strips_over(nu, k).get(residues) if is_p_core(nu, k + 1) else None
-    if xi is None:
-        raise IntegrityError(f"no weak strip over {nu} has residues {sorted(residues)} at k={k}")
-    if boundary_size(xi, k) - boundary_size(nu, k) != size or not contains(bound, xi):
-        raise IntegrityError(
-            f"strip {xi} over {nu} at residues {sorted(residues)} does not have"
-            f" size {size} inside {bound}"
-        )
-    return xi
+@lru_cache(maxsize=None)
+def _sigma_window(inner: Partition, mid: Partition, outer: Partition, k: int) -> Partition:
+    """The new middle core of sigma_i on the window chain[i-1..i+1]: the
+    cores inner < mid < outer below, between and above letters i and i+1.
 
+    sigma_i reads only these three cores and k, and it changes only
+    chain[i]: letter i fills mid/inner, letter i+1 fills outer/mid, and
+    the new middle core is s_A inner for the residue set A found below.
+    So one window gives one middle core wherever it occurs in a chain.
 
-def sigma_involution(t: WeakTableau, i: int) -> WeakTableau:
-    """Swap the multiplicities of letters i and i+1.
-
-    The input chain is validated as ``make_weak_tableau`` validates one,
-    and its weight must be the boundary growth (ValueError otherwise);
-    then ``_sigma_step`` swaps the letters.
+    Occurrences of i+1 whose residue class has some cell with no i
+    directly below are kept in place, the others are shifted one residue
+    up.  After sorting by residue (shifted i+1 before i at equal residue)
+    and pairing each i with the nearest unpaired i+1 before it, the
+    unpaired block a^r b^s becomes a^s b^r on the same residue slots.
+    The new core must be a weak strip below outer, and the two boundary
+    growths must swap.
     """
-    if _chain_weight(t.k, t.chain) != t.weight:
-        raise ValueError(f"weight {t.weight} is not the boundary growth of {t.chain}")
-    return _sigma_step(t, i)
-
-
-def _sigma_step(t: WeakTableau, i: int) -> WeakTableau:
-    """``sigma_involution`` on a tableau whose chain is already valid.
-
-    Letters of i and i+1 are listed by residue; occurrences of i+1 whose
-    residue class has some cell with no i directly below are kept in
-    place, the others are shifted one residue up.  After sorting by
-    residue (shifted i+1 before i at equal residue) and pairing each i
-    with the nearest unpaired i+1 before it, the unpaired block a^r b^s
-    becomes a^s b^r on the same residue slots.  Of the output, only the
-    rebuilt letter's two steps are checked.
-    """
-    if not 1 <= i < t.letters:
-        raise ValueError(f"index {i} out of range 1..{t.letters - 1}")
-    k, m = t.k, t.k + 1
-    a_cells = t.cells_of_letter(i)
+    m = k + 1
+    a_cells = skew_cells(mid, inner)
     b_classes: dict[int, list[Cell]] = {}
-    for c in t.cells_of_letter(i + 1):
+    for c in skew_cells(outer, mid):
         b_classes.setdefault(residue(c, k), []).append(c)
-    a_residues = sorted({residue(c, k) for c in a_cells})
+    a_residues = _residues_of(a_cells, k)
     a_set = set(a_cells)
 
     relabeled: list[int] = []
@@ -541,24 +516,40 @@ def _sigma_step(t: WeakTableau, i: int) -> WeakTableau:
             paired_a.append(r)
         else:
             unpaired_a.append(r)
-    new_a = (unpaired_a + open_b)[: len(open_b)]
-    new_a_residues = frozenset(paired_a + new_a)
-    if len(new_a_residues) != len(relabeled):
-        raise IntegrityError("residues of the swapped letter collide")
+    new_a = frozenset(paired_a + (unpaired_a + open_b)[: len(open_b)])
 
-    chain = list(t.chain)
-    xi = _strip_with_residues(
-        chain[i - 1], chain[i + 1], k, len(new_a_residues), new_a_residues
-    )
-    chain[i] = xi
-    if not is_weak_strip(xi, chain[i + 1], k):
-        raise IntegrityError("rebuilt chain step is not a weak strip")
-    want = list(t.weight)
-    want[i - 1], want[i] = want[i], want[i - 1]
-    sizes = [boundary_size(nu, k) for nu in chain[i - 1 : i + 2]]
-    if (sizes[1] - sizes[0], sizes[2] - sizes[1]) != (want[i - 1], want[i]):
-        raise IntegrityError(f"after the swap, letters {i}, {i + 1} do not fit {tuple(want)}")
-    return WeakTableau(k=k, chain=tuple(chain), weight=tuple(want))
+    xi = _strips_over(inner, k).get(new_a)
+    if xi is None or not is_weak_strip(xi, outer, k):
+        raise IntegrityError(
+            f"no weak strip over {inner} at residues {sorted(new_a)} lies below {outer}"
+        )
+    b_inner, b_mid, b_xi, b_outer = (boundary_size(nu, k) for nu in (inner, mid, xi, outer))
+    if b_xi - b_inner != b_outer - b_mid:
+        raise IntegrityError(f"s_A at residues {sorted(new_a)} does not swap the two letters")
+    return xi
+
+
+def sigma_involution(t: WeakTableau, i: int) -> WeakTableau:
+    """Swap the multiplicities of letters i and i+1.
+
+    The input chain is validated as ``make_weak_tableau`` validates one,
+    and its weight must be the boundary growth (ValueError otherwise);
+    then ``_sigma_step`` swaps the letters.
+    """
+    if _chain_weight(t.k, t.chain) != t.weight:
+        raise ValueError(f"weight {t.weight} is not the boundary growth of {t.chain}")
+    return _sigma_step(t, i)
+
+
+def _sigma_step(t: WeakTableau, i: int) -> WeakTableau:
+    """``sigma_involution`` on a tableau whose chain is already valid:
+    chain[i] becomes the ``_sigma_window`` core and weights i, i+1 swap."""
+    if not 1 <= i < t.letters:
+        raise ValueError(f"index {i} out of range 1..{t.letters - 1}")
+    chain, weight = list(t.chain), list(t.weight)
+    chain[i] = _sigma_window(*t.chain[i - 1 : i + 2], t.k)
+    weight[i - 1], weight[i] = weight[i], weight[i - 1]
+    return WeakTableau(k=t.k, chain=tuple(chain), weight=tuple(weight))
 
 
 def sort_to_dominant(t: WeakTableau) -> WeakTableau:

@@ -27,7 +27,6 @@ DEFAULT_INSTANCES = {
     "t1-branching": 39,
     "sigma-involution": 3978,
     "generic-t-branching": 28,
-    "sigma-bijection-commutation": 46,
 }
 
 
@@ -130,7 +129,6 @@ def test_criterion_8_conjecture_reports(capsys):
         for name, params in (
             ("sigma-involution", dict(n_max=5, k_max=3)),
             ("generic-t-branching", dict(n_max=5, k_max=3)),
-            ("sigma-bijection-commutation", dict(n_max=4, k_max=3)),
         ):
             report = _report(name, **params)
             assert report.conjecture

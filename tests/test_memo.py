@@ -38,6 +38,7 @@ from kshape.pushout import (
     weak_bijection_standard,
 )
 from kshape.weak_tableaux import (
+    _sigma_window,
     _strips_over,
     count_standard_k_tableaux,
     enumerate_standard_k_tableaux,
@@ -236,6 +237,7 @@ BAD_CALLS = [
     (_parse_move, ((3, 1, 1), frozenset({(5, 2)}), ROW, 2), IntegrityError),  # not addable
     (_parse_move, ((2, 2, 1), frozenset({(1, 3)}), ROW, 2), IntegrityError),  # not a 2-shape
     (kostka_k, ((2, 1), (2, 1), 2), ValueError),  # (2,1) is not a 3-core
+    (_sigma_window, ((2, 1), (2, 1), (2, 1), 2), ValueError),  # (2,1) is not a 3-core
 ]
 
 

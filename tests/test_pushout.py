@@ -615,6 +615,7 @@ def test_directly_built_non_strip_raises(chain, warm):
         ((), (-1,)),  # a negative part
         ((), ()),  # a letter that adds no cell
         ((), (1,), (1,)),  # a valid letter, then one that adds no cell, keyed at level 2
+        ((), ("a",)),  # a part that is not a number, met first by the level key
     ],
 )
 @pytest.mark.parametrize("warm", [False, True])

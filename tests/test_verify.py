@@ -28,7 +28,7 @@ GATING = {
     "t1-branching",
 }
 
-CONJECTURE = {"sigma-involution", "generic-t-branching", "sigma-bijection-commutation"}
+CONJECTURE = {"sigma-involution", "generic-t-branching"}
 
 # every check in run order, with the parameters it takes and their defaults
 DEFAULTS = {
@@ -48,7 +48,6 @@ DEFAULTS = {
     "t1-branching": {"n_max": 6, "k_max": 3},
     "sigma-involution": {"n_max": 5, "k_max": 3},
     "generic-t-branching": {"n_max": 5, "k_max": 3},
-    "sigma-bijection-commutation": {"n_max": 4, "k_max": 3},
 }
 
 
@@ -98,7 +97,7 @@ def test_given_parameters_override_defaults():
     assert report.params == {"n_max": 2, "k_max": 2}
     assert report.passed and report.instances > 0
     assert run_check("paths-fixture").params == {}
-    conjecture = run_check("sigma-bijection-commutation", n_max=2, k_max=2)
+    conjecture = run_check("generic-t-branching", n_max=2, k_max=2)
     assert conjecture.conjecture and conjecture.instances > 0
 
 

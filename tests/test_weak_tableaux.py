@@ -28,7 +28,8 @@ from kshape.weak_tableaux import (
     WeakTableau,
     _extract_words,
     _residues_of,
-    _strip_with_residues,
+    _sigma_step,
+    _sigma_window,
     _strips_over,
     chain_of_filling,
     charge_any_weight,
@@ -431,9 +432,10 @@ def test_standard_predecessors_are_cores_and_invert_successors():
 def test_weak_successors_and_residue_strips_match_box_scan():
     triples = strips = 0
     for k in range(2, 6):
+        # every residue set, the full one included: it is never a strip
         subsets = [
             frozenset(a)
-            for m in range(0, k + 1)
+            for m in range(0, k + 2)
             for a in itertools.combinations(range(k + 1), m)
         ]
         for n in range(0, 9):
@@ -442,19 +444,15 @@ def test_weak_successors_and_residue_strips_match_box_scan():
                     scanned = box_scan_weak_successors(nu, bound, k)
                     assert weak_successors(nu, bound, k) == scanned
                     triples += 1
+                    table = _strips_over(nu, k)
                     for a in subsets:
                         found = strips_by_filtering(nu, scanned, k, len(a), a)
-                        assert len(found) <= 1
-                        if found:
-                            assert _strip_with_residues(nu, bound, k, len(a), a) == found[0]
-                            strips += 1
-                        else:
-                            with pytest.raises(IntegrityError):
-                                _strip_with_residues(nu, bound, k, len(a), a)
+                        xi = table.get(a)
+                        assert found == ([xi] if xi is not None and contains(bound, xi) else [])
+                        strips += len(found)
     assert triples == 2414
     assert strips > triples
-    with pytest.raises(IntegrityError, match="leaves out some residue"):
-        _strip_with_residues((), (3, 1), 2, 3, frozenset({0, 1, 2}))
+    assert _strips_over((), 2).get(frozenset({0, 1, 2})) is None
 
 
 def mirrored_cocharge(t):
@@ -568,6 +566,80 @@ def test_sigma_stack_pass_matches_cancellation_loop():
                             assert frozenset(_residues_of(u.cells_of_letter(i), k)) == want
                             seen += 1
     assert seen == 5406
+
+
+def tableau_sigma_step(t, i):
+    """The tableau-level sigma step that ``_sigma_window`` replaced: read
+    both letters' cells off the whole tableau, pair their residues, look
+    the strip up and check its size, containment and the swapped weight."""
+    if not 1 <= i < t.letters:
+        raise ValueError(f"index {i} out of range 1..{t.letters - 1}")
+    k, m = t.k, t.k + 1
+    a_cells = t.cells_of_letter(i)
+    b_classes = {}
+    for c in t.cells_of_letter(i + 1):
+        b_classes.setdefault(residue(c, k), []).append(c)
+    a_residues = sorted({residue(c, k) for c in a_cells})
+    a_set = set(a_cells)
+    relabeled = []
+    for r, cls in sorted(b_classes.items()):
+        on_floor = any((c[0] - 1, c[1]) not in a_set for c in cls)
+        relabeled.append(r if on_floor else (r + 1) % m)
+    if len(set(relabeled)) != len(relabeled):
+        raise IntegrityError("relabeled residues of the upper letter collide")
+    items = sorted([(r, 1) for r in a_residues] + [(r, 0) for r in relabeled])
+    open_b, unpaired_a, paired_a = [], [], []
+    for r, typ in items:
+        if typ == 0:
+            open_b.append(r)
+        elif open_b:
+            open_b.pop()
+            paired_a.append(r)
+        else:
+            unpaired_a.append(r)
+    new_a = (unpaired_a + open_b)[: len(open_b)]
+    residues = frozenset(paired_a + new_a)
+    if len(residues) != len(relabeled):
+        raise IntegrityError("residues of the swapped letter collide")
+    chain = list(t.chain)
+    nu, bound = chain[i - 1], chain[i + 1]
+    xi = _strips_over(nu, k).get(residues)
+    if xi is None:
+        raise IntegrityError(f"no weak strip over {nu} has residues {sorted(residues)}")
+    if boundary_size(xi, k) - boundary_size(nu, k) != len(residues) or not contains(bound, xi):
+        raise IntegrityError(f"strip {xi} over {nu} does not fit inside {bound}")
+    chain[i] = xi
+    if not is_weak_strip(xi, chain[i + 1], k):
+        raise IntegrityError("rebuilt chain step is not a weak strip")
+    want = list(t.weight)
+    want[i - 1], want[i] = want[i], want[i - 1]
+    sizes = [boundary_size(nu, k) for nu in chain[i - 1 : i + 2]]
+    if (sizes[1] - sizes[0], sizes[2] - sizes[1]) != (want[i - 1], want[i]):
+        raise IntegrityError(f"after the swap, letters {i}, {i + 1} do not fit {tuple(want)}")
+    return WeakTableau(k=k, chain=tuple(chain), weight=tuple(want))
+
+
+def test_sigma_window_matches_tableau_step_over_the_sweep():
+    """Over every (t, i) of the ``sigma-involution`` sweep at n <= 6,
+    k <= 3, the window splice gives the chain and weight of the
+    tableau-level step; those steps meet 322 distinct windows."""
+    _sigma_window.cache_clear()
+    steps = 0
+    for k in (2, 3):
+        for n in range(1, 7):
+            for lam in standard_shapes(k, n):
+                for letters in range(1, n + 1):
+                    for w in itertools.product(range(k + 1), repeat=letters):
+                        if sum(w) != n:
+                            continue
+                        for t in enumerate_weak_tableaux(lam, k, w):
+                            for i in range(1, t.letters):
+                                u = _sigma_step(t, i)
+                                want = tableau_sigma_step(t, i)
+                                assert (u.chain, u.weight) == (want.chain, want.weight)
+                                steps += 1
+    assert steps == 14093
+    assert _sigma_window.cache_info().currsize == 322
 
 
 # ---------------------------------------------------------------------------
