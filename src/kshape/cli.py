@@ -135,7 +135,7 @@ def _cmd_bijection(args) -> int:
 def _cmd_verify(args) -> int:
     given = {
         p: getattr(args, p)
-        for p in ("n_max", "k_max", "size_max")
+        for p in ("n_max", "k_max")
         if getattr(args, p) is not None
     }
     if args.check in ("gating", "all"):
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--size-max", type=int, default=None)
     p.add_argument("--report", metavar="FILE.json")
     p.set_defaults(fn=_cmd_verify)
 

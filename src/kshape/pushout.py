@@ -56,7 +56,7 @@ class PushoutSquare:
 
 
 @lru_cache(maxsize=None)
-def maximize_below(c: StringOfCells, k: int) -> tuple[StringOfCells, Move]:
+def maximize_below(c: StringOfCells, k: int) -> PushoutSquare:
     """Extend a cover by the longest corner run below its bottom cell.
 
     The added cells form a row move along the bottom of the square.
@@ -65,19 +65,17 @@ def maximize_below(c: StringOfCells, k: int) -> tuple[StringOfCells, Move]:
     if not cells:
         raise ValueError("cover cannot be continued below")
     move = move_from_cells(c.outer, cells, ROW, k)
-    grown = make_cover(c.inner, move.target, k)
-    return grown, move
+    return PushoutSquare("max-below", c, make_cover(c.inner, move.target, k), None, move)
 
 
 @lru_cache(maxsize=None)
-def maximize_above(c: StringOfCells, k: int) -> tuple[StringOfCells, Move]:
+def maximize_above(c: StringOfCells, k: int) -> PushoutSquare:
     """Extend a cover by the longest corner run above its top cell."""
     cells = corner_run(addable_corners(c.inner), c.top, k, down=False)
     if not cells:
         raise ValueError("cover cannot be continued above")
     move = move_from_cells(c.outer, cells, COLUMN, k)
-    grown = make_cover(c.inner, move.target, k)
-    return grown, move
+    return PushoutSquare("max-above", c, make_cover(c.inner, move.target, k), None, move)
 
 
 def _split_at_intersection(c: StringOfCells, inter: frozenset[Cell]):
@@ -109,46 +107,36 @@ def maximal_pushout(c: StringOfCells, m: Move, k: int) -> PushoutSquare:
     inter = cells_c & m.cells
     row = m.orientation == ROW
     union = union_shape(mu, nu)
-
+    # the orientations differ only in data: type II shifts the completion
+    # by (dr, dc), one column right for a row move and one row up for a
+    # column move; type IV shifts the overlap the other way, by (dc, dr);
+    # type III needs the cover to stick out above a row move and below a
+    # column move
+    dr, dc = (0, 1) if row else (1, 0)
+    drop = add = frozenset()
     if not inter:
         if is_k_shape(union, k):
-            kind = "row-I" if row else "col-I"
-            new_c_cells: frozenset[Cell] = cells_c
-            new_m_cells: frozenset[Cell] = m.cells
+            case = "I"
         else:
-            kind = "row-II" if row else "col-II"
-            extreme = m.strings[-1].cells
-            comp = (
-                frozenset((r, j + 1) for r, j in extreme)
-                if row
-                else frozenset((r + 1, j) for r, j in extreme)
-            )
-            new_c_cells = cells_c | comp
-            new_m_cells = m.cells | comp
+            case = "II"
+            add = frozenset((r + dr, j + dc) for r, j in m.strings[-1].cells)
     else:
         above, below = _split_at_intersection(c, inter)
-        if row and above and not below:
-            kind = "row-III"
-            new_c_cells = cells_c - inter
-            new_m_cells = m.cells - inter
-        elif not row and below and not above:
-            kind = "col-III"
-            new_c_cells = cells_c - inter
-            new_m_cells = m.cells - inter
+        sticks, other = (above, below) if row else (below, above)
+        drop = inter
+        if sticks and not other:
+            case = "III"
         elif above and below:
-            kind = "row-IV" if row else "col-IV"
-            shifted = (
-                frozenset((r + 1, j) for r, j in inter)
-                if row
-                else frozenset((r, j + 1) for r, j in inter)
-            )
-            new_c_cells = (cells_c - inter) | shifted
-            new_m_cells = (m.cells - inter) | shifted
+            case = "IV"
+            add = frozenset((r + dc, j + dr) for r, j in inter)
         else:
             raise IntegrityError(
                 f"no pushout type applies: cover {sorted(cells_c)} vs "
                 f"{m.orientation} move {sorted(m.cells)} over {lam}"
             )
+    kind = f"{'row' if row else 'col'}-{case}"
+    new_c_cells = (cells_c - drop) | add
+    new_m_cells = (m.cells - drop) | add
 
     try:
         eta = add_cells(nu, new_c_cells)
@@ -165,34 +153,21 @@ def maximal_pushout(c: StringOfCells, m: Move, k: int) -> PushoutSquare:
             raise IntegrityError(f"{kind}: empty bottom move but corners differ")
     # types I and III leave the union of the input cells; II appends the
     # completion and IV translates the overlap block to fresh cells
-    if kind in ("row-I", "col-I", "row-III", "col-III") and eta != union:
+    if case in ("I", "III") and eta != union:
         raise IntegrityError(f"{kind}: corner is not the union of the inputs")
-    return PushoutSquare(
-        kind=kind,
-        cover_in=c,
-        cover_out=new_cover,
-        move_in=m,
-        move_out=new_move,
-    )
+    return PushoutSquare(kind, c, new_cover, m, new_move)
 
 
 def _maximize(c: StringOfCells, k: int, squares: list[PushoutSquare]) -> StringOfCells:
     guard = 0
-    while True:
-        st = cover_status(c, k)
-        if st.maximal:
-            return c
-        if st.continues_below:
-            grown, mv, kind = (*maximize_below(c, k), "max-below")
-        else:
-            grown, mv, kind = (*maximize_above(c, k), "max-above")
-        squares.append(
-            PushoutSquare(kind=kind, cover_in=c, cover_out=grown, move_in=None, move_out=mv)
-        )
-        c = grown
+    while not (st := cover_status(c, k)).maximal:
+        sq = maximize_below(c, k) if st.continues_below else maximize_above(c, k)
+        squares.append(sq)
+        c = sq.cover_out
         guard += 1
-        if guard > sum(grown.outer) + 2:
+        if guard > sum(c.outer) + 2:
             raise IntegrityError("maximization does not terminate")
+    return c
 
 
 @lru_cache(maxsize=None)

@@ -586,11 +586,7 @@ CHECKS: dict[str, Check] = {
         ],
         {"n_max": 6, "k_max": 3},
     ),
-    "classical-agreement": Check(
-        _classical_agreement_instance,
-        lambda size_max: _partitions_up_to(size_max),
-        {"size_max": 6},
-    ),
+    "classical-agreement": Check(_classical_agreement_instance, _partitions_up_to, {"n_max": 6}),
     "bijection-counting": Check(
         _bijection_count_instance, _standard_shape_items, {"n_max": 7, "k_max": 4}
     ),
@@ -637,7 +633,7 @@ def resolve_params(name: str, **params) -> dict:
             f"check {name!r} does not take {', '.join(unknown)}; it takes {takes}"
         )
     params = {**defaults, **params}
-    for key, least in (("n_max", 0), ("size_max", 0), ("k_max", 2)):
+    for key, least in (("n_max", 0), ("k_max", 2)):
         if params.get(key, least) < least:
             raise ValueError(f"{key} must be at least {least}: {params[key]}")
     return params

@@ -146,15 +146,16 @@ def chain_of_filling(rows: Sequence[Sequence[int]]) -> tuple[Partition, ...]:
     """The chain of shapes filled by letters 1..n of a grid, bottom row first.
 
     Rejects entries below 1, rows that are not weakly increasing, and grids
-    where the cells of letters 1..m do not form a partition for some m.
+    where the cells of letters 1..m do not form a partition for some m,
+    such as an empty row below a non-empty one.
     """
-    rows = [list(r) for r in rows if r]
+    rows = [list(r) for r in rows]
     for r in rows:
-        if min(r) < 1:
+        if any(x < 1 for x in r):
             raise ValueError(f"row {r} has an entry below 1")
         if any(r[i] > r[i + 1] for i in range(len(r) - 1)):
             raise ValueError(f"row {r} is not weakly increasing")
-    n = max((max(r) for r in rows), default=0)
+    n = max((x for r in rows for x in r), default=0)
     chain: list[Partition] = [()]
     for letter in range(1, n + 1):
         lengths = tuple(sum(1 for x in r if x <= letter) for r in rows)
@@ -175,12 +176,13 @@ def weak_tableau_from_filling(k: int, rows: Sequence[Sequence[int]]) -> WeakTabl
 
 
 def split_tableau_text(text: str) -> list[list[int]]:
-    """Rows of the text form "1 2 3 / 4 5", bottom row first."""
-    return [
-        [int(tok) for tok in part.split()]
-        for part in text.strip().split("/")
-        if part.strip()
-    ]
+    """Rows of the text form "1 2 3 / 4 5", bottom row first.  Empty rows
+    at the top are dropped; an empty row below a non-empty one is kept, for
+    ``chain_of_filling`` to reject."""
+    rows = [[int(tok) for tok in part.split()] for part in text.split("/")]
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
 
 
 def parse_tableau_text(k: int, text: str) -> WeakTableau:

@@ -104,7 +104,7 @@ def test_criterion_5_consistency_sweeps(capsys):
     with capsys.disabled():
         _gate("charge-k-stability", n_max=7, k_max=4)
         _gate("cover-characterization", n_max=6, k_max=3)
-        _gate("classical-agreement", size_max=6)
+        _gate("classical-agreement", n_max=6)
 
 
 def test_criterion_6_bijection_counting(capsys):

@@ -229,12 +229,12 @@ def test_verify_bad_worker_count(capsys, monkeypatch, value):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--check", "theorem-additivity", "--size-max", "3"], "size_max"),
+        (["--check", "theorem-additivity", "--k-max", "3"], "k_max"),
         (["--check", "t1-branching", "--k-max", "1"], "k_max"),
         (["--check", "generic-t-branching", "--n-max", "-1"], "n_max"),
         (["--check", "bijection-counting", "--k-max", "1"], "k_max"),
         (["--check", "theorem-additivity", "--n-max", "-1"], "n_max"),
-        (["--check", "classical-agreement", "--size-max", "-2"], "size_max"),
+        (["--check", "classical-agreement", "--n-max", "-2"], "n_max"),
     ],
 )
 def test_verify_bad_parameters(capsys, argv, message):
@@ -254,6 +254,14 @@ def test_verify_has_no_vars_flag(capsys, monkeypatch):
     assert exc.value.code == 2
     assert "unrecognized arguments: --vars 4" in out.err
     assert out.out == ""
+
+
+def test_verify_has_no_size_max_flag(capsys):
+    # classical-agreement takes n_max, as descent-classical does
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "classical-agreement", "--size-max", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --size-max 4" in capsys.readouterr().err
 
 
 def test_verify_group_rejects_parameter_no_check_takes(capsys, monkeypatch):
@@ -278,12 +286,9 @@ def test_verify_group_passes_only_declared_parameters(capsys, monkeypatch):
         return real(name, **params)
 
     monkeypatch.setattr(cli, "run_check", spy)
-    code, out, _ = run(
-        capsys, "verify", "--check", "all",
-        "--n-max", "2", "--k-max", "2", "--size-max", "1",
-    )
+    code, out, _ = run(capsys, "verify", "--check", "all", "--n-max", "2", "--k-max", "2")
     assert code == 0
-    given = {"n_max": 2, "k_max": 2, "size_max": 1}
+    given = {"n_max": 2, "k_max": 2}
     assert [name for name, _ in calls] == list(cli.CHECKS)
     for name, params in calls:
         declared = cli.CHECKS[name].defaults
@@ -292,7 +297,7 @@ def test_verify_group_passes_only_declared_parameters(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("kshape", [False, True])
-@pytest.mark.parametrize("grid", ["2 / 1", "2 1", "0 1"])
+@pytest.mark.parametrize("grid", ["2 / 1", "2 1", "0 1", "1 2 / / 3", "/ 1 2 /"])
 def test_charge_rejects_bad_grid(tmp_path, capsys, grid, kshape):
     f = tmp_path / "t.txt"
     f.write_text(grid + "\n")

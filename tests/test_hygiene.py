@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: unused imports,
 module-level functions or classes that nothing in the package uses,
-memo tables that README does not list, and parameters that their
-function never reads."""
+memo tables that README does not list, parameters that their
+function never reads, and verify options that no check declares."""
+import argparse
 import ast
 import re
 from pathlib import Path
@@ -256,3 +257,15 @@ def test_parameters_are_read():
                     continue
                 unread.append(f"{name}:{node.lineno} {getattr(node, 'name', 'lambda')}({param})")
     assert not unread, f"parameters their function never reads: {unread}"
+
+
+def test_verify_options_are_the_declared_check_parameters():
+    # every parameter a check declares can be given to ``kshape verify``,
+    # and every option of it is a parameter some check declares
+    from kshape.cli import build_parser
+    from kshape.verify import CHECKS
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    verify = sub.choices["verify"]
+    options = {a.dest for a in verify._actions if a.option_strings} - {"help", "check", "report"}
+    assert options == {p for check in CHECKS.values() for p in check.defaults}

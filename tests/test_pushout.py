@@ -20,10 +20,13 @@ from kshape.kshape_tableaux import (
 )
 from kshape.partitions import conjugate
 from kshape.poset import (
+    COLUMN,
+    ROW,
     Path,
     class_holding,
     enumerate_moves,
     kshapes_of_size,
+    move_from_cells,
     path_classes_from,
 )
 from kshape.pushout import (
@@ -56,18 +59,20 @@ from kshape.weak_tableaux import (
 
 def test_maximize_below_micro():
     c = make_cover((1,), (1, 1), 2)
-    grown, mv = maximize_below(c, 2)
-    assert sorted(mv.cells) == [(1, 2)]
-    assert mv.orientation == "row"
-    assert grown.inner == (1,) and grown.outer == (2, 1)
+    sq = maximize_below(c, 2)
+    assert sq.kind == "max-below" and sq.cover_in is c and sq.move_in is None
+    assert sorted(sq.move_out.cells) == [(1, 2)]
+    assert sq.move_out.orientation == "row"
+    assert sq.cover_out.inner == (1,) and sq.cover_out.outer == (2, 1)
 
 
 def test_maximize_above_is_transpose_of_below():
     c = make_cover((1,), (2,), 2)
-    grown, mv = maximize_above(c, 2)
-    assert sorted(mv.cells) == [(2, 1)]
-    assert mv.orientation == "column"
-    assert grown.outer == (2, 1)
+    sq = maximize_above(c, 2)
+    assert sq.kind == "max-above" and sq.cover_in is c and sq.move_in is None
+    assert sorted(sq.move_out.cells) == [(2, 1)]
+    assert sq.move_out.orientation == "column"
+    assert sq.cover_out.outer == (2, 1)
     # systematically: maximizing above is conjugate to maximizing below
     for k in (2, 3):
         for size in range(0, 6):
@@ -76,11 +81,11 @@ def test_maximize_above_is_transpose_of_below():
                     st = cover_status(c, k)
                     if not st.continues_above or st.continues_below:
                         continue
-                    grown, mv = maximize_above(c, k)
+                    sq = maximize_above(c, k)
                     cc = make_cover(conjugate(c.inner), conjugate(c.outer), k)
-                    grown_c, mv_c = maximize_below(cc, k)
-                    assert conjugate(grown_c.outer) == grown.outer
-                    assert {(j, i) for i, j in mv_c.cells} == set(mv.cells)
+                    sq_c = maximize_below(cc, k)
+                    assert conjugate(sq_c.cover_out.outer) == sq.cover_out.outer
+                    assert {(j, i) for i, j in sq_c.move_out.cells} == set(sq.move_out.cells)
 
 
 def test_maximize_below_sweep():
@@ -92,7 +97,8 @@ def test_maximize_below_sweep():
                 for c in enumerate_covers(lam, k):
                     if not cover_status(c, k).continues_below:
                         continue
-                    grown, mv = maximize_below(c, k)
+                    sq = maximize_below(c, k)
+                    grown, mv = sq.cover_out, sq.move_out
                     assert grown.inner == c.inner
                     assert mv.source == c.outer and mv.target == grown.outer
                     assert set(c.cells) < set(grown.cells)
@@ -164,8 +170,11 @@ def test_interference_matches_profile_criterion():
 
 def test_pushout_type_dispatch_exhaustive():
     # every (maximal cover, move) pair falls in exactly one type and the
-    # square commutes; all four types occur in both orientations
+    # square commutes; all four types occur in both orientations; the
+    # conjugate pair gives the transposed square of the partner kind
+    partner = {"row": "col", "col": "row"}
     kinds = set()
+    transposed = 0
     for k in (2, 3):
         for size in range(0, 7):
             for lam in kshapes_of_size(k, size):
@@ -187,6 +196,24 @@ def test_pushout_type_dispatch_exhaustive():
                             assert sq.move_out.orientation == m.orientation
                             assert sq.move_out.source == c.outer
                             assert sq.move_out.target == sq.cover_out.outer
+                        tr = maximal_pushout(
+                            make_cover(conjugate(c.inner), conjugate(c.outer), k),
+                            move_from_cells(
+                                conjugate(lam),
+                                {(j, i) for i, j in m.cells},
+                                COLUMN if m.orientation == ROW else ROW,
+                                k,
+                            ),
+                            k,
+                        )
+                        side, case = sq.kind.split("-")
+                        assert tr.kind == f"{partner[side]}-{case}"
+                        assert tr.cover_out.outer == conjugate(sq.cover_out.outer)
+                        assert (tr.move_out is None) == (sq.move_out is None)
+                        if sq.move_out is not None:
+                            assert tr.move_out.cells == {(j, i) for i, j in sq.move_out.cells}
+                        transposed += 1
+    assert transposed == 86
     assert kinds == {
         "row-I", "row-II", "row-III", "row-IV",
         "col-I", "col-II", "col-III", "col-IV",

@@ -42,7 +42,7 @@ DEFAULTS = {
     "charge-cocharge-duality": {"n_max": 6, "k_max": 3},
     "charge-k-stability": {"n_max": 7, "k_max": 4},
     "cover-characterization": {"n_max": 6, "k_max": 3},
-    "classical-agreement": {"size_max": 6},
+    "classical-agreement": {"n_max": 6},
     "bijection-counting": {"n_max": 7, "k_max": 4},
     "bijection-injectivity": {"n_max": 7},
     "t1-branching": {"n_max": 6, "k_max": 3},
@@ -72,7 +72,7 @@ def test_undeclared_parameter_rejected(name):
     [
         ("bijection-counting", {"k_max": 1}),
         ("theorem-additivity", {"n_max": -1}),
-        ("classical-agreement", {"size_max": -2}),
+        ("classical-agreement", {"n_max": -2}),
         ("charge-cocharge-duality", {"n_max": -1, "k_max": 2}),
     ],
 )
@@ -84,7 +84,7 @@ def test_parameters_below_least_value_rejected(name, params):
 
 def test_least_values_accepted():
     assert resolve_params("bijection-counting", n_max=0, k_max=2)["k_max"] == 2
-    assert resolve_params("classical-agreement", size_max=0) == {"size_max": 0}
+    assert resolve_params("classical-agreement", n_max=0) == {"n_max": 0}
 
 
 def test_unknown_check_rejected():

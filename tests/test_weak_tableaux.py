@@ -275,6 +275,8 @@ BAD_GRIDS = [
     [[2, 1]],  # row decreases
     [[0, 1]],  # entry below 1
     [[1], [1, 2]],  # rows of letters 1..2 are not a partition
+    [[1, 2], [], [3]],  # an empty row below a filled one
+    [[], [1, 2]],  # an empty first row
 ]
 
 
@@ -295,10 +297,14 @@ def test_bad_grid_message_names_letter_and_grid():
     )
     with pytest.raises(ValueError, match=r"^letter 2: .*'1 / 1 2'"):
         chain_of_filling([[1], [1, 2]])
+    # an empty row below a filled one is kept, and its zero length breaks
+    # the partition
+    with pytest.raises(ValueError, match=r"^letter 3: .*'1 2 /  / 3' do not form a partition"):
+        parse_tableau_text(3, "1 2 / / 3")
 
 
 def test_chain_of_filling_matches_classical_oracle():
-    assert split_tableau_text(" 1 1 2 /  2 / ") == [[1, 1, 2], [2]]
+    assert split_tableau_text(" 1 1 2 /  2 / / ") == [[1, 1, 2], [2]]
     assert chain_of_filling([]) == ((),)
     for lam, wt in (((3, 2), (2, 2, 1)), ((4, 2, 1), (3, 2, 1, 1)), ((2, 2), (1, 1, 1, 1))):
         for ch in semistandard_tableaux(lam, wt):
