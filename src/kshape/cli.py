@@ -4,10 +4,10 @@ bijection, and the verification sweeps.
 Exit codes: 0 success, 1 failed gating check, 2 usage or domain error.
 Exit 2 also covers a tableau grid that is not a chain of partitions
 (an entry below 1, a row that decreases, letters that do not stack),
-a ``verify`` parameter the named check does not take, and a group run
-(``gating``, ``all``) given a parameter no check in it takes.  A group
-run passes each check only the parameters it declares.  KSHAPE_WORKERS
-sets the sweep worker count.
+``bijection --json`` without ``--descend``, a ``verify`` parameter the
+named check does not take, and a group run (``gating``, ``all``) given
+a parameter no check in it takes.  A group run passes each check only
+the parameters it declares.  KSHAPE_WORKERS sets the sweep worker count.
 """
 from __future__ import annotations
 
@@ -19,14 +19,11 @@ from contextlib import contextmanager, suppress
 from .errors import IntegrityError
 from .partitions import format_partition, parse_partition
 from .poset import build_poset, enumerate_paths, equivalence_classes
-from .kshape_tableaux import (
-    charge_kshape,
-    cocharge_kshape,
-    kshape_tableau_from_filling,
-)
+from .kshape_tableaux import charge_kshape, cocharge_kshape, make_kshape_tableau
 from .pushout import descend, weak_bijection_standard
 from .verify import CHECKS, resolve_params, run_check
 from .weak_tableaux import (
+    chain_of_filling,
     charge_any_weight,
     charge_standard,
     cocharge_standard,
@@ -104,7 +101,7 @@ def _cmd_paths(args) -> int:
 def _cmd_charge(args) -> int:
     text = _read_tableau_text(args.tableau)
     if args.kshape:
-        t = kshape_tableau_from_filling(args.k, split_tableau_text(text))
+        t = make_kshape_tableau(args.k, chain_of_filling(split_tableau_text(text)))
         value = cocharge_kshape(t) if args.cocharge else charge_kshape(t)
         print(value)
         return 0
@@ -114,6 +111,8 @@ def _cmd_charge(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
+    if args.json and not args.descend:
+        raise ValueError("--json requires --descend")
     text = _read_tableau_text(args.tableau)
     t = parse_tableau_text(args.k, text)
     if args.descend:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import IntegrityError
 from .partitions import (
@@ -27,7 +27,7 @@ from .partitions import (
 )
 from .poset import COVER, StringOfCells, classify_string, corner_chains, is_k_shape
 from .poset import next_corner
-from .weak_tableaux import ChainTableau, chain_of_filling
+from .weak_tableaux import ChainTableau, _grow_chains
 
 
 @lru_cache(maxsize=None)
@@ -103,10 +103,6 @@ def make_kshape_tableau(k: int, chain: Sequence[Partition]) -> KShapeTableau:
     return KShapeTableau(k=k, chain=chain)
 
 
-def kshape_tableau_from_filling(k: int, rows: Sequence[Sequence[int]]) -> KShapeTableau:
-    return make_kshape_tableau(k, chain_of_filling(rows))
-
-
 def chain_characterization(chain: Sequence[Partition], k: int) -> tuple[bool, bool]:
     """(is k-tableau, is (k-1)-tableau) for a chain of covers.
 
@@ -125,19 +121,11 @@ def chain_characterization(chain: Sequence[Partition], k: int) -> tuple[bool, bo
     return is_k, is_km1
 
 
-def enumerate_kshape_tableaux(n: int, k: int) -> Iterator[KShapeTableau]:
-    """All standard k-shape tableaux on n letters."""
-
-    def rec(chain: list[Partition]):
-        if len(chain) == n + 1:
-            yield KShapeTableau(k=k, chain=tuple(chain))
-            return
-        for c in enumerate_covers(chain[-1], k):
-            chain.append(c.outer)
-            yield from rec(chain)
-            chain.pop()
-
-    yield from rec([()])
+def enumerate_kshape_tableaux(n: int, k: int) -> tuple[KShapeTableau, ...]:
+    """All standard k-shape tableaux on n letters: the chains grown upward
+    one cover per letter, in cover order."""
+    chains = _grow_chains((), n, lambda _, nu: [c.outer for c in enumerate_covers(nu, k)])
+    return tuple(KShapeTableau(k=k, chain=ch) for ch in chains)
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,6 @@ def _maximize(c: StringOfCells, k: int, squares: list[PushoutSquare]) -> StringO
     return c
 
 
-@lru_cache(maxsize=None)
 def push_cover_through_path(
     c: StringOfCells, p: Path, k: int
 ) -> tuple[StringOfCells, Path, tuple[PushoutSquare, ...]]:
@@ -179,8 +178,8 @@ def push_cover_through_path(
     order: maximize fully, push one move, repeat.
 
     The bottom path's moves are the non-empty bottom moves of the
-    squares, in order.  The strip is a pure function of (c, p, k) and
-    is memoized.
+    squares, in order.  Each call comes from a ``_letter_step`` miss, so
+    the strip has no table; a repeat is rebuilt from the square tables.
     """
     if c.inner != p.start:
         raise ValueError("cover must start where the path starts")
@@ -236,7 +235,7 @@ def _letter_step(
     """The next letter, which fills outer/shape, after the letter whose
     source and target covers are prev and prev_out (none for letter 1).
 
-    Its cover is pushed through the path so far (the memoized strip).  The
+    Its cover is pushed through the path so far, giving its strip.  The
     input step must be a standard step at k with a reverse-maximal cover;
     the output cover must chain onto the target, be maximal, and be a
     standard step at k-1.  A step that raises stores nothing.  Its

@@ -43,15 +43,16 @@ from .kshape_tableaux import (
     charge_kshape,
     cocharge_kshape,
     enumerate_kshape_tableaux,
-    kshape_tableau_from_filling,
     letter_charges,
     letter_cocharges,
+    make_kshape_tableau,
 )
 from .pushout import full_descent, weak_bijection_standard
 from .tpoly import TPoly
 from .weak_tableaux import (
     WeakTableau,
     _sigma_step,
+    chain_of_filling,
     charge_dominant_semistandard,
     charge_standard,
     cocharge_standard,
@@ -265,9 +266,8 @@ def _charge_fixture_instance(_):
         fails.append(f"charge {charge_standard(t)} != 25")
     if cocharge_standard(t) != 16:
         fails.append(f"cocharge {cocharge_standard(t)} != 16")
-    u = kshape_tableau_from_filling(
-        4, [[1, 2, 4, 6, 8, 9], [3, 5, 7], [4, 6, 9], [7], [9]]
-    )
+    rows = [[1, 2, 4, 6, 8, 9], [3, 5, 7], [4, 6, 9], [7], [9]]
+    u = make_kshape_tableau(4, chain_of_filling(rows))
     if charge_kshape(u) != 16:
         fails.append(f"k-shape charge {charge_kshape(u)} != 16")
     if cocharge_kshape(u) != 15:

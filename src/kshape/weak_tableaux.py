@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import IntegrityError
 from .partitions import (
@@ -89,14 +89,6 @@ class ChainTableau:
 
     def cells_of_letter(self, n: int) -> tuple[Cell, ...]:
         return skew_cells(self.chain[n], self.chain[n - 1])
-
-    def up(self, n: int) -> Cell:
-        """Uppermost occurrence of letter n."""
-        return max(self.cells_of_letter(n), key=lambda c: c[0])
-
-    def down(self, n: int) -> Cell:
-        """Lowermost occurrence of letter n."""
-        return min(self.cells_of_letter(n), key=lambda c: c[0])
 
     def filling(self) -> tuple[tuple[int, ...], ...]:
         """Letter grid, rows bottom to top."""
@@ -170,11 +162,6 @@ def chain_of_filling(rows: Sequence[Sequence[int]]) -> tuple[Partition, ...]:
     return tuple(chain)
 
 
-def weak_tableau_from_filling(k: int, rows: Sequence[Sequence[int]]) -> WeakTableau:
-    """Build the weak tableau of a letter grid given bottom row first."""
-    return make_weak_tableau(k, chain_of_filling(rows))
-
-
 def split_tableau_text(text: str) -> list[list[int]]:
     """Rows of the text form "1 2 3 / 4 5", bottom row first.  Empty rows
     at the top are dropped; an empty row below a non-empty one is kept, for
@@ -186,7 +173,7 @@ def split_tableau_text(text: str) -> list[list[int]]:
 
 
 def parse_tableau_text(k: int, text: str) -> WeakTableau:
-    return weak_tableau_from_filling(k, split_tableau_text(text))
+    return make_weak_tableau(k, chain_of_filling(split_tableau_text(text)))
 
 
 @lru_cache(maxsize=None)
@@ -259,14 +246,25 @@ def standard_predecessors(nu: Partition, k: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+def _grow_chains(
+    start: Partition, depth: int, steps: Callable[[int, Partition], Sequence[Partition]]
+) -> list[tuple[Partition, ...]]:
+    """Every chain of depth steps from start, the step at level i from nu
+    being one of ``steps(i, nu)``: grown a level at a time in step order,
+    which is the order of a depth-first walk."""
+    chains = [(start,)]
+    for i in range(depth):
+        chains = [ch + (nxt,) for ch in chains for nxt in steps(i, ch[-1])]
+    return chains
+
+
 def enumerate_standard_k_tableaux(lam: Partition, k: int) -> tuple[WeakTableau, ...]:
     """All standard k-tableaux of shape lam, a (k+1)-core: the chains grown
     downward one standard predecessor per letter, in predecessor order."""
     _require_core(lam, k)
-    chains = [(lam,)]
-    for _ in range(boundary_size(lam, k)):
-        chains = [(prev,) + ch for ch in chains for prev in standard_predecessors(ch[0], k)]
-    return tuple(WeakTableau(k=k, chain=ch, weight=(1,) * (len(ch) - 1)) for ch in chains)
+    n = boundary_size(lam, k)
+    chains = _grow_chains(lam, n, lambda _, nu: standard_predecessors(nu, k))
+    return tuple(WeakTableau(k=k, chain=ch[::-1], weight=(1,) * n) for ch in chains)
 
 
 @lru_cache(maxsize=None)
@@ -330,22 +328,13 @@ def enumerate_weak_tableaux(
     that lies inside lam."""
     _require_core(lam, k)
     weight = tuple(weight)
-    out: list[WeakTableau] = []
 
-    def rec(chain: list[Partition]):
-        if len(chain) == len(weight) + 1:
-            if chain[-1] == lam:
-                out.append(WeakTableau(k=k, chain=tuple(chain), weight=weight))
-            return
-        size = weight[len(chain) - 1]
-        for a, xi in _strips_over(chain[-1], k).items():
-            if len(a) == size and contains(lam, xi):
-                chain.append(xi)
-                rec(chain)
-                chain.pop()
+    def strips(i: int, nu: Partition) -> list[Partition]:
+        over = _strips_over(nu, k).items()
+        return [xi for a, xi in over if len(a) == weight[i] and contains(lam, xi)]
 
-    rec([()])
-    return tuple(out)
+    chains = _grow_chains((), len(weight), strips)
+    return tuple(WeakTableau(k=k, chain=ch, weight=weight) for ch in chains if ch[-1] == lam)
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +347,10 @@ def kostka_k(lam: Partition, mu: Partition, k: int) -> TPoly:
 
 
 # ---------------------------------------------------------------------------
-# charge and cocharge, standard case
+# charge and cocharge, standard case: ``skew_cells`` lists rows bottom-up,
+# and a standard letter, like each residue class of a weak letter, has at
+# most one cell per row, so its last cell is its uppermost marker and its
+# first cell its lowermost.
 
 
 def _up_marker_charge(k: int, ups: Sequence[Cell]) -> int:
@@ -383,7 +375,7 @@ def charge_standard(t: WeakTableau) -> int:
     """Sum of the per-letter charges driven by the uppermost markers."""
     if not t.is_standard():
         raise ValueError("charge_standard requires a standard tableau")
-    return _up_marker_charge(t.k, [t.up(n) for n in range(1, t.letters + 1)])
+    return _up_marker_charge(t.k, [t.cells_of_letter(n)[-1] for n in range(1, t.letters + 1)])
 
 
 def cocharge_standard(t: WeakTableau) -> int:
@@ -391,7 +383,7 @@ def cocharge_standard(t: WeakTableau) -> int:
     if not t.is_standard():
         raise ValueError("cocharge_standard requires a standard tableau")
     n = t.letters
-    downs = [t.down(m) for m in range(1, n + 1)]
+    downs = [t.cells_of_letter(m)[0] for m in range(1, n + 1)]
     return n * (n - 1) // 2 - _up_marker_charge(t.k, downs)
 
 
@@ -459,9 +451,7 @@ def word_charges(t: WeakTableau) -> tuple[int, ...]:
     the top cell of each of its (letter, residue) classes."""
     classes, words = _extract_words(t)
     return tuple(
-        _up_marker_charge(
-            t.k, [max(classes[letter - 1][res], key=lambda c: c[0]) for letter, res in word]
-        )
+        _up_marker_charge(t.k, [classes[letter - 1][res][-1] for letter, res in word])
         for word in words
     )
 

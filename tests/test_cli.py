@@ -157,6 +157,17 @@ def test_bijection_descend_json(tmp_path, capsys):
     assert payload["total_charge"] == 2
 
 
+def test_bijection_json_without_descend_is_rejected_before_reading(capsys, monkeypatch):
+    class Unread:
+        def read(self):
+            pytest.fail("the tableau was read")
+
+    monkeypatch.setattr("sys.stdin", Unread())
+    code, out, err = run(capsys, "bijection", "--k", "3", "--tableau", "-", "--json")
+    assert code == 2 and out == ""
+    assert err == "error: --json requires --descend\n"
+
+
 def test_verify_command(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, _ = run(

@@ -215,20 +215,38 @@ def _is_lru_cache(decorator: ast.expr) -> bool:
     return getattr(f, "id", None) == "lru_cache" or getattr(f, "attr", None) == "lru_cache"
 
 
+def _outside_parentheses(text: str) -> str:
+    depth, out = 0, []
+    for ch in text:
+        depth += ch == "("
+        if not depth:
+            out.append(ch)
+        depth -= ch == ")"
+    return "".join(out)
+
+
 def test_memo_tables_are_listed_in_readme():
     # every module-level lru_cache table lives for the whole process, so
-    # README's "Memo tables" names each one in its module's row
-    tables = [
+    # README's "Memo tables" names each one in its module's row, and a
+    # name there outside parentheses is a table of that module
+    tables = {
         (name.removesuffix(".py"), node.name)
         for name, tree in MODULES.items()
         for node in tree.body
         if isinstance(node, ast.FunctionDef) and any(map(_is_lru_cache, node.decorator_list))
-    ]
+    }
     assert len(tables) > 20
     section = README.read_text().split("\n## Memo tables\n", 1)[1].split("\n## ", 1)[0]
     rows = dict(re.findall(r"^\| `(\w+)` \|(.*)\|$", section, flags=re.M))
-    missing = [f"{mod}.{fn}" for mod, fn in tables if f"`{fn}`" not in rows.get(mod, "")]
+    listed = {
+        (mod, fn)
+        for mod, row in rows.items()
+        for fn in re.findall(r"`(\w+)`", _outside_parentheses(row))
+    }
+    missing = sorted(f"{mod}.{fn}" for mod, fn in tables - listed)
     assert not missing, f"memo tables missing from README's Memo tables list: {missing}"
+    extra = sorted(f"{mod}.{fn}" for mod, fn in listed - tables)
+    assert not extra, f"README's Memo tables list names that are not memo tables: {extra}"
 
 
 def _parameters(node: ast.FunctionDef | ast.Lambda) -> list[str]:

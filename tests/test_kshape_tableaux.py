@@ -10,7 +10,6 @@ from kshape.kshape_tableaux import (
     cover_status,
     enumerate_covers,
     enumerate_kshape_tableaux,
-    kshape_tableau_from_filling,
     letter_charges,
     letter_cocharges,
     make_cover,
@@ -18,7 +17,7 @@ from kshape.kshape_tableaux import (
 )
 from kshape.partitions import k_interior
 from kshape.poset import kshapes_of_size
-from kshape.weak_tableaux import enumerate_standard_k_tableaux, standard_shapes
+from kshape.weak_tableaux import chain_of_filling, enumerate_standard_k_tableaux, standard_shapes
 
 EXA36_ROWS = [[1, 2, 4, 6, 8, 9], [3, 5, 7], [4, 6, 9], [7], [9]]
 
@@ -101,7 +100,7 @@ def test_cover_status_matches_brute_force():
 
 
 def test_section5_kshape_tableau():
-    t = kshape_tableau_from_filling(3, [[1, 2, 4, 5, 6, 7], [3, 5, 6], [4, 8], [6], [8]])
+    t = make_kshape_tableau(3, chain_of_filling([[1, 2, 4, 5, 6, 7], [3, 5, 6], [4, 8], [6], [8]]))
     assert t.chain == (
         (), (1,), (2,), (2, 1), (3, 1, 1), (4, 2, 1), (5, 3, 1, 1),
         (6, 3, 1, 1), (6, 3, 2, 1, 1),
@@ -207,7 +206,7 @@ def test_intervals():
 
 
 def test_charge_cocharge_exa36_37():
-    t = kshape_tableau_from_filling(4, EXA36_ROWS)
+    t = make_kshape_tableau(4, chain_of_filling(EXA36_ROWS))
     assert letter_charges(t) == (0, 1, 1, 1, 2, 2, 2, 4, 3)
     assert charge_kshape(t) == 16
     assert letter_cocharges(t) == (0, 0, 1, 1, 2, 2, 3, 3, 3)
@@ -234,11 +233,12 @@ def test_duality_sweep_small():
 
 
 def _two_recursions(t):
-    """The separate charge and cocharge recursions on t.up/t.down that the
-    single interval recursion replaced, kept as its oracle over the
-    test-local interval walk."""
-    ups = [t.up(n)[0] for n in range(1, t.letters + 1)]
-    downs = [t.down(n)[0] for n in range(1, t.letters + 1)]
+    """The separate charge and cocharge recursions on the top and bottom
+    rows of each letter, found by a scan of its cells, that the single
+    interval recursion replaced, kept as its oracle over the test-local
+    interval walk."""
+    rows = [[c[0] for c in t.cells_of_letter(n)] for n in range(1, t.letters + 1)]
+    ups, downs = [max(r) for r in rows], [min(r) for r in rows]
     chs, cos, ch, co = [0], [0], 0, 0
     for n in range(2, t.letters + 1):
         shape = t.chain[n - 1]
@@ -319,5 +319,5 @@ def test_grounded_residue_connectivity():
 @pytest.mark.parametrize("rows", [[[2], [1]], [[2, 1]], [[0, 1]], [[1], [1, 2]]])
 def test_kshape_filling_rejects_bad_grid(rows):
     with pytest.raises(ValueError):
-        kshape_tableau_from_filling(3, rows)
+        make_kshape_tableau(3, chain_of_filling(rows))
 

@@ -149,21 +149,21 @@ def _standard_tableaux(ks, n_max):
 
 
 def test_push_strip_and_cover_status_match_uncached():
-    """Walk every cover of every standard k-tableau (k=2..5, n<=7) through
-    the path built so far, as the weak bijection does."""
+    """Walk every letter of every standard k-tableau (k=2..5, n<=7) through
+    the step table, as the weak bijection does."""
     tableaux = _standard_tableaux(range(2, 6), 7)
     assert len(tableaux) == 548
     strips = 0
     for t in tableaux:
         k = t.k
+        prev = prev_out = None
         path = Path(start=())
-        for inner, outer in zip(t.chain, t.chain[1:]):
-            c = make_cover(inner, outer, k)
-            got = push_cover_through_path(c, path, k)
-            assert got == push_cover_through_path.__wrapped__(c, path, k)
-            for cover in (c, got[0]):
+        for outer in t.chain[1:]:
+            got = _letter_step(prev, prev_out, path, outer, k)
+            assert got == _letter_step.__wrapped__(prev, prev_out, path, outer, k)
+            for cover in (got.cover, got.cover_out):
                 assert cover_status(cover, k) == cover_status.__wrapped__(cover, k)
-            for sq in got[2]:
+            for sq in got.strip:
                 if sq.move_in is not None:
                     args = (sq.cover_in, sq.move_in, k)
                     assert maximal_pushout(*args) == maximal_pushout.__wrapped__(*args) == sq
@@ -172,41 +172,48 @@ def test_push_strip_and_cover_status_match_uncached():
                     # the strip holds the very square of the warm table
                     assert grow(sq.cover_in, k) is sq
                     assert grow.__wrapped__(sq.cover_in, k) == sq
-            path = got[1]
+            prev, prev_out, path = got[:3]
             strips += 1
-    assert strips > 2000 and push_cover_through_path.cache_info().hits > 0
+    assert strips > 2000 and _letter_step.cache_info().hits > 0
 
 
-def test_warm_strip_table_keeps_every_square():
-    """A plain call carries its squares, and a warm strip table hands back
-    the same squares as a cold one."""
+def test_warm_step_table_keeps_every_square():
+    """A plain call carries its squares, and a warm step table hands back
+    the very squares of a cold one."""
     kinds_seen = set()
     with_squares = 0
     for t in _standard_tableaux(range(2, 7), 6):
-        # the step table would hand back each letter's strip without
-        # asking the strip table
         _letter_step.cache_clear()
-        push_cover_through_path.cache_clear()
         cold = weak_bijection_standard(t).squares
-        assert push_cover_through_path.cache_info().currsize > 0 or t.letters == 0
+        assert _letter_step.cache_info().currsize > 0 or t.letters == 0
         warm = weak_bijection_standard(t).squares
-        assert warm == cold
+        assert warm == cold and all(w is c for w, c in zip(warm, cold))
         kinds_seen.update(sq.kind for sq in cold)
         with_squares += bool(cold)
     assert with_squares == 232
     assert {"max-below", "max-above", "row-I", "col-I"} <= kinds_seen
 
 
+def _up(t, n):
+    """Uppermost cell of letter n, by a scan of its cells."""
+    return max(t.cells_of_letter(n), key=lambda c: c[0])
+
+
+def _down(t, n):
+    """Lowermost cell of letter n, by a scan of its cells."""
+    return min(t.cells_of_letter(n), key=lambda c: c[0])
+
+
 def test_cover_markers_are_the_letter_extremes():
-    """The charge reads letter n's markers off its cover; the cell scan of
-    ``up``/``down`` is the oracle."""
+    """The charge reads letter n's markers off its cover; the cell scan is
+    the oracle."""
     count = 0
     for k in range(2, 6):
         for n in range(1, 9):
             for t in enumerate_kshape_tableaux(n, k):
                 for m in range(1, n + 1):
                     c = make_cover(t.chain[m - 1], t.chain[m], k)
-                    assert c.top == t.up(m) and c.bottom == t.down(m)
+                    assert c.top == _up(t, m) and c.bottom == _down(t, m)
                 count += 1
     assert count > 5000
 
@@ -227,7 +234,7 @@ BAD_CALLS = [
     (standard_successors, ((2, 1), 2), ValueError),  # (2,1) is not a 3-core
     (standard_predecessors, ((2, 1), 2), ValueError),
     (_strips_over, ((2, 1), 2), ValueError),
-    (push_cover_through_path, (make_cover((), (1,), 2), Path(start=(1,)), 2), ValueError),
+    (_letter_step, (None, None, Path(start=(1,)), (1,), 2), ValueError),  # the path starts at (1,)
     # the cover (3,1,1)/(2,1,1) continues, so it is not maximal
     (maximal_pushout, (make_cover((2, 1, 1), (3, 1, 1), 2), move_from_cells((2, 1, 1), {(1, 3), (2, 2)}, ROW, 2), 2), ValueError),
     (maximize_below, (make_cover((), (1,), 2), 2), ValueError),

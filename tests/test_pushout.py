@@ -18,7 +18,8 @@ from kshape.kshape_tableaux import (
     make_cover,
     make_kshape_tableau,
 )
-from kshape.partitions import conjugate
+from kshape import pushout
+from kshape.partitions import add_cells, conjugate, k_interior, residue
 from kshape.poset import (
     COLUMN,
     ROW,
@@ -48,11 +49,14 @@ from kshape.classical import (
 from kshape.partitions import partition, partitions_of, removable_corners
 from kshape.weak_tableaux import (
     WeakTableau,
+    charge_any_weight,
     charge_standard,
     cocharge_standard,
     enumerate_standard_k_tableaux,
     is_standard_step,
     make_weak_tableau,
+    parse_tableau_text,
+    sigma_involution,
     standard_shapes,
 )
 
@@ -584,7 +588,6 @@ def test_letter_steps_match_the_prefix_fold():
 
 PUSHOUT_TABLES = (
     _letter_step,
-    push_cover_through_path,
     maximal_pushout,
     maximize_below,
     maximize_above,
@@ -775,3 +778,46 @@ def test_target_tableau_matches_validated_chain():
                     assert res.target_tableau == make_weak_tableau(k - 1, res.target_chain)
                     seen += 1
     assert seen == 1244
+
+
+# a row move from (2,1,1), which no cover from () or (1,) starts at
+_MOVE_211 = move_from_cells((2, 1, 1), {(1, 3), (2, 2)}, ROW, 2)
+
+_TWO_ONES = parse_tableau_text(3, "1 1")  # one letter of weight 2
+
+PUBLIC_RAISES = [
+    (weak_bijection_standard, (WeakTableau(1, ((), (1,)), (1,)),), "descent requires k >= 2"),
+    (weak_bijection_standard, (WeakTableau(2, ((1,), (2,)), (1,)),), "chain must start at the empty"),
+    (charge_standard, (_TWO_ONES,), "charge_standard requires a standard tableau"),
+    (cocharge_standard, (_TWO_ONES,), "cocharge_standard requires a standard tableau"),
+    (sigma_involution, (parse_tableau_text(3, "1 2"), 0), r"index 0 out of range 1\.\.1"),
+    (charge_any_weight, (WeakTableau(2, ((), (3,)), (3,)),), "weight must be k-bounded"),
+    (maximal_pushout, (make_cover((), (1,), 2), _MOVE_211, 2), "cover and move must start"),
+    (Path, ((), (_MOVE_211,)), r"move from \(2, 1, 1\) does not compose at \(\)"),
+    (enumerate_covers, ((2, 2, 1), 2), r"\(2, 2, 1\) is not a 2-shape"),
+    (k_interior, ((1,), 0), "k must be at least 1: 0"),
+    (residue, ((1, 1), 0), "k must be at least 1: 0"),
+    (add_cells, ((1,), [(1, 3)]), r"cell \(1,3\) does not extend row of length 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args,message", PUBLIC_RAISES, ids=[f.__name__ for f, *_ in PUBLIC_RAISES]
+)
+def test_public_input_checks_raise_value_error(fn, args, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        fn(*args)
+
+
+def test_maximize_guard_stops_a_maximizer_that_adds_nothing(monkeypatch):
+    """The real maximizers always add a cell, so the guard never fires for
+    them; a maximizer that hands back its own cover would loop forever."""
+    def stuck(kind):
+        return lambda c, k: PushoutSquare(kind, c, c, None, None)
+
+    monkeypatch.setattr(pushout, "maximize_below", stuck("max-below"))
+    monkeypatch.setattr(pushout, "maximize_above", stuck("max-above"))
+    c = make_cover((2, 1, 1), (3, 1, 1), 2)  # it continues, so it is not maximal
+    assert not cover_status(c, 2).maximal
+    with pytest.raises(IntegrityError, match="^maximization does not terminate$"):
+        pushout._maximize(c, 2, [])

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -145,6 +147,71 @@ def test_branching_checks_fail_when_classes_are_wrong(monkeypatch):
     report = run_check("t1-branching", n_max=7, k_max=4)
     assert not report.passed and report.instances == 89
     assert all("t=1 branching differs" in f for f in report.failures)
+
+
+# one fault per gating check, injected into verify's namespace: the name
+# it replaces, the fault as a function of the real one, and the format of
+# a failure line the check must then print
+GATING_FAULTS = {
+    "kshape-fixture": ("row_shape", lambda real: lambda lam, k: (), r"row profile \(\)"),
+    "poset-fixture": ("is_p_core", lambda real: lambda nu, p: False, r"maximal vertices of \(2\) poset"),
+    "paths-fixture": ("enumerate_paths", lambda real: lambda *args: (), r"charges \[\]"),
+    "charge-fixture": (
+        "charge_standard", lambda real: lambda t: real(t) + t.k, r"charge 29 != 25"
+    ),
+    "word-charge-fixture": (
+        "word_charges", lambda real: lambda t: real(t)[::-1], r"word charges \(7, 5\)"
+    ),
+    "theorem-additivity": (
+        "charge_standard", lambda real: lambda t: real(t) + t.k, r"charge additivity: k=\d+ \S"
+    ),
+    "descent-classical": (
+        "full_descent",
+        lambda real: lambda ch: dataclasses.replace(real(ch), levels=real(ch).levels[1:]),
+        r"descent charge \d+ != \d+: \(\(\)",
+    ),
+    "charge-cocharge-duality": (
+        "charge_cocharge_residual", lambda real: lambda t: 1, r"duality: k=\d+ \S"
+    ),
+    "charge-k-stability": (
+        "charge_kshape", lambda real: lambda t: real(t) + t.k, r"charge stability: k=\d+ \S"
+    ),
+    "cover-characterization": (
+        "chain_characterization",
+        lambda real: lambda chain, k: (False, real(chain, k)[1]),
+        r"k-tableau flag: k=\d+ \S",
+    ),
+    "classical-agreement": (
+        "charge_dominant_semistandard",
+        lambda real: lambda t: real(t) + 1,
+        r"dominant large-k: \(\(\).* weight \(",
+    ),
+    "bijection-counting": (
+        "count_standard_k_tableaux",
+        lambda real: lambda lam, k: real(lam, k) + (k == 3),
+        r"count mismatch at k=3 shape \S+: \d+ vs \d+",
+    ),
+    "bijection-injectivity": (
+        "weak_bijection_standard",
+        lambda real: lambda t: real(verify.enumerate_standard_k_tableaux(t.shape, t.k)[0]),
+        r"k=\d+: .+ and .+ share an image",
+    ),
+    "t1-branching": (
+        "path_classes_from", lambda real: lambda lam, k: {}, r"t=1 branching differs at k=\d+ shape "
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATING))
+def test_every_gating_check_can_fail(name, monkeypatch):
+    """A gating check that cannot fail tests nothing: each one fails, in
+    its own failure format, under one injected fault."""
+    monkeypatch.setenv("KSHAPE_WORKERS", "1")
+    attr, fault, line = GATING_FAULTS[name]
+    monkeypatch.setattr(verify, attr, fault(getattr(verify, attr)))
+    report = run_check(name)
+    assert not report.passed and report.instances > 0
+    assert any(re.fullmatch(line + ".*", f) for f in report.failures), report.failures[:3]
 
 
 def test_import_leaves_the_process_pool_unloaded():

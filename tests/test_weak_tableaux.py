@@ -49,7 +49,6 @@ from kshape.weak_tableaux import (
     standard_predecessors,
     standard_shapes,
     standard_successors,
-    weak_tableau_from_filling,
     word_charges,
 )
 
@@ -89,7 +88,7 @@ def test_parse_and_format_round_trip():
     assert t.is_standard()
     assert parse_tableau_text(4, t.text()).chain == t.chain
     with pytest.raises(ValueError):
-        weak_tableau_from_filling(4, [[2, 1]])
+        parse_tableau_text(4, "2 1")
 
 
 def test_weight_23122_example():
@@ -285,7 +284,7 @@ def test_filling_rejects_bad_grid(rows):
     with pytest.raises(ValueError):
         chain_of_filling(rows)
     with pytest.raises(ValueError):
-        weak_tableau_from_filling(3, rows)
+        make_weak_tableau(3, chain_of_filling(rows))
 
 
 def test_bad_grid_message_names_letter_and_grid():
@@ -337,7 +336,41 @@ def test_weak_and_kshape_views_of_a_standard_chain_agree():
                     assert s.text() == w.text()
                     assert chain_from_grid(w.filling()) == w.chain
                     for m in range(1, n + 1):
-                        assert s.up(m) == w.up(m) and s.down(m) == w.down(m)
+                        assert s.cells_of_letter(m) == w.cells_of_letter(m)
+
+
+def _up(t, n):
+    """Uppermost cell of letter n, by a scan of its cells."""
+    return max(t.cells_of_letter(n), key=lambda c: c[0])
+
+
+def _down(t, n):
+    """Lowermost cell of letter n, by a scan of its cells."""
+    return min(t.cells_of_letter(n), key=lambda c: c[0])
+
+
+def test_markers_are_the_end_cells_of_each_letter():
+    """The charges read a standard letter's markers, and each residue
+    class's top marker in a weak letter, as its last and first cells; the
+    scan of its rows is the oracle."""
+    letters = classes = 0
+    for k in range(2, 5):
+        for n in range(0, 7):
+            for lam in standard_shapes(k, n):
+                for t in enumerate_standard_k_tableaux(lam, k):
+                    for m in range(1, t.letters + 1):
+                        cells = t.cells_of_letter(m)
+                        assert (cells[-1], cells[0]) == (_up(t, m), _down(t, m))
+                        letters += 1
+                for t in all_weight_weak_tableaux(lam, k, n):
+                    for m in range(1, t.letters + 1):
+                        cells = t.cells_of_letter(m)
+                        for r in {residue(c, k) for c in cells}:
+                            cls = [c for c in cells if residue(c, k) == r]
+                            assert cls[-1] == max(cls, key=lambda c: c[0])
+                            assert len({c[0] for c in cls}) == len(cls)
+                            classes += 1
+    assert (letters, classes) == (739, 33413)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +498,7 @@ def mirrored_cocharge(t):
     """The lowermost-marker recursion that cocharge_standard replaced."""
     total = co = 0
     for n in range(2, t.letters + 1):
-        prev_dn, cur_dn = t.down(n - 1), t.down(n)
+        prev_dn, cur_dn = _down(t, n - 1), _down(t, n)
         if prev_dn[0] >= cur_dn[0]:
             co -= diag_count(prev_dn, cur_dn, residue(prev_dn, t.k), t.k)
         else:
