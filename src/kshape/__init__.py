@@ -36,6 +36,7 @@ from .poset import (
     kshapes_of_size,
     move_charge,
     move_cocharge,
+    path_class_groups,
     path_classes_from,
 )
 from .weak_tableaux import (

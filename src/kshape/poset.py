@@ -538,11 +538,14 @@ def build_poset(k: int, size: int) -> KShapePoset:
 
 def _suffixes_by_end(lam: Partition, k: int) -> dict[Partition, list[tuple[Move, ...]]]:
     """Every move sequence from lam, grouped by its end: one walk, memoized
-    per vertex, taking each vertex's moves in ``enumerate_moves`` order."""
+    per vertex in a dict of its own, taking each vertex's moves in
+    ``enumerate_moves`` order."""
+    memo: dict[Partition, dict[Partition, list[tuple[Move, ...]]]] = {}
 
-    @lru_cache(maxsize=None)
     def suffixes(nu: Partition) -> dict[Partition, list[tuple[Move, ...]]]:
-        out: dict[Partition, list[tuple[Move, ...]]] = {nu: [()]}
+        if nu in memo:
+            return memo[nu]
+        out = memo[nu] = {nu: [()]}
         for m in enumerate_moves(nu, k):
             for end, rests in suffixes(m.target).items():
                 out.setdefault(end, []).extend((m,) + r for r in rests)
@@ -561,6 +564,38 @@ def enumerate_paths(lam: Partition, mu: Partition, k: int) -> tuple[Path, ...]:
     return tuple(Path(start=lam, moves=ms) for ms in _suffixes_by_end(lam, k).get(mu, ()))
 
 
+def _diamond_groups(seqs: list[tuple[Move, ...]]) -> tuple[tuple[tuple[Move, ...], ...], ...]:
+    """Group distinct move sequences with common endpoints under the
+    closure of single diamond rewrites (``equivalence_classes``), in the
+    order of their first members."""
+    if len(seqs) == 1:
+        return ((seqs[0],),)
+    parent = list(range(len(seqs)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    first: dict[tuple, int] = {}
+    for i, ms in enumerate(seqs):
+        for j in range(len(ms)):
+            for w in (1, 2):
+                if j + w <= len(ms):
+                    key = (ms[:j], ms[j + w :], sum(map(move_charge, ms[j : j + w])))
+                    parent[find(i)] = find(first.setdefault(key, i))
+    groups: dict[int, list[tuple[Move, ...]]] = {}
+    for i, ms in enumerate(seqs):
+        groups.setdefault(find(i), []).append(ms)
+    return tuple(map(tuple, groups.values()))
+
+
+def _path_classes(lam: Partition, groups) -> tuple[PathClass, ...]:
+    """The ``PathClass`` of each group of move sequences from lam."""
+    members = ([Path(start=lam, moves=ms) for ms in g] for g in groups)
+    return tuple(PathClass(min(ps, key=Path.sort_key), frozenset(ps)) for ps in members)
+
+
 def equivalence_classes(paths) -> tuple[PathClass, ...]:
     """Partition paths under the closure of single diamond rewrites.
 
@@ -571,46 +606,35 @@ def equivalence_classes(paths) -> tuple[PathClass, ...]:
     rewrite apart exactly when they agree before and after a window and
     have the same charge inside it: each path files itself under
     (prefix, suffix, window charge) for every window, and paths that
-    share a key are joined.  Classes come in the order of their first
-    paths; duplicate paths are dropped.
+    share a key are joined (``_diamond_groups``).  Classes come in the
+    order of their first paths; duplicate paths are dropped.
     """
     paths = list(dict.fromkeys(paths))
     if not paths:
         return ()
     if len({p.start for p in paths}) != 1 or len({p.end for p in paths}) != 1:
         raise ValueError("paths must share both endpoints")
-    parent = list(range(len(paths)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    first: dict[tuple, int] = {}
-    for i, p in enumerate(paths):
-        ms = p.moves
-        for j in range(len(ms)):
-            for w in (1, 2):
-                if j + w <= len(ms):
-                    key = (ms[:j], ms[j + w :], sum(map(move_charge, ms[j : j + w])))
-                    parent[find(i)] = find(first.setdefault(key, i))
-    groups: dict[int, list[Path]] = {}
-    for i, p in enumerate(paths):
-        groups.setdefault(find(i), []).append(p)
-    return tuple(
-        PathClass(representative=min(g, key=Path.sort_key), members=frozenset(g))
-        for g in groups.values()
-    )
+    return _path_classes(paths[0].start, _diamond_groups([p.moves for p in paths]))
 
 
-def path_classes_from(lam: Partition, k: int) -> dict[Partition, tuple[PathClass, ...]]:
-    """The diamond classes of the paths from lam to each k-core it reaches;
-    these ends are the shapes of standard (k-1)-tableaux."""
+def path_class_groups(
+    lam: Partition, k: int
+) -> dict[Partition, tuple[tuple[tuple[Move, ...], ...], ...]]:
+    """The diamond classes of the paths from lam to each k-core it
+    reaches, as tuples of move sequences in the order of their first
+    members; these ends are the shapes of standard (k-1)-tableaux.  A
+    rewrite keeps the window charge, so every member of a class has the
+    charge of its first."""
     return {
-        mu: equivalence_classes([Path(start=lam, moves=ms) for ms in seqs])
+        mu: _diamond_groups(seqs)
         for mu, seqs in _suffixes_by_end(lam, k).items()
         if is_p_core(mu, k)
     }
+
+
+def path_classes_from(lam: Partition, k: int) -> dict[Partition, tuple[PathClass, ...]]:
+    """``path_class_groups`` with each class as a ``PathClass``."""
+    return {mu: _path_classes(lam, groups) for mu, groups in path_class_groups(lam, k).items()}
 
 
 def class_holding(path: Path, classes: dict[Partition, tuple[PathClass, ...]]) -> PathClass:

@@ -34,6 +34,8 @@ from .poset import (
     class_holding,
     enumerate_paths,
     is_k_shape,
+    move_charge,
+    path_class_groups,
     path_classes_from,
 )
 from .kshape_tableaux import (
@@ -411,8 +413,8 @@ def _bijection_count_instance(args):
     k, lam = args
     left = count_standard_k_tableaux(lam, k)
     right = sum(
-        count_standard_k_tableaux(mu, k - 1) * len(classes)
-        for mu, classes in path_classes_from(lam, k).items()
+        count_standard_k_tableaux(mu, k - 1) * len(groups)
+        for mu, groups in path_class_groups(lam, k).items()
     )
     fails = []
     if left != right:
@@ -450,12 +452,13 @@ def _branching_instance(args):
     """The dual branching rule at one start, at every (k-1)-bounded
     partition weight nu: K^{(k)}_{lam nu} = sum over mu of
     B_{lam mu} K^{(k-1)}_{mu nu}, where B sums t^charge over the path
-    classes from lam to mu.  Grading "none" compares both sides at t=1,
-    where B counts the classes."""
+    classes from lam to mu; every member of a class has its charge, so
+    it is read off the class's first move sequence.  Grading "none"
+    compares both sides at t=1, where B counts the classes."""
     k, lam, grading = args
     b = {
-        mu: TPoly.from_powers(c.charge for c in classes)
-        for mu, classes in path_classes_from(lam, k).items()
+        mu: TPoly.from_powers(sum(map(move_charge, g[0])) for g in groups)
+        for mu, groups in path_class_groups(lam, k).items()
     }
     at = (lambda p: p) if grading == "charge" else (lambda p: p(1))
     bad = []

@@ -218,6 +218,10 @@ def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--check", "no-such-check")
     assert code == 2
     assert "unknown check" in err
+    # the message itself, not the repr that str() of a KeyError gives
+    code, _, err = run(capsys, "verify", "--check", "nope")
+    assert code == 2
+    assert err.startswith("error: unknown check 'nope'")
 
 
 def test_verify_zero_instances_fails(capsys):

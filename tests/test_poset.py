@@ -41,6 +41,7 @@ from kshape.poset import (
     move_cocharge,
     move_from_cells,
     next_corner,
+    path_class_groups,
     path_classes_from,
     row_shape,
 )
@@ -800,12 +801,16 @@ def rewrite_search_classes(paths, k: int) -> tuple[PathClass, ...]:
 def test_grouped_classes_match_rewrite_search_oracle():
     # same classes in the same order, with the same representatives and
     # members, on every pair of shapes joined by a path and on every
-    # ``path_classes_from`` entry, for k=2..5 and boundary size <= 9
+    # ``path_classes_from`` entry, for k=2..5 and boundary size <= 9; the
+    # ``path_class_groups`` entries hold the same classes as move
+    # sequences, each first sequence with its class's charge
     pairs = entries = 0
     for k in range(2, 6):
         for n in range(0, 10):
             for lam in kshapes_of_size(k, n):
                 by_end = path_classes_from(lam, k)
+                groups = path_class_groups(lam, k)
+                assert list(groups) == list(by_end)
                 ends = _suffixes_by_end(lam, k)
                 assert set(by_end) <= set(ends)
                 for mu, seqs in ends.items():
@@ -814,6 +819,10 @@ def test_grouped_classes_match_rewrite_search_oracle():
                     assert equivalence_classes(paths) == want, (k, lam, mu)
                     if mu in by_end:
                         assert by_end[mu] == want, (k, lam, mu)
+                        assert len(groups[mu]) == len(want), (k, lam, mu)
+                        for g, cls in zip(groups[mu], want):
+                            assert {Path(start=lam, moves=ms) for ms in g} == cls.members
+                            assert sum(map(move_charge, g[0])) == cls.charge
                         entries += 1
                     pairs += 1
     assert (pairs, entries) == (1403, 704)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from kshape.partitions import is_p_core
-from kshape.poset import PathClass, kshapes_of_size
+from kshape.poset import COLUMN, Move, kshapes_of_size
 from kshape.weak_tableaux import standard_shapes
 from kshape import verify
 from kshape.verify import CHECKS, resolve_params, run_check
@@ -133,16 +133,25 @@ def test_branching_checks_fail_when_classes_are_wrong(monkeypatch):
     # fails; at t=1 a class weighs 1 whatever its charge, so only a lost
     # class fails the t=1 rule
     monkeypatch.setenv("KSHAPE_WORKERS", "1")
+    real = verify.path_class_groups
     assert run_check("generic-t-branching", n_max=7, k_max=4).passed
-    shifted = property(lambda c: c.representative.charge() + 1)
-    monkeypatch.setattr(PathClass, "charge", shifted)
+    # a class's charge is read off its first sequence: end that sequence
+    # with a one-cell column move, of charge 1
+    cell = Move(COLUMN, (), frozenset({(1, 1)}), rank=1, length=1, strings=(), target=())
+
+    def shifted(lam, k):
+        return {
+            mu: tuple((g[0] + (cell,),) + g[1:] for g in groups)
+            for mu, groups in real(lam, k).items()
+        }
+
+    monkeypatch.setattr(verify, "path_class_groups", shifted)
     report = run_check("generic-t-branching", n_max=7, k_max=4)
     assert not report.passed and report.instances == len(report.failures) == 89
     assert all("generic-t branching differs" in f for f in report.failures)
     assert run_check("t1-branching", n_max=7, k_max=4).passed
-    real = verify.path_classes_from
     monkeypatch.setattr(
-        verify, "path_classes_from", lambda lam, k: {mu: c[1:] for mu, c in real(lam, k).items()}
+        verify, "path_class_groups", lambda lam, k: {mu: g[1:] for mu, g in real(lam, k).items()}
     )
     report = run_check("t1-branching", n_max=7, k_max=4)
     assert not report.passed and report.instances == 89
@@ -197,7 +206,7 @@ GATING_FAULTS = {
         r"k=\d+: .+ and .+ share an image",
     ),
     "t1-branching": (
-        "path_classes_from", lambda real: lambda lam, k: {}, r"t=1 branching differs at k=\d+ shape "
+        "path_class_groups", lambda real: lambda lam, k: {}, r"t=1 branching differs at k=\d+ shape "
     ),
 }
 
