@@ -24,10 +24,8 @@ from .partitions import (
 from .poset import (
     Move,
     Path,
-    PathClass,
     StringOfCells,
     build_poset,
-    class_holding,
     classify_string,
     enumerate_moves,
     enumerate_paths,
@@ -37,7 +35,6 @@ from .poset import (
     move_charge,
     move_cocharge,
     path_class_groups,
-    path_classes_from,
 )
 from .weak_tableaux import (
     WeakTableau,

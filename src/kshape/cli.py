@@ -18,7 +18,7 @@ from contextlib import contextmanager, suppress
 
 from .errors import IntegrityError
 from .partitions import format_partition, parse_partition
-from .poset import build_poset, enumerate_paths, equivalence_classes
+from .poset import Path, build_poset, enumerate_paths, equivalence_classes
 from .kshape_tableaux import charge_kshape, cocharge_kshape, make_kshape_tableau
 from .pushout import descend, weak_bijection_standard
 from .verify import CHECKS, resolve_params, run_check
@@ -45,12 +45,14 @@ def _output_file(path: str | None):
 
     It is written as a temporary file beside ``path`` and renamed over it
     at the end, so a run that raises leaves an existing file as it was.
-    The temporary file is opened on entry, so a path that cannot be
-    written fails before any output.  No path gives None.
+    A path that is empty, a directory or not writable fails on entry,
+    before any output: the temporary file is opened then.  No path gives None.
     """
-    if not path:
+    if path is None:
         yield None
         return
+    if not path or os.path.isdir(path):
+        raise ValueError(f"cannot write a file at {path!r}")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -90,11 +92,10 @@ def _cmd_paths(args) -> int:
     if args.classes:
         classes = equivalence_classes(paths)
         print(f"{len(classes)} equivalence classes")
-        for c in sorted(classes, key=lambda c: c.representative.sort_key()):
-            print(
-                f"  [{len(c.members)} paths, charge {c.charge}] "
-                f"rep {c.representative.text()}"
-            )
+        # each class is shown by its least path
+        sizes = {min(c, key=Path.sort_key): len(c) for c in classes}
+        for rep in sorted(sizes, key=Path.sort_key):
+            print(f"  [{sizes[rep]} paths, charge {rep.charge()}] rep {rep.text()}")
     return 0
 
 

@@ -451,18 +451,6 @@ class Path:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class PathClass:
-    """A diamond-equivalence class of paths with common endpoints."""
-
-    representative: Path
-    members: frozenset[Path]
-
-    @property
-    def charge(self) -> int:
-        return self.representative.charge()
-
-
 @dataclass
 class KShapePoset:
     k: int
@@ -590,13 +578,7 @@ def _diamond_groups(seqs: list[tuple[Move, ...]]) -> tuple[tuple[tuple[Move, ...
     return tuple(map(tuple, groups.values()))
 
 
-def _path_classes(lam: Partition, groups) -> tuple[PathClass, ...]:
-    """The ``PathClass`` of each group of move sequences from lam."""
-    members = ([Path(start=lam, moves=ms) for ms in g] for g in groups)
-    return tuple(PathClass(min(ps, key=Path.sort_key), frozenset(ps)) for ps in members)
-
-
-def equivalence_classes(paths) -> tuple[PathClass, ...]:
+def equivalence_classes(paths) -> tuple[tuple[Path, ...], ...]:
     """Partition paths under the closure of single diamond rewrites.
 
     ``paths`` must be all the paths between two shapes, as
@@ -606,15 +588,16 @@ def equivalence_classes(paths) -> tuple[PathClass, ...]:
     rewrite apart exactly when they agree before and after a window and
     have the same charge inside it: each path files itself under
     (prefix, suffix, window charge) for every window, and paths that
-    share a key are joined (``_diamond_groups``).  Classes come in the
-    order of their first paths; duplicate paths are dropped.
+    share a key are joined (``_diamond_groups``).  Classes are tuples of
+    the given paths, in the order of their first paths; duplicates are dropped.
     """
     paths = list(dict.fromkeys(paths))
     if not paths:
         return ()
     if len({p.start for p in paths}) != 1 or len({p.end for p in paths}) != 1:
         raise ValueError("paths must share both endpoints")
-    return _path_classes(paths[0].start, _diamond_groups([p.moves for p in paths]))
+    by_moves = {p.moves: p for p in paths}
+    return tuple(tuple(map(by_moves.__getitem__, g)) for g in _diamond_groups(list(by_moves)))
 
 
 def path_class_groups(
@@ -630,16 +613,3 @@ def path_class_groups(
         for mu, seqs in _suffixes_by_end(lam, k).items()
         if is_p_core(mu, k)
     }
-
-
-def path_classes_from(lam: Partition, k: int) -> dict[Partition, tuple[PathClass, ...]]:
-    """``path_class_groups`` with each class as a ``PathClass``."""
-    return {mu: _path_classes(lam, groups) for mu, groups in path_class_groups(lam, k).items()}
-
-
-def class_holding(path: Path, classes: dict[Partition, tuple[PathClass, ...]]) -> PathClass:
-    """The class holding path in the ``path_classes_from`` map of its start."""
-    for cls in classes.get(path.end, ()):
-        if path in cls.members:
-            return cls
-    raise IntegrityError(f"path {path.text()} is in no enumerated class")

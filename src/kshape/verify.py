@@ -31,12 +31,10 @@ from .partitions import (
 )
 from .poset import (
     build_poset,
-    class_holding,
     enumerate_paths,
     is_k_shape,
     move_charge,
     path_class_groups,
-    path_classes_from,
 )
 from .kshape_tableaux import (
     KShapeTableau,
@@ -246,13 +244,13 @@ def _paths_fixture_instance(_):
     paths = enumerate_paths((3, 1, 1), (4, 3, 2, 1), 2)
     if sorted(p.charge() for p in paths) != [2, 3]:
         fails.append(f"charges {sorted(p.charge() for p in paths)}")
-    cls = path_classes_from((3, 1, 1), 2)[(4, 3, 2, 1)]
+    cls = path_class_groups((3, 1, 1), 2)[(4, 3, 2, 1)]
     if len(cls) != 2:
         fails.append(f"{len(cls)} classes for the 2-shape pair")
     paths3 = enumerate_paths((3, 2, 1), (4, 2, 1, 1), 3)
     if sorted(p.charge() for p in paths3) != [1, 1]:
         fails.append(f"charges {sorted(p.charge() for p in paths3)}")
-    cls3 = path_classes_from((3, 2, 1), 3)[(4, 2, 1, 1)]
+    cls3 = path_class_groups((3, 2, 1), 3)[(4, 2, 1, 1)]
     if len(cls3) != 1:
         fails.append(f"{len(cls3)} classes for the 3-shape pair")
     self_paths = enumerate_paths((3, 1, 1), (3, 1, 1), 2)
@@ -427,20 +425,21 @@ def _bijection_count_instance(args):
 def _injectivity_instance(args):
     """Images (target chain, path class) of the weak bijection on the
     standard k-tableaux of one shape must be distinct.  Every path starts
-    at that shape, so images from different items never meet."""
+    at that shape, so images from different items never meet.  A class
+    is named by its end and its index among the classes at that end."""
     k, lam = args
     fails = []
-    classes = path_classes_from(lam, k)
+    groups = path_class_groups(lam, k)
+    class_of = {ms: (mu, i) for mu in groups for i, g in enumerate(groups[mu]) for ms in g}
     seen: dict[tuple, WeakTableau] = {}
     count = 0
     for t in enumerate_standard_k_tableaux(lam, k):
         res = weak_bijection_standard(t)
-        try:
-            cls = class_holding(res.path, classes)
-        except IntegrityError:
+        cls = class_of.get(res.path.moves) if res.path.start == lam else None
+        if cls is None:
             fails.append(f"path of k={k} {t.text()} is in no class")
         else:
-            image = (res.target_chain, cls.representative)
+            image = (res.target_chain, cls)
             first = seen.setdefault(image, t)
             if first is not t:
                 fails.append(f"k={k}: {first.text()} and {t.text()} share an image")

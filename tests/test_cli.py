@@ -34,6 +34,15 @@ def test_poset_unwritable_dot_fails_before_any_output(tmp_path, capsys):
     assert "error:" in err and not dot.exists()
 
 
+@pytest.mark.parametrize("where", ["empty", "directory"])
+def test_poset_dot_that_is_no_file_path_fails_before_any_output(where, tmp_path, capsys):
+    dot = "" if where == "empty" else str(tmp_path)
+    code, out, err = run(capsys, "poset", "--k", "2", "--size", "2", "--dot", dot)
+    assert code == 2
+    assert "vertices:" not in out and out == ""
+    assert "error:" in err and list(tmp_path.iterdir()) == []
+
+
 def test_poset_failed_run_keeps_an_existing_dot_file(tmp_path, capsys):
     dot = tmp_path / "existing.dot"
     dot.write_text("keep\n")
@@ -190,6 +199,15 @@ def test_verify_unwritable_report_fails_before_any_sweep(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err and not report.exists()
+
+
+@pytest.mark.parametrize("where", ["empty", "directory"])
+def test_verify_report_that_is_no_file_path_fails_before_any_sweep(where, tmp_path, capsys):
+    report = "" if where == "empty" else str(tmp_path)
+    code, out, err = run(capsys, "verify", "--check", "kshape-fixture", "--report", report)
+    assert code == 2
+    assert "PASS" not in out and out == ""
+    assert "error:" in err and list(tmp_path.iterdir()) == []
 
 
 def test_verify_failed_run_keeps_an_existing_report(tmp_path, capsys, monkeypatch):

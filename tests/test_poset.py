@@ -22,7 +22,6 @@ from kshape.poset import (
     ROW,
     Move,
     Path,
-    PathClass,
     _conjugate_move,
     _grow_row_move,
     _pushed_column,
@@ -42,7 +41,6 @@ from kshape.poset import (
     move_from_cells,
     next_corner,
     path_class_groups,
-    path_classes_from,
     row_shape,
 )
 from kshape.weak_tableaux import standard_shapes
@@ -673,10 +671,10 @@ def test_poset_trivial_and_dot():
 def test_paths_fixtures():
     paths = enumerate_paths((3, 1, 1), (4, 3, 2, 1), 2)
     assert sorted(p.charge() for p in paths) == [2, 3]
-    assert len(path_classes_from((3, 1, 1), 2)[(4, 3, 2, 1)]) == 2
+    assert len(path_class_groups((3, 1, 1), 2)[(4, 3, 2, 1)]) == 2
     paths3 = enumerate_paths((3, 2, 1), (4, 2, 1, 1), 3)
     assert [p.charge() for p in paths3] == [1, 1]
-    assert len(path_classes_from((3, 2, 1), 3)[(4, 2, 1, 1)]) == 1
+    assert len(path_class_groups((3, 2, 1), 3)[(4, 2, 1, 1)]) == 1
     # (3,1,1) is not a 2-core, so its empty path shows only here
     selfp = enumerate_paths((3, 1, 1), (3, 1, 1), 2)
     assert len(selfp) == 1 and not selfp[0].moves
@@ -724,7 +722,7 @@ def test_grouped_walk_matches_targeted_oracle(k):
         shapes = kshapes_of_size(k, n)
         cores = set(standard_shapes(k - 1, n))
         for lam in shapes:
-            classes = path_classes_from(lam, k)
+            classes = path_class_groups(lam, k)
             reached = set()
             for mu in shapes:
                 want = targeted_paths(lam, mu, k)
@@ -732,17 +730,19 @@ def test_grouped_walk_matches_targeted_oracle(k):
                 assert enumerate_paths(lam, mu, k) == want
                 if want and is_p_core(mu, k):
                     reached.add(mu)
-                    assert classes[mu] == equivalence_classes(want)
+                    grouped = equivalence_classes(want)
+                    assert classes[mu] == tuple(tuple(p.moves for p in c) for c in grouped)
                 pairs += bool(want)
             assert set(classes) == reached
             assert reached <= cores
     assert pairs > 0
 
 
-def rewrite_search_classes(paths, k: int) -> tuple[PathClass, ...]:
+def rewrite_search_classes(paths, k: int) -> tuple[frozenset[Path], ...]:
     """Oracle for ``equivalence_classes``: the closure of single diamond
     rewrites, found by building each rewritten path from the move tables
-    and searching outward from every path not yet in a class."""
+    and searching outward from every path not yet in a class.  Classes
+    are member sets, in the order of their first paths."""
 
     @lru_cache(maxsize=None)
     def moves_between(a: Partition, b: Partition) -> tuple[Move, ...]:
@@ -793,36 +793,32 @@ def rewrite_search_classes(paths, k: int) -> tuple[PathClass, ...]:
                     frontier.append(nb)
         for q in comp:
             index[q] = len(classes)
-        rep = min(comp, key=Path.sort_key)
-        classes.append(PathClass(representative=rep, members=frozenset(comp)))
+        classes.append(frozenset(comp))
     return tuple(classes)
 
 
 def test_grouped_classes_match_rewrite_search_oracle():
-    # same classes in the same order, with the same representatives and
-    # members, on every pair of shapes joined by a path and on every
-    # ``path_classes_from`` entry, for k=2..5 and boundary size <= 9; the
-    # ``path_class_groups`` entries hold the same classes as move
-    # sequences, each first sequence with its class's charge
+    # same classes in the same order, with the same members, on every pair
+    # of shapes joined by a path and on every ``path_class_groups`` entry,
+    # for k=2..5 and boundary size <= 9; ``equivalence_classes`` keeps the
+    # given order inside each class
     pairs = entries = 0
     for k in range(2, 6):
         for n in range(0, 10):
             for lam in kshapes_of_size(k, n):
-                by_end = path_classes_from(lam, k)
                 groups = path_class_groups(lam, k)
-                assert list(groups) == list(by_end)
                 ends = _suffixes_by_end(lam, k)
-                assert set(by_end) <= set(ends)
+                assert set(groups) <= set(ends)
                 for mu, seqs in ends.items():
                     paths = [Path(start=lam, moves=ms) for ms in seqs]
                     want = rewrite_search_classes(paths, k)
-                    assert equivalence_classes(paths) == want, (k, lam, mu)
-                    if mu in by_end:
-                        assert by_end[mu] == want, (k, lam, mu)
-                        assert len(groups[mu]) == len(want), (k, lam, mu)
-                        for g, cls in zip(groups[mu], want):
-                            assert {Path(start=lam, moves=ms) for ms in g} == cls.members
-                            assert sum(map(move_charge, g[0])) == cls.charge
+                    classes = equivalence_classes(paths)
+                    assert tuple(map(frozenset, classes)) == want, (k, lam, mu)
+                    for c in classes:
+                        assert sorted(c, key=paths.index) == list(c)
+                    if mu in groups:
+                        got = (frozenset(Path(start=lam, moves=ms) for ms in g) for g in groups[mu])
+                        assert tuple(got) == want, (k, lam, mu)
                         entries += 1
                     pairs += 1
     assert (pairs, entries) == (1403, 704)
@@ -841,14 +837,15 @@ def test_charge_constant_on_classes():
         tops = [v for v in p.vertices if is_p_core(v, k + 1)]
         bots = {v for v in p.vertices if is_p_core(v, k)}
         for a in tops:
-            by_end = path_classes_from(a, k)
+            by_end = path_class_groups(a, k)
             assert set(by_end) <= bots
             for b in bots:
                 want = equivalence_classes(targeted_paths(a, b, k))
                 assert len(by_end.get(b, ())) == len(want)
-                for cls in by_end.get(b, ()):
-                    charges = {q.charge() for q in cls.members}
-                    cocharges = {q.cocharge() for q in cls.members}
+                for g in by_end.get(b, ()):
+                    members = [Path(start=a, moves=ms) for ms in g]
+                    charges = {q.charge() for q in members}
+                    cocharges = {q.cocharge() for q in members}
                     assert len(charges) == 1 and len(cocharges) == 1
 
 

@@ -24,11 +24,11 @@ from kshape.poset import (
     COLUMN,
     ROW,
     Path,
-    class_holding,
     enumerate_moves,
     kshapes_of_size,
+    move_charge,
     move_from_cells,
-    path_classes_from,
+    path_class_groups,
 )
 from kshape.pushout import (
     PushoutSquare,
@@ -238,6 +238,17 @@ def test_push_through_empty_path():
     assert path.start == (1, 1) and path.end == out.outer
 
 
+def class_index(lam, k) -> dict:
+    """Each move sequence from lam to a k-core, keyed to its end and the
+    index of its diamond class among the classes at that end."""
+    return {
+        ms: (mu, i)
+        for mu, groups in path_class_groups(lam, k).items()
+        for i, g in enumerate(groups)
+        for ms in g
+    }
+
+
 def test_weak_bijection_shape_3_1():
     t = enumerate_standard_k_tableaux((3, 1), 2)[0]
     res = weak_bijection_standard(t)
@@ -246,8 +257,9 @@ def test_weak_bijection_shape_3_1():
     assert res.target_chain == ((), (1,), (2, 1), (3, 2, 1))
     assert charge_standard(t) == 2
     assert res.squares
-    cls = class_holding(res.path, path_classes_from(res.path.start, res.k))
-    assert cls.charge == 2
+    mu, i = class_index(res.path.start, res.k)[res.path.moves]
+    members = path_class_groups(res.path.start, res.k)[mu][i]
+    assert {sum(map(move_charge, ms)) for ms in members} == {2}
 
 
 def test_weak_bijection_single_letter():
@@ -335,10 +347,11 @@ def test_bijection_is_injective_small():
         for n in range(1, 6):
             for lam in standard_shapes(k, n):
                 images = set()
+                classes = class_index(lam, k)
                 for t in enumerate_standard_k_tableaux(lam, k):
                     res = weak_bijection_standard(t)
-                    cls = class_holding(res.path, path_classes_from(lam, k))
-                    key = (res.target_chain, cls.representative)
+                    assert res.path.start == lam
+                    key = (res.target_chain, classes[res.path.moves])
                     assert key not in images
                     images.add(key)
 

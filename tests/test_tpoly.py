@@ -2,7 +2,7 @@ import pytest
 
 from kshape.classical import kostka_foulkes
 from kshape.partitions import is_p_core, partitions_of
-from kshape.poset import equivalence_classes, kshapes_of_size, path_classes_from
+from kshape.poset import equivalence_classes, kshapes_of_size, move_charge, path_class_groups
 from kshape.tpoly import TPoly
 from kshape.weak_tableaux import enumerate_weak_tableaux, kostka_k, standard_shapes
 from test_poset import targeted_paths
@@ -23,7 +23,8 @@ def test_tpoly_arithmetic():
 
 def branching_poly(lam, mu, k) -> TPoly:
     """Sum of t^charge over the path classes from lam to the k-core mu."""
-    return TPoly.from_powers(c.charge for c in path_classes_from(lam, k).get(mu, ()))
+    groups = path_class_groups(lam, k).get(mu, ())
+    return TPoly.from_powers(sum(map(move_charge, g[0])) for g in groups)
 
 
 def test_branching_poly_trivials():

@@ -127,6 +127,27 @@ def test_injectivity_gate_fails_when_images_collide(monkeypatch):
     assert any("share an image" in f for f in report.failures)
 
 
+@pytest.mark.parametrize(
+    "attr, fault",
+    [
+        # each end loses its last class
+        ("path_class_groups", lambda real: lambda lam, k: {mu: g[:-1] for mu, g in real(lam, k).items()}),
+        # every path is the empty path of the one-cell shape
+        (
+            "weak_bijection_standard",
+            lambda real: lambda t: real(verify.enumerate_standard_k_tableaux((1,), t.k)[0]),
+        ),
+    ],
+    ids=["lost-class", "other-start"],
+)
+def test_injectivity_gate_fails_when_a_path_is_in_no_class(attr, fault, monkeypatch):
+    monkeypatch.setenv("KSHAPE_WORKERS", "1")
+    monkeypatch.setattr(verify, attr, fault(getattr(verify, attr)))
+    report = run_check("bijection-injectivity", n_max=4)
+    assert not report.passed and report.failures
+    assert all(re.fullmatch(r"path of k=\d+ .+ is in no class", f) for f in report.failures)
+
+
 def test_branching_checks_fail_when_classes_are_wrong(monkeypatch):
     # weighing each path class t^(charge+1) multiplies the right side by t,
     # and every start has a tableau of (k-1)-bounded weight, so every item
