@@ -391,11 +391,12 @@ def _parse_move(source: Partition, cells: frozenset[Cell], orientation: str, k: 
     corners = addable_corners(source) if is_k_shape(source, k) else ()
     run = (start,) + corner_run(corners, start, k) if start in corners else ()
     chain = tuple(takewhile(cells.__contains__, run))
-    # the first string is the prefix of length ell, for ell dividing n
+    # the first string is the prefix of length ell, for ell dividing n,
+    # and a match has rank n // ell, which is below k
     for ell in range(min(n, len(chain)), 0, -1):
-        if n % ell:
+        if n % ell or n // ell > k - 1:
             continue
-        for m in _grow_row_move(source, chain[:ell], k):
+        for m in _grow_row_move(source, chain[:ell], k, n // ell):
             if m.cells == cells:
                 return m
     raise IntegrityError(f"cells {sorted(cells)} do not form a row move over {source}")
@@ -417,6 +418,8 @@ class Path:
     start: Partition
     moves: tuple[Move, ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
+    _charge: int = field(init=False, repr=False, compare=False)
+    _cocharge: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cur = self.start
@@ -425,6 +428,8 @@ class Path:
                 raise ValueError(f"move from {m.source} does not compose at {cur}")
             cur = m.target
         object.__setattr__(self, "_hash", hash((self.start, self.moves)))
+        object.__setattr__(self, "_charge", sum(map(move_charge, self.moves)))
+        object.__setattr__(self, "_cocharge", sum(map(move_cocharge, self.moves)))
 
     __hash__ = _cached_hash
 
@@ -433,10 +438,10 @@ class Path:
         return self.moves[-1].target if self.moves else self.start
 
     def charge(self) -> int:
-        return sum(move_charge(m) for m in self.moves)
+        return self._charge
 
     def cocharge(self) -> int:
-        return sum(move_cocharge(m) for m in self.moves)
+        return self._cocharge
 
     def sort_key(self):
         return tuple(m.sort_key() + (m.target,) for m in self.moves)

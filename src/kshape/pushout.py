@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import IntegrityError
@@ -216,32 +215,55 @@ class WeakBijectionResult:
 _EMPTY_PATH = Path(start=())
 
 
-class _Step(NamedTuple):
-    """One letter of the weak bijection: its cover in the source and in
-    the target, the path after it, the squares of its strip, and its terms
-    in the charge and cocharge of the source and of the target."""
+@dataclass(frozen=True, slots=True, eq=False)
+class _State:
+    """The weak bijection after a letter: the letter's cover in the source
+    and in the target (none before letter 1) and the path so far.  Built
+    only through ``_state``, which interns it by value, so it hashes and
+    compares by identity."""
 
-    cover: StringOfCells
-    cover_out: StringOfCells
+    cover: StringOfCells | None
+    cover_out: StringOfCells | None
     path: Path
+
+    def __reduce__(self):
+        return _state, (self.cover, self.cover_out, self.path)
+
+
+@lru_cache(maxsize=None)
+def _state(cover: StringOfCells | None, cover_out: StringOfCells | None, path: Path) -> _State:
+    """The one ``_State`` of these fields.  A def, not ``lru_cache(_State)``:
+    that wrapper takes the class's name and ``__reduce__``, so pickle
+    could not name it."""
+    return _State(cover, cover_out, path)
+
+
+_ROOT = _state(None, None, _EMPTY_PATH)
+
+
+class _Step(NamedTuple):
+    """One letter of the weak bijection: the state after it, the squares
+    of its strip, and its terms in the charge and cocharge of the source
+    and of the target."""
+
+    state: _State
     strip: tuple[PushoutSquare, ...]
     terms: tuple[int, int, int, int]
 
 
 @lru_cache(maxsize=None)
-def _letter_step(
-    prev: StringOfCells | None, prev_out: StringOfCells | None, path: Path, outer: Partition, k: int
-) -> _Step:
-    """The next letter, which fills outer/shape, after the letter whose
-    source and target covers are prev and prev_out (none for letter 1).
+def _letter_step(before: _State, outer: Partition, k: int) -> _Step:
+    """The next letter, which fills outer/shape, after the state before.
 
     Its cover is pushed through the path so far, giving its strip.  The
     input step must be a standard step at k with a reverse-maximal cover;
     the output cover must chain onto the target, be maximal, and be a
-    standard step at k-1.  A step that raises stores nothing.  Its
-    messages do not name k, which may be a level shared below the
-    tableau's own; ``weak_bijection_standard`` adds k and the step.
+    standard step at k-1.  A step that raises stores nothing, in this
+    table or in ``_state``.  Its messages do not name k, which may be a
+    level shared below the tableau's own; ``weak_bijection_standard``
+    adds k and the step.
     """
+    prev, prev_out = before.cover, before.cover_out
     shape = () if prev is None else prev.outer
     target = () if prev is None else prev_out.outer
     if partition(outer) != outer:  # partition() raises for a part below 1 or a rise
@@ -251,7 +273,7 @@ def _letter_step(
     c = make_cover(shape, outer, k)
     if not cover_status(c, k).reverse_maximal:
         raise IntegrityError("standard tableau step is not reverse-maximal")
-    c_out, path, strip = push_cover_through_path(c, path, k)
+    c_out, path, strip = push_cover_through_path(c, before.path, k)
     if c_out.inner != target:
         raise IntegrityError("output covers do not chain")
     if not cover_status(c_out, k).maximal:
@@ -259,20 +281,21 @@ def _letter_step(
     if not is_standard_step(target, c_out.outer, k - 1):
         raise IntegrityError(f"output step {c_out.outer}/{target} is not standard one level down")
     if prev is None:  # letter 1 adds nothing to either statistic
-        return _Step(c, c_out, path, strip, (0, 0, 0, 0))
-    terms = (
-        letter_term(CHARGE, prev, c, k),
-        letter_term(COCHARGE, prev, c, k),
-        letter_term(CHARGE, prev_out, c_out, k),
-        letter_term(COCHARGE, prev_out, c_out, k),
-    )
-    return _Step(c, c_out, path, strip, terms)
+        terms = (0, 0, 0, 0)
+    else:
+        terms = (
+            letter_term(CHARGE, prev, c, k),
+            letter_term(COCHARGE, prev, c, k),
+            letter_term(CHARGE, prev_out, c_out, k),
+            letter_term(COCHARGE, prev_out, c_out, k),
+        )
+    return _Step(_state(c, c_out, path), strip, terms)
 
 
 def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
     """Map a standard k-tableau to a standard (k-1)-tableau and a path.
 
-    A loop of ``_letter_step`` over the chain: every cover is pushed
+    One pass of ``_letter_step`` over the chain: every cover is pushed
     through the path produced so far, and the maximal covers it yields
     form the output chain.  A letter's charge is the running sum of the
     terms up to it, and a tableau's charge sums those, as in
@@ -305,27 +328,37 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
         raise ValueError("descent requires k >= 2")
     if t.chain[:1] != ((),):
         raise ValueError("chain must start at the empty partition")
-    prev = prev_out = None
-    path = _EMPTY_PATH
-    steps = []
+    state = _ROOT
+    target_chain = [()]
+    squares = []
+    # a letter's charge and cocharge, in the source (c, cc) and in the
+    # target (tc, tcc), are running sums of the terms; the tableau's sum those
+    letter_c = letter_cc = letter_tc = letter_tcc = 0
+    charge = cocharge = target_charge = target_cocharge = 0
     for n, outer in enumerate(t.chain[1:], start=1):
         try:
             # () has no bound; a shape that is not a partition gets some
             # level and is rejected by the step's first check, or fails
             # the sum here with TypeError, reported as bad input
             level = min(k, outer[0] + len(outer)) if outer else k
-            step = _letter_step(prev, prev_out, path, outer, level)
+            step = _letter_step(state, outer, level)
         except (TypeError, ValueError, IntegrityError) as exc:
-            shape = () if prev is None else prev.outer
+            shape = () if state.cover is None else state.cover.outer
             kind = ValueError if isinstance(exc, TypeError) else type(exc)
             raise kind(f"letter {n}, {outer}/{shape} at k={k}: {exc}") from exc
-        steps.append(step)
-        prev, prev_out, path = step[:3]
-    # one column of terms per statistic; the leading zeros give a chain
-    # of no letters zero statistics
-    charge, cocharge, target_charge, target_cocharge = map(
-        sum, map(accumulate, zip((0, 0, 0, 0), *(s.terms for s in steps)))
-    )
+        state = step.state
+        target_chain.append(state.cover_out.outer)
+        squares += step.strip
+        c, cc, tc, tcc = step.terms
+        letter_c += c
+        letter_cc += cc
+        letter_tc += tc
+        letter_tcc += tcc
+        charge += letter_c
+        cocharge += letter_cc
+        target_charge += letter_tc
+        target_cocharge += letter_tcc
+    path = state.path
     if charge != target_charge + path.charge():
         raise IntegrityError("charge additivity failed")
     if cocharge != target_cocharge + path.cocharge():
@@ -333,9 +366,9 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
     return WeakBijectionResult(
         k=k,
         source=t,
-        target_chain=((),) + tuple(s.cover_out.outer for s in steps),
+        target_chain=tuple(target_chain),
         path=path,
-        squares=tuple(sq for s in steps for sq in s.strip),
+        squares=tuple(squares),
     )
 
 

@@ -519,12 +519,15 @@ def _sigma_conjecture_instance(args):
 @dataclass(frozen=True)
 class Check:
     """One named check.  ``items`` receives exactly the parameters in
-    ``defaults``; ``instance`` maps one item to (count, failures) and is
-    module-level so that worker processes can pickle it."""
+    ``defaults``; ``least`` holds the least value of each, the least at
+    which the sweep still runs an instance; ``instance`` maps one item to
+    (count, failures) and is module-level so that worker processes can
+    pickle it."""
 
     instance: Callable[[object], tuple[int, list[str]]]
     items: Callable[..., list]
     defaults: dict[str, int] = field(default_factory=dict)
+    least: dict[str, int] = field(default_factory=dict)
     gating: bool = True
 
 
@@ -569,17 +572,23 @@ CHECKS: dict[str, Check] = {
     "paths-fixture": Check(_paths_fixture_instance, _single_item),
     "charge-fixture": Check(_charge_fixture_instance, _single_item),
     "word-charge-fixture": Check(_word_charge_fixture_instance, _single_item),
-    "theorem-additivity": Check(_additivity_instance, _additivity_items, {"n_max": 7}),
-    "descent-classical": Check(_descent_instance, _partitions_up_to, {"n_max": 6}),
+    "theorem-additivity": Check(
+        _additivity_instance, _additivity_items, {"n_max": 7}, {"n_max": 2}
+    ),
+    "descent-classical": Check(_descent_instance, _partitions_up_to, {"n_max": 6}, {"n_max": 1}),
     "charge-cocharge-duality": Check(
         _duality_instance,
         lambda n_max, k_max: [
             (k, n) for k in range(2, k_max + 1) for n in range(1, n_max + 1)
         ],
         {"n_max": 6, "k_max": 3},
+        {"n_max": 1, "k_max": 2},
     ),
     "charge-k-stability": Check(
-        _stability_instance, _standard_shape_items, {"n_max": 7, "k_max": 4}
+        _stability_instance,
+        _standard_shape_items,
+        {"n_max": 7, "k_max": 4},
+        {"n_max": 1, "k_max": 2},
     ),
     "cover-characterization": Check(
         _characterization_instance,
@@ -587,16 +596,25 @@ CHECKS: dict[str, Check] = {
             (k, n) for k in range(2, k_max + 1) for n in range(0, n_max + 1)
         ],
         {"n_max": 6, "k_max": 3},
+        {"n_max": 0, "k_max": 2},
     ),
-    "classical-agreement": Check(_classical_agreement_instance, _partitions_up_to, {"n_max": 6}),
+    "classical-agreement": Check(
+        _classical_agreement_instance, _partitions_up_to, {"n_max": 6}, {"n_max": 1}
+    ),
     "bijection-counting": Check(
-        _bijection_count_instance, _standard_shape_items, {"n_max": 7, "k_max": 4}
+        _bijection_count_instance,
+        _standard_shape_items,
+        {"n_max": 7, "k_max": 4},
+        {"n_max": 1, "k_max": 2},
     ),
-    "bijection-injectivity": Check(_injectivity_instance, _additivity_items, {"n_max": 7}),
+    "bijection-injectivity": Check(
+        _injectivity_instance, _additivity_items, {"n_max": 7}, {"n_max": 2}
+    ),
     "t1-branching": Check(
         _branching_instance,
         partial(_branching_items, grading="none"),
         {"n_max": 6, "k_max": 3},
+        {"n_max": 0, "k_max": 2},
     ),
     "sigma-involution": Check(
         _sigma_conjecture_instance,
@@ -608,12 +626,14 @@ CHECKS: dict[str, Check] = {
             for letters in range(1, n + 1)
         ],
         {"n_max": 5, "k_max": 3},
+        {"n_max": 2, "k_max": 2},
         gating=False,
     ),
     "generic-t-branching": Check(
         _branching_instance,
         partial(_branching_items, grading="charge"),
         {"n_max": 5, "k_max": 3},
+        {"n_max": 0, "k_max": 2},
         gating=False,
     ),
 }
@@ -623,11 +643,12 @@ def resolve_params(name: str, **params) -> dict:
     """The parameters a run of ``name`` uses: ``params`` over its defaults.
 
     Raises KeyError for an unknown check and ValueError for a parameter
-    the check does not declare or one below its least value.
+    the check does not declare or one below its least value, below which
+    the sweep would run no instance.
     """
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
-    defaults = CHECKS[name].defaults
+    defaults, least = CHECKS[name].defaults, CHECKS[name].least
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         takes = ", ".join(defaults) or "no parameters"
@@ -635,9 +656,9 @@ def resolve_params(name: str, **params) -> dict:
             f"check {name!r} does not take {', '.join(unknown)}; it takes {takes}"
         )
     params = {**defaults, **params}
-    for key, least in (("n_max", 0), ("k_max", 2)):
-        if params.get(key, least) < least:
-            raise ValueError(f"{key} must be at least {least}: {params[key]}")
+    for key, value in params.items():
+        if value < least[key]:
+            raise ValueError(f"{key} must be at least {least[key]} for {name}: {value}")
     return params
 
 

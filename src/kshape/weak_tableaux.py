@@ -111,7 +111,7 @@ class WeakTableau(ChainTableau):
     weight: tuple[int, ...]
 
     def is_standard(self) -> bool:
-        return all(a == 1 for a in self.weight)
+        return self.weight == (1,) * len(self.weight)
 
 
 def _chain_weight(k: int, chain: tuple[Partition, ...]) -> tuple[int, ...]:

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -242,12 +244,47 @@ def test_verify_unknown_check(capsys):
     assert err.startswith("error: unknown check 'nope'")
 
 
-def test_verify_zero_instances_fails(capsys):
-    # n_max 0 is in range and gives theorem-additivity no items
-    code, out, _ = run(capsys, "verify", "--check", "theorem-additivity", "--n-max", "0")
+def test_verify_zero_instances_fails(capsys, monkeypatch):
+    # every value the CLI accepts gives an instance, so the gate's own
+    # check is reached with an item builder that gives none
+    from kshape import verify
+
+    empty = replace(verify.CHECKS["theorem-additivity"], items=lambda n_max: [])
+    monkeypatch.setitem(verify.CHECKS, "theorem-additivity", empty)
+    code, out, _ = run(capsys, "verify", "--check", "theorem-additivity")
     assert code == 1
     assert "FAIL theorem-additivity instances=0" in out
     assert "no instances ran" in out
+
+
+def _options(params):
+    return [x for key, value in params.items() for x in (f"--{key.replace('_', '-')}", str(value))]
+
+
+@pytest.mark.parametrize("name", list(cli.CHECKS))
+def test_verify_least_values_run_an_instance(capsys, name):
+    # each check's least values run an instance; one below any of them is
+    # rejected with exit 2 before any sweep, as no instance could run
+    check = cli.CHECKS[name]
+    assert set(check.least) == set(check.defaults)
+    code, out, _ = run(capsys, "verify", "--check", name, *_options(check.least))
+    assert code == 0
+    assert int(re.search(r" instances=(\d+) ", out).group(1)) > 0
+    for key in check.least:
+        below = {p: v - (p == key) for p, v in check.least.items()}
+        code, out, err = run(capsys, "verify", "--check", name, *_options(below))
+        assert code == 2
+        assert f"{key} must be at least {check.least[key]}" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("group", ["gating", "all"])
+def test_verify_group_below_a_least_value_runs_nothing(capsys, group):
+    # n_max 1 is the least value of some checks and below that of others
+    code, out, err = run(capsys, "verify", "--check", group, "--n-max", "1")
+    assert code == 2
+    assert "n_max must be at least 2 for theorem-additivity" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])

@@ -162,8 +162,6 @@ def test_classical_oracle_imports_only_the_partition_alias():
 DEFAULTS_SET_OUTSIDE_SRC = {
     # the command-line entry point: tests pass argv, the console script does not
     ("cli.py", "main", "argv"),
-    # test_move_rank_bound checks that the rank bound stops the walk early
-    ("poset.py", "_grow_row_move", "max_rank"),
 }
 
 
@@ -189,7 +187,8 @@ def _sets(call: ast.Call, param: str, index: int | None) -> bool:
 
 
 def test_defaulted_parameters_are_set():
-    # a default that no call in src/ overrides is a knob nothing turns
+    # a default that no call in src/ overrides is a knob nothing turns,
+    # and an entry of DEFAULTS_SET_OUTSIDE_SRC that a call in src/ sets is stale
     calls: dict[str, list[ast.Call]] = {}
     for tree in MODULES.values():
         for node in ast.walk(tree):
@@ -197,22 +196,55 @@ def test_defaulted_parameters_are_set():
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.setdefault(name, []).append(node)
-    unset = []
+    unset, stale = [], []
     for name, tree in MODULES.items():
         for node in ast.walk(tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
             for param, index in _defaulted_parameters(node):
+                is_set = any(_sets(c, param, index) for c in calls.get(node.name, []))
+                where = f"{name}:{node.lineno} {node.name}({param})"
                 if (name, node.name, param) in DEFAULTS_SET_OUTSIDE_SRC:
-                    continue
-                if not any(_sets(c, param, index) for c in calls.get(node.name, [])):
-                    unset.append(f"{name}:{node.lineno} {node.name}({param})")
+                    if is_set:
+                        stale.append(where)
+                elif not is_set:
+                    unset.append(where)
     assert not unset, f"defaulted parameters no call in src/ sets: {unset}"
+    assert not stale, f"DEFAULTS_SET_OUTSIDE_SRC entries a call in src/ sets: {stale}"
 
 
 def _is_lru_cache(decorator: ast.expr) -> bool:
     f = decorator.func if isinstance(decorator, ast.Call) else decorator
     return getattr(f, "id", None) == "lru_cache" or getattr(f, "attr", None) == "lru_cache"
+
+
+def _memo_tables(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds to an lru_cache table: a
+    decorated function or class, ``name = lru_cache(...)(f)`` or
+    ``name = lru_cache(f)``; ``lru_cache(maxsize=...)`` alone is no table."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name] if any(map(_is_lru_cache, node.decorator_list)) else []
+    value = getattr(node, "value", None)
+    if isinstance(node, ast.Assign) and isinstance(value, ast.Call) and _is_lru_cache(value.func):
+        if isinstance(value.func, ast.Call) or value.args:
+            return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def test_memo_table_finder_sees_every_form():
+    source = (
+        "@lru_cache(maxsize=None)\n"
+        "def f(x): return x\n"
+        "@functools.lru_cache\n"
+        "class C: pass\n"
+        "g = lru_cache(maxsize=None)(C)\n"
+        "h = lru_cache(C)\n"
+        "factory = lru_cache(maxsize=None)\n"
+        "def plain(x): return x\n"
+        "y = plain(1)\n"
+    )
+    found = [name for node in ast.parse(source).body for name in _memo_tables(node)]
+    assert found == ["f", "C", "g", "h"]
 
 
 def _outside_parentheses(text: str) -> str:
@@ -230,10 +262,10 @@ def test_memo_tables_are_listed_in_readme():
     # README's "Memo tables" names each one in its module's row, and a
     # name there outside parentheses is a table of that module
     tables = {
-        (name.removesuffix(".py"), node.name)
+        (name.removesuffix(".py"), table)
         for name, tree in MODULES.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and any(map(_is_lru_cache, node.decorator_list))
+        for table in _memo_tables(node)
     }
     assert len(tables) > 20
     section = README.read_text().split("\n## Memo tables\n", 1)[1].split("\n## ", 1)[0]

@@ -5,7 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -28,9 +28,13 @@ from kshape.poset import (
     kshapes_of_size,
     move_from_cells,
 )
+from kshape import pushout
 from kshape.pushout import (
+    _ROOT,
     PushoutSquare,
     _letter_step,
+    _state,
+    _State,
     maximal_pushout,
     maximize_above,
     maximize_below,
@@ -156,12 +160,11 @@ def test_push_strip_and_cover_status_match_uncached():
     strips = 0
     for t in tableaux:
         k = t.k
-        prev = prev_out = None
-        path = Path(start=())
+        before = _ROOT
         for outer in t.chain[1:]:
-            got = _letter_step(prev, prev_out, path, outer, k)
-            assert got == _letter_step.__wrapped__(prev, prev_out, path, outer, k)
-            for cover in (got.cover, got.cover_out):
+            got = _letter_step(before, outer, k)
+            assert got == _letter_step.__wrapped__(before, outer, k)
+            for cover in (got.state.cover, got.state.cover_out):
                 assert cover_status(cover, k) == cover_status.__wrapped__(cover, k)
             for sq in got.strip:
                 if sq.move_in is not None:
@@ -172,7 +175,7 @@ def test_push_strip_and_cover_status_match_uncached():
                     # the strip holds the very square of the warm table
                     assert grow(sq.cover_in, k) is sq
                     assert grow.__wrapped__(sq.cover_in, k) == sq
-            prev, prev_out, path = got[:3]
+            before = got.state
             strips += 1
     assert strips > 2000 and _letter_step.cache_info().hits > 0
 
@@ -224,6 +227,36 @@ def test_row_cells_matches_uncached():
             assert _row_cells(i, width) == _row_cells.__wrapped__(i, width)
 
 
+def test_equal_triples_give_one_state():
+    cover = make_cover((1,), (1, 1), 2)
+    path = Path(start=(1,))
+    state = _state(cover, cover, path)
+    twin = _state(make_cover.__wrapped__((1,), (1, 1), 2), replace(cover), Path(start=(1,)))
+    assert twin is state and hash(twin) == hash(state)
+    assert _state(cover, None, path) is not state
+    # built outside the table, an equal state is another state
+    assert _State(cover, cover, path) != state
+
+
+def test_raising_step_adds_no_state(monkeypatch):
+    """A step that fails its last computation stores nothing, in the step
+    table or in ``_state``."""
+    _letter_step.cache_clear()
+    _state.cache_clear()
+    first = _letter_step(_ROOT, (1,), 2).state
+
+    def fail(*args):
+        raise IntegrityError("no term")
+
+    monkeypatch.setattr(pushout, "letter_term", fail)
+    sizes = (_letter_step.cache_info().currsize, _state.cache_info().currsize)
+    assert sizes == (1, 1)
+    for _ in range(2):
+        with pytest.raises(IntegrityError, match="no term"):
+            _letter_step(first, (2,), 2)
+    assert (_letter_step.cache_info().currsize, _state.cache_info().currsize) == sizes
+
+
 BAD_CALLS = [
     (is_p_core, ((2, 1), 1), ValueError),
     (is_k_shape, ((1,), 1), ValueError),
@@ -234,12 +267,12 @@ BAD_CALLS = [
     (standard_successors, ((2, 1), 2), ValueError),  # (2,1) is not a 3-core
     (standard_predecessors, ((2, 1), 2), ValueError),
     (_strips_over, ((2, 1), 2), ValueError),
-    (_letter_step, (None, None, Path(start=(1,)), (1,), 2), ValueError),  # the path starts at (1,)
+    (_letter_step, (_state(None, None, Path(start=(1,))), (1,), 2), ValueError),  # the path starts at (1,)
     # the cover (3,1,1)/(2,1,1) continues, so it is not maximal
     (maximal_pushout, (make_cover((2, 1, 1), (3, 1, 1), 2), move_from_cells((2, 1, 1), {(1, 3), (2, 2)}, ROW, 2), 2), ValueError),
     (maximize_below, (make_cover((), (1,), 2), 2), ValueError),
     (maximize_above, (make_cover((), (1,), 2), 2), ValueError),
-    (_letter_step, (None, None, Path(start=()), (2,), 2), ValueError),  # the boundary grows by 2
+    (_letter_step, (_ROOT, (2,), 2), ValueError),  # the boundary grows by 2
     (is_standard_step, ((), (1,), 0), ValueError),
     (count_standard_k_tableaux, ((2, 1), 2), ValueError),
     (_parse_move, ((3, 1, 1), frozenset({(5, 2)}), ROW, 2), IntegrityError),  # not addable
@@ -268,10 +301,11 @@ def _values():
     column = move_from_cells(column.source, column.cells, column.orientation, k)
     path = push_cover_through_path(make_cover((), (1,), 2), Path(start=()), 2)[1]
     square = push_cover_through_path(make_cover((1,), (1, 1), 2), Path(start=(1,)), 2)[2][0]
-    return [cover, column, move, move.strings[0], Path(start=move.source, moves=(move,)), path, square]
+    state = _letter_step(_letter_step(_ROOT, (1,), 2).state, (1, 1), 2).state
+    return [cover, column, move, move.strings[0], Path(start=move.source, moves=(move,)), path, square, state]
 
 
-@pytest.mark.parametrize("index", range(7))
+@pytest.mark.parametrize("index", range(8))
 def test_cached_values_pickle(index):
     value = _values()[index]
     back = pickle.loads(pickle.dumps(value))
@@ -279,6 +313,8 @@ def test_cached_values_pickle(index):
     assert back == value
     if isinstance(value, Move):
         assert _same_move(back, value)
+    if isinstance(value, _State):  # unpickling re-interns it
+        assert back is value
 
 
 def test_pickled_hash_holds_under_another_hash_seed():
@@ -304,7 +340,7 @@ def test_pickled_hash_holds_under_another_hash_seed():
 
 @pytest.mark.parametrize(
     "cls,field",
-    [(Move, "source"), (StringOfCells, "cells"), (Path, "start"), (PushoutSquare, "kind")],
+    [(Move, "source"), (StringOfCells, "cells"), (Path, "start"), (PushoutSquare, "kind"), (_State, "path")],
 )
 def test_cached_value_types_are_frozen_and_slotted(cls, field):
     value = next(v for v in _values() if type(v) is cls)

@@ -171,6 +171,24 @@ def test_move_charges():
                     assert move_charge(m) == m.rank * m.length == len(m.cells)
 
 
+def test_path_charges_are_the_sums_over_its_moves():
+    # a Path computes its charge and cocharge once, when it is built
+    paths = [
+        p
+        for k in (2, 3, 4)
+        for size in range(0, 9)
+        for lam in kshapes_of_size(k, size)
+        for mu in kshapes_of_size(k, size)
+        for p in enumerate_paths(lam, mu, k)
+    ]
+    assert len(paths) == 820
+    assert sum(p.charge() > 0 for p in paths) == 379
+    assert sum(p.cocharge() > 0 for p in paths) > 0
+    for p in paths:
+        assert p.charge() == sum(move_charge(m) for m in p.moves)
+        assert p.cocharge() == sum(move_cocharge(m) for m in p.moves)
+
+
 def test_move_profile_preservation():
     from kshape.partitions import col_shape
 

@@ -31,8 +31,10 @@ from kshape.poset import (
     path_class_groups,
 )
 from kshape.pushout import (
+    _ROOT,
     PushoutSquare,
     _letter_step,
+    _state,
     descend,
     full_descent,
     maximal_pushout,
@@ -488,14 +490,13 @@ def _prefix_sums(t):
     letter, yield the path so far and the four statistics of the prefix
     (charge and cocharge of the source, then of the target), each the sum
     of the letters' running sums of terms."""
-    prev = prev_out = None
-    path = Path(start=())
+    state = _ROOT
     letter = total = (0, 0, 0, 0)
     for outer in t.chain[1:]:
-        prev, prev_out, path, _, terms = _letter_step(prev, prev_out, path, outer, t.k)
+        state, _, terms = _letter_step(state, outer, t.k)
         letter = tuple(a + b for a, b in zip(letter, terms))
         total = tuple(a + b for a, b in zip(total, letter))
-        yield path, total
+        yield state.path, total
 
 
 def test_prefix_states_fold_the_letter_statistic():
@@ -601,6 +602,7 @@ def test_letter_steps_match_the_prefix_fold():
 
 PUSHOUT_TABLES = (
     _letter_step,
+    _state,
     maximal_pushout,
     maximize_below,
     maximize_above,
@@ -703,12 +705,11 @@ def _hook_bound_inputs():
 def _raw_steps(t):
     """The fold of the unmemoized step at the tableau's own k: each
     letter's arguments, without k, and its step."""
-    prev = prev_out = None
-    path = Path(start=())
+    state = _ROOT
     for outer in t.chain[1:]:
-        step = _letter_step.__wrapped__(prev, prev_out, path, outer, t.k)
-        yield (prev, prev_out, path, outer), step
-        prev, prev_out, path = step[:3]
+        step = _letter_step.__wrapped__(state, outer, t.k)
+        yield (state, outer), step
+        state = step.state
 
 
 def test_letter_steps_are_keyed_exactly_at_the_hook_bound():
@@ -726,8 +727,8 @@ def test_letter_steps_are_keyed_exactly_at_the_hook_bound():
         res = weak_bijection_standard(t)
         raw = list(_raw_steps(t))
         assert res.k == k
-        assert res.target_chain == ((),) + tuple(step.cover_out.outer for _, step in raw)
-        assert res.path == raw[-1][1].path
+        assert res.target_chain == ((),) + tuple(step.state.cover_out.outer for _, step in raw)
+        assert res.path == raw[-1][1].state.path
         assert res.squares == tuple(sq for _, step in raw for sq in step.strip)
         for args, step in raw:
             bound = args[-1][0] + len(args[-1])

@@ -85,8 +85,8 @@ def test_parameters_below_least_value_rejected(name, params):
 
 
 def test_least_values_accepted():
-    assert resolve_params("bijection-counting", n_max=0, k_max=2)["k_max"] == 2
-    assert resolve_params("classical-agreement", n_max=0) == {"n_max": 0}
+    assert resolve_params("bijection-counting", n_max=1, k_max=2)["k_max"] == 2
+    assert resolve_params("classical-agreement", n_max=1) == {"n_max": 1}
 
 
 def test_unknown_check_rejected():
