@@ -37,6 +37,7 @@ from .poset import (
     path_class_groups,
 )
 from .weak_tableaux import (
+    ChainTableau,
     WeakTableau,
     charge_any_weight,
     charge_dominant_semistandard,
@@ -50,7 +51,6 @@ from .weak_tableaux import (
     sigma_involution,
 )
 from .kshape_tableaux import (
-    KShapeTableau,
     chain_characterization,
     charge_cocharge_residual,
     charge_kshape,

@@ -121,13 +121,12 @@ def _cmd_bijection(args) -> int:
         print(record.to_json() if args.json else record.to_text())
         return 0
     res = weak_bijection_standard(t)
-    target = res.target_tableau
-    print(f"target ({args.k - 1}-tableau): {target.text() or '-'}")
+    print(f"target ({args.k - 1}-tableau): {res.target.text() or '-'}")
     print(f"path: {res.path.text()}")
     print(f"path charge {res.path.charge()} cocharge {res.path.cocharge()}")
     print(
         f"charges: {charge_standard(t)} ="
-        f" {charge_standard(target)} + {res.path.charge()}"
+        f" {charge_standard(res.target)} + {res.path.charge()}"
     )
     return 0
 

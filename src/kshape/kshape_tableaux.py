@@ -8,7 +8,6 @@ are exactly the standard k-tableaux and maximal chains the standard
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
@@ -89,18 +88,14 @@ def enumerate_covers(lam: Partition, k: int) -> tuple[StringOfCells, ...]:
     return tuple(sorted(covers, key=lambda c: c.top))
 
 
-@dataclass(frozen=True)
-class KShapeTableau(ChainTableau):
-    """A chain of covers between k-shapes, one letter per cover."""
-
-
-def make_kshape_tableau(k: int, chain: Sequence[Partition]) -> KShapeTableau:
+def make_kshape_tableau(k: int, chain: Sequence[Partition]) -> ChainTableau:
+    """A k-shape tableau: a chain of covers between k-shapes, one per letter."""
     chain = tuple(map(partition, chain))
     if not chain or chain[0] != ():
         raise ValueError("chain must start at the empty partition")
     for inner, outer in zip(chain, chain[1:]):
         make_cover(inner, outer, k)  # raises when a step is not a cover
-    return KShapeTableau(k=k, chain=chain)
+    return ChainTableau(k=k, chain=chain)
 
 
 def chain_characterization(chain: Sequence[Partition], k: int) -> tuple[bool, bool]:
@@ -121,11 +116,11 @@ def chain_characterization(chain: Sequence[Partition], k: int) -> tuple[bool, bo
     return is_k, is_km1
 
 
-def enumerate_kshape_tableaux(n: int, k: int) -> tuple[KShapeTableau, ...]:
+def enumerate_kshape_tableaux(n: int, k: int) -> tuple[ChainTableau, ...]:
     """All standard k-shape tableaux on n letters: the chains grown upward
     one cover per letter, in cover order."""
     chains = _grow_chains((), n, lambda _, nu: [c.outer for c in enumerate_covers(nu, k)])
-    return tuple(KShapeTableau(k=k, chain=ch) for ch in chains)
+    return tuple(ChainTableau(k=k, chain=ch) for ch in chains)
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +192,24 @@ def letter_term(stat, prev: StringOfCells, cover: StringOfCells, k: int) -> int:
     return sign * _interval(cover.inner, k, hi, lo, left, right)
 
 
-def charge_kshape(t: KShapeTableau) -> int:
+def charge_kshape(t: ChainTableau) -> int:
     """Charge driven by connected-row intervals on the previous shape."""
     return sum(letter_charges(t))
 
 
-def cocharge_kshape(t: KShapeTableau) -> int:
+def cocharge_kshape(t: ChainTableau) -> int:
     return sum(letter_cocharges(t))
 
 
-def letter_charges(t: KShapeTableau) -> tuple[int, ...]:
+def letter_charges(t: ChainTableau) -> tuple[int, ...]:
     return _letter_statistic(t, CHARGE)
 
 
-def letter_cocharges(t: KShapeTableau) -> tuple[int, ...]:
+def letter_cocharges(t: ChainTableau) -> tuple[int, ...]:
     return _letter_statistic(t, COCHARGE)
 
 
-def _letter_statistic(t: KShapeTableau, stat) -> tuple[int, ...]:
+def _letter_statistic(t: ChainTableau, stat) -> tuple[int, ...]:
     """Running sums of ``letter_term`` over the letters, 0 for letter 1."""
     k = t.k
     covers = [make_cover(a, b, k) for a, b in zip(t.chain, t.chain[1:])]
@@ -222,7 +217,7 @@ def _letter_statistic(t: KShapeTableau, stat) -> tuple[int, ...]:
     return tuple(accumulate(terms, initial=0))
 
 
-def charge_cocharge_residual(t: KShapeTableau) -> int:
+def charge_cocharge_residual(t: ChainTableau) -> int:
     """charge - (n(n-1)/2 - cocharge - interior size); zero on valid input."""
     n = t.letters
     interior = sum(k_interior(t.shape, t.k))

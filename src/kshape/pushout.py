@@ -195,20 +195,14 @@ def push_cover_through_path(
 
 @dataclass(frozen=True)
 class WeakBijectionResult:
-    """Image of a standard k-tableau: the (k-1)-tableau chain and path,
-    with the squares of every strip in the order they were pushed."""
+    """Image of a standard k-tableau: the (k-1)-tableau, whose steps
+    ``_letter_step`` checked, and the path, with the squares of every
+    strip in the order they were pushed."""
 
-    k: int
     source: WeakTableau
-    target_chain: tuple[Partition, ...]
+    target: WeakTableau
     path: Path
     squares: tuple[PushoutSquare, ...] = field(repr=False)
-
-    @property
-    def target_tableau(self) -> WeakTableau:
-        """The target chain as a standard (k-1)-tableau.  ``_letter_step``
-        checked each of its steps, so it is not validated again."""
-        return WeakTableau(k=self.k - 1, chain=self.target_chain, weight=self.source.weight)
 
 
 # built once: a Path checks its moves and hashes itself when built
@@ -329,7 +323,7 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
     if t.chain[:1] != ((),):
         raise ValueError("chain must start at the empty partition")
     state = _ROOT
-    target_chain = [()]
+    chain_out = [()]
     squares = []
     # a letter's charge and cocharge, in the source (c, cc) and in the
     # target (tc, tcc), are running sums of the terms; the tableau's sum those
@@ -347,7 +341,7 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
             kind = ValueError if isinstance(exc, TypeError) else type(exc)
             raise kind(f"letter {n}, {outer}/{shape} at k={k}: {exc}") from exc
         state = step.state
-        target_chain.append(state.cover_out.outer)
+        chain_out.append(state.cover_out.outer)
         squares += step.strip
         c, cc, tc, tcc = step.terms
         letter_c += c
@@ -363,13 +357,8 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
         raise IntegrityError("charge additivity failed")
     if cocharge != target_cocharge + path.cocharge():
         raise IntegrityError("cocharge additivity failed")
-    return WeakBijectionResult(
-        k=k,
-        source=t,
-        target_chain=tuple(target_chain),
-        path=path,
-        squares=tuple(squares),
-    )
+    target = WeakTableau(k=k - 1, chain=tuple(chain_out), weight=t.weight)
+    return WeakBijectionResult(source=t, target=target, path=path, squares=tuple(squares))
 
 
 @dataclass(frozen=True)
@@ -391,7 +380,7 @@ class DescentRecord:
         lines = [f"source: {self.source.text() or '-'}"]
         for lv in self.levels:
             lines.append(
-                f"k={lv.k}: path {lv.path.text()}"
+                f"k={lv.source.k}: path {lv.path.text()}"
                 f" | charge {lv.path.charge()} cocharge {lv.path.cocharge()}"
             )
         lines.append(
@@ -405,9 +394,9 @@ class DescentRecord:
                 "source": self.source.text(),
                 "levels": [
                     {
-                        "k": lv.k,
+                        "k": lv.source.k,
                         "path": lv.path.text(),
-                        "chain": [format_partition(s) for s in lv.target_chain],
+                        "chain": [format_partition(s) for s in lv.target.chain],
                         "charge": lv.path.charge(),
                         "cocharge": lv.path.cocharge(),
                     }
@@ -424,17 +413,23 @@ def descend(t: WeakTableau) -> DescentRecord:
     """Iterate the weak bijection from level k down to the 1-tableau.
 
     Each level is a fold of ``_letter_step``, whose steps check that the
-    chain they read is a standard tableau at that level.
+    chain they read is a standard tableau at that level.  The weight is
+    checked here, since at k < 2 no level runs.
     """
+    if not t.is_standard():
+        raise ValueError("the weak bijection requires a standard tableau")
     levels = []
-    cur = t
-    for k in range(t.k, 1, -1):
-        res = weak_bijection_standard(cur)
-        levels.append(res)
-        cur = res.target_tableau
+    for _ in range(t.k - 1):
+        levels.append(weak_bijection_standard(levels[-1].target if levels else t))
     return DescentRecord(source=t, levels=tuple(levels))
 
 
 def full_descent(chain: Sequence[Partition]) -> DescentRecord:
-    """Descend from an ordinary standard Young tableau given as a chain."""
-    return descend(make_weak_tableau(max(len(chain) - 1, 1), chain))
+    """Descend from an ordinary standard Young tableau given as a chain.
+    The first level's steps check the chain at k = n, so only a chain on
+    which no level runs is validated beforehand."""
+    chain = tuple(map(partition, chain))
+    n = len(chain) - 1
+    if n < 2:
+        return descend(make_weak_tableau(1, chain))
+    return descend(WeakTableau(k=n, chain=chain, weight=(1,) * n))

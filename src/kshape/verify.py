@@ -37,7 +37,6 @@ from .poset import (
     path_class_groups,
 )
 from .kshape_tableaux import (
-    KShapeTableau,
     chain_characterization,
     charge_cocharge_residual,
     charge_kshape,
@@ -50,6 +49,7 @@ from .kshape_tableaux import (
 from .pushout import full_descent, weak_bijection_standard
 from .tpoly import TPoly
 from .weak_tableaux import (
+    ChainTableau,
     WeakTableau,
     _sigma_step,
     chain_of_filling,
@@ -307,10 +307,9 @@ def _additivity_instance(args):
     count = 0
     for t in enumerate_standard_k_tableaux(lam, k):
         res = weak_bijection_standard(t)
-        target = res.target_tableau
-        if charge_standard(t) != charge_standard(target) + res.path.charge():
+        if charge_standard(t) != charge_standard(res.target) + res.path.charge():
             fails.append(f"charge additivity: k={k} {t.text()}")
-        if cocharge_standard(t) != cocharge_standard(target) + res.path.cocharge():
+        if cocharge_standard(t) != cocharge_standard(res.target) + res.path.cocharge():
             fails.append(f"cocharge additivity: k={k} {t.text()}")
         count += 1
     return count, fails
@@ -353,11 +352,10 @@ def _stability_instance(args):
     fails = []
     count = 0
     for t in enumerate_standard_k_tableaux(lam, k):
-        as_k = KShapeTableau(k=k, chain=t.chain)
-        as_k1 = KShapeTableau(k=k + 1, chain=t.chain)
-        if not charge_kshape(as_k) == charge_kshape(as_k1) == charge_standard(t):
+        as_k1 = ChainTableau(k=k + 1, chain=t.chain)
+        if not charge_kshape(t) == charge_kshape(as_k1) == charge_standard(t):
             fails.append(f"charge stability: k={k} {t.text()}")
-        if not cocharge_kshape(as_k) == cocharge_kshape(as_k1) == cocharge_standard(t):
+        if not cocharge_kshape(t) == cocharge_kshape(as_k1) == cocharge_standard(t):
             fails.append(f"cocharge stability: k={k} {t.text()}")
         count += 1
     return count, fails
@@ -439,7 +437,7 @@ def _injectivity_instance(args):
         if cls is None:
             fails.append(f"path of k={k} {t.text()} is in no class")
         else:
-            image = (res.target_chain, cls)
+            image = (res.target.chain, cls)
             first = seen.setdefault(image, t)
             if first is not t:
                 fails.append(f"k={k}: {first.text()} and {t.text()} share an image")

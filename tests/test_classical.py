@@ -1,3 +1,5 @@
+import pytest
+
 from kshape.classical import (
     chain_from_grid,
     classical_charge,
@@ -115,6 +117,11 @@ def test_classical_sigma_involution_and_shape():
                 out = classical_sigma(ch, i)
                 assert out[-1] == shape
                 assert classical_sigma(out, i) == ch
+
+
+def test_reading_word_rejects_a_chain_that_shrinks():
+    with pytest.raises(ValueError, match=r"^\(2,\) is not contained in \(1,\)$"):
+        reading_word(((), (2,), (1,)))
 
 
 def test_chain_from_grid():

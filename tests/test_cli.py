@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import pytest
 
 from kshape import cli
 from kshape.cli import main
+from kshape.errors import IntegrityError
 
 
 def run(capsys, *argv):
@@ -140,8 +142,6 @@ def test_charge_kshape_command(tmp_path, capsys):
 
 
 def test_charge_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("1 1 2 3 4 4 5 5 6 / 2 3 5 5 6 / 3 4 7 / 5 6 / 6 / 7\n"))
     code, out, _ = run(capsys, "charge", "--k", "4", "--tableau", "-")
     assert code == 0 and out.strip() == "12"
@@ -166,6 +166,168 @@ def test_bijection_descend_json(tmp_path, capsys):
     payload = json.loads(out)
     assert [lv["k"] for lv in payload["levels"]] == [3, 2]
     assert payload["total_charge"] == 2
+
+
+# whole outputs, byte for byte: every level's k, path, target chain and
+# charges, and the plain bijection's target, path and charge split
+DESCENT_JSON_3 = """\
+{
+  "source": "1 2 / 3",
+  "levels": [
+    {
+      "k": 3,
+      "path": "2,1; r:1:1@(1,3)",
+      "chain": [
+        "-",
+        "1",
+        "2",
+        "3,1"
+      ],
+      "charge": 0,
+      "cocharge": 1
+    },
+    {
+      "k": 2,
+      "path": "3,1; c:1:2@(3,1)",
+      "chain": [
+        "-",
+        "1",
+        "2,1",
+        "3,2,1"
+      ],
+      "charge": 2,
+      "cocharge": 0
+    }
+  ],
+  "total_charge": 2,
+  "total_cocharge": 1
+}
+"""
+
+DESCENT_TEXT_3 = """\
+source: 1 2 / 3
+k=3: path 2,1; r:1:1@(1,3) | charge 0 cocharge 1
+k=2: path 3,1; c:1:2@(3,1) | charge 2 cocharge 0
+total charge 2 cocharge 1
+"""
+
+DESCENT_JSON_5 = """\
+{
+  "source": "1 2 4 / 3 5",
+  "levels": [
+    {
+      "k": 5,
+      "path": "3,2",
+      "chain": [
+        "-",
+        "1",
+        "2",
+        "2,1",
+        "3,1",
+        "3,2"
+      ],
+      "charge": 0,
+      "cocharge": 0
+    },
+    {
+      "k": 4,
+      "path": "3,2; c:1:1@(3,1)",
+      "chain": [
+        "-",
+        "1",
+        "2",
+        "2,1",
+        "3,1,1",
+        "3,2,1"
+      ],
+      "charge": 1,
+      "cocharge": 0
+    },
+    {
+      "k": 3,
+      "path": "3,2,1; r:1:1@(1,4); c:1:1@(4,1)",
+      "chain": [
+        "-",
+        "1",
+        "2",
+        "3,1",
+        "3,1,1",
+        "4,2,1,1"
+      ],
+      "charge": 1,
+      "cocharge": 1
+    },
+    {
+      "k": 2,
+      "path": "4,2,1,1; r:1:3@(3,2); c:1:4@(5,1)",
+      "chain": [
+        "-",
+        "1",
+        "2,1",
+        "3,2,1",
+        "4,3,2,1",
+        "5,4,3,2,1"
+      ],
+      "charge": 4,
+      "cocharge": 3
+    }
+  ],
+  "total_charge": 6,
+  "total_cocharge": 4
+}
+"""
+
+DESCENT_TEXT_5 = """\
+source: 1 2 4 / 3 5
+k=5: path 3,2 | charge 0 cocharge 0
+k=4: path 3,2; c:1:1@(3,1) | charge 1 cocharge 0
+k=3: path 3,2,1; r:1:1@(1,4); c:1:1@(4,1) | charge 1 cocharge 1
+k=2: path 4,2,1,1; r:1:3@(3,2); c:1:4@(5,1) | charge 4 cocharge 3
+total charge 6 cocharge 4
+"""
+
+BIJECTION_TEXT_2 = """\
+target (1-tableau): 1 2 3 / 2 3 / 3
+path: 3,1; c:1:2@(3,1)
+path charge 2 cocharge 0
+charges: 2 = 0 + 2
+"""
+
+
+@pytest.mark.parametrize(
+    "k, tableau, flags, expected",
+    [
+        (3, "1 2 / 3", ["--descend", "--json"], DESCENT_JSON_3),
+        (3, "1 2 / 3", ["--descend"], DESCENT_TEXT_3),
+        (5, "1 2 4 / 3 5", ["--descend", "--json"], DESCENT_JSON_5),
+        (5, "1 2 4 / 3 5", ["--descend"], DESCENT_TEXT_5),
+        (2, "1 2 3 / 3", [], BIJECTION_TEXT_2),
+    ],
+    ids=["descend-json-3", "descend-text-3", "descend-json-5", "descend-text-5", "bijection-2"],
+)
+def test_bijection_output_is_pinned(k, tableau, flags, expected, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(tableau + "\n"))
+    code, out, err = run(capsys, "bijection", "--k", str(k), "--tableau", "-", *flags)
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bijection_descend_rejects_a_nonstandard_tableau(k, capsys, monkeypatch):
+    """In the tableau "2" letter 1 has no cell; at k = 1 no level runs."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("2\n"))
+    code, out, err = run(capsys, "bijection", "--k", str(k), "--descend", "--tableau", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: the weak bijection requires a standard tableau\n"
+
+
+def test_integrity_error_exits_1(capsys, monkeypatch):
+    def broken(t):
+        raise IntegrityError("square does not commute")
+
+    monkeypatch.setattr(cli, "descend", broken)
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 2 / 3\n"))
+    code, out, err = run(capsys, "bijection", "--k", "3", "--descend", "--tableau", "-")
+    assert (code, out, err) == (1, "", "integrity error: square does not commute\n")
 
 
 def test_bijection_json_without_descend_is_rejected_before_reading(capsys, monkeypatch):

@@ -48,7 +48,7 @@ from kshape.classical import (
     classical_cocharge,
     standard_young_tableaux,
 )
-from kshape.partitions import partition, partitions_of, removable_corners
+from kshape.partitions import addable_corners, partition, partitions_of, removable_corners
 from kshape.weak_tableaux import (
     WeakTableau,
     charge_any_weight,
@@ -256,11 +256,11 @@ def test_weak_bijection_shape_3_1():
     res = weak_bijection_standard(t)
     assert res.path.start == (3, 1) and res.path.end == (3, 2, 1)
     assert res.path.charge() == 2
-    assert res.target_chain == ((), (1,), (2, 1), (3, 2, 1))
+    assert res.target.chain == ((), (1,), (2, 1), (3, 2, 1))
     assert charge_standard(t) == 2
     assert res.squares
-    mu, i = class_index(res.path.start, res.k)[res.path.moves]
-    members = path_class_groups(res.path.start, res.k)[mu][i]
+    mu, i = class_index(res.path.start, res.source.k)[res.path.moves]
+    members = path_class_groups(res.path.start, res.source.k)[mu][i]
     assert {sum(map(move_charge, ms)) for ms in members} == {2}
 
 
@@ -268,7 +268,7 @@ def test_weak_bijection_single_letter():
     t = enumerate_standard_k_tableaux((1,), 2)[0]
     res = weak_bijection_standard(t)
     assert res.path.moves == ()
-    assert res.target_chain == ((), (1,))
+    assert res.target.chain == ((), (1,))
 
 
 def test_weak_bijection_rejects_nonstandard():
@@ -335,7 +335,7 @@ def test_bijection_additivity_small():
             for lam in standard_shapes(k, n):
                 for t in enumerate_standard_k_tableaux(lam, k):
                     res = weak_bijection_standard(t)
-                    target = make_weak_tableau(k - 1, res.target_chain)
+                    target = make_weak_tableau(k - 1, res.target.chain)
                     assert charge_standard(t) == (
                         charge_standard(target) + res.path.charge()
                     )
@@ -353,7 +353,7 @@ def test_bijection_is_injective_small():
                 for t in enumerate_standard_k_tableaux(lam, k):
                     res = weak_bijection_standard(t)
                     assert res.path.start == lam
-                    key = (res.target_chain, classes[res.path.moves])
+                    key = (res.target.chain, classes[res.path.moves])
                     assert key not in images
                     images.add(key)
 
@@ -378,7 +378,7 @@ def test_weak_bijection_commutes_with_transposition():
                 for t in enumerate_standard_k_tableaux(lam, k):
                     flipped = WeakTableau(k=k, chain=tuple(map(conjugate, t.chain)), weight=t.weight)
                     res, res_t = weak_bijection_standard(t), weak_bijection_standard(flipped)
-                    assert res_t.target_chain == tuple(map(conjugate, res.target_chain)), t.chain
+                    assert res_t.target.chain == tuple(map(conjugate, res.target.chain)), t.chain
                     assert (res_t.path.charge(), res_t.path.cocharge()) == (
                         res.path.cocharge(),
                         res.path.charge(),
@@ -407,9 +407,9 @@ def test_full_descent_small():
                 rec = full_descent(ch)
                 assert rec.total_charge == classical_charge(ch)
                 assert rec.total_cocharge == n * (n - 1) // 2 - rec.total_charge
-                assert [lv.k for lv in rec.levels] == list(range(n, 1, -1))
+                assert [lv.source.k for lv in rec.levels] == list(range(n, 1, -1))
                 # the descent ends at the unique staircase chain
-                final = rec.levels[-1].target_chain
+                final = rec.levels[-1].target.chain
                 assert all(
                     x == tuple(range(i, 0, -1))
                     for i, x in enumerate(final)
@@ -508,7 +508,7 @@ def test_prefix_states_fold_the_letter_statistic():
     for t in tableaux:
         k = t.k
         res = weak_bijection_standard(t)
-        image = res.target_chain
+        image = res.target.chain
         path = Path(start=())
         for i, (path, sums) in enumerate(_prefix_sums(t), start=2):
             assert sums[:2] == _charge_and_cocharge(t.chain[:i], k)
@@ -591,7 +591,7 @@ def test_letter_steps_match_the_prefix_fold():
         end = reduce(_prefix_step, t.chain[1:], root)
         states = end.lineage()
         res = weak_bijection_standard(t)
-        assert res.target_chain == ((),) + tuple(s.cover_out.outer for s in states)
+        assert res.target.chain == ((),) + tuple(s.cover_out.outer for s in states)
         assert res.path == end.path
         assert res.squares == tuple(sq for s in states for sq in s.strip)
         sums = (0, 0, 0, 0)
@@ -618,7 +618,7 @@ def test_cold_and_warm_bijection_agree():
         for table in PUSHOUT_TABLES:
             table.cache_clear()
         cold = weak_bijection_standard(t)
-        assert (cold.target_chain, cold.path, cold.squares) == (w.target_chain, w.path, w.squares)
+        assert (cold.target.chain, cold.path, cold.squares) == (w.target.chain, w.path, w.squares)
     assert sum(bool(w.squares) for w in warm) > 200
 
 
@@ -726,8 +726,8 @@ def test_letter_steps_are_keyed_exactly_at_the_hook_bound():
         k = t.k
         res = weak_bijection_standard(t)
         raw = list(_raw_steps(t))
-        assert res.k == k
-        assert res.target_chain == ((),) + tuple(step.state.cover_out.outer for _, step in raw)
+        assert res.source.k == k
+        assert res.target.chain == ((),) + tuple(step.state.cover_out.outer for _, step in raw)
         assert res.path == raw[-1][1].state.path
         assert res.squares == tuple(sq for _, step in raw for sq in step.strip)
         for args, step in raw:
@@ -775,13 +775,12 @@ def test_descend_validates_every_level():
     for ch in ((), (1,), (2,), (2, 1), (3, 1), (3, 2)), ((), (1,), (1, 1), (2, 1), (2, 2), (3, 2)):
         rec = full_descent(ch)
         for lv in rec.levels:
-            assert make_weak_tableau(lv.k - 1, lv.target_chain).is_standard()
+            assert make_weak_tableau(lv.source.k - 1, lv.target.chain).is_standard()
 
 
 def test_target_tableau_matches_validated_chain():
-    """``target_tableau`` is built from the fold's checked steps without a
-    second validation; it equals what ``make_weak_tableau`` makes of the
-    target chain.  A hand-built non-strip input raises before any target
+    """``target`` is built from the fold's checked steps without a second
+    validation; it equals what ``make_weak_tableau`` makes of its chain.  A hand-built non-strip input raises before any target
     exists (``test_directly_built_non_strip_raises``, warm and cold)."""
     seen = 0
     for k in range(2, 6):
@@ -789,7 +788,7 @@ def test_target_tableau_matches_validated_chain():
             for lam in standard_shapes(k, n):
                 for t in enumerate_standard_k_tableaux(lam, k):
                     res = weak_bijection_standard(t)
-                    assert res.target_tableau == make_weak_tableau(k - 1, res.target_chain)
+                    assert res.target == make_weak_tableau(k - 1, res.target.chain)
                     seen += 1
     assert seen == 1244
 
@@ -835,3 +834,76 @@ def test_maximize_guard_stops_a_maximizer_that_adds_nothing(monkeypatch):
     assert not cover_status(c, 2).maximal
     with pytest.raises(IntegrityError, match="^maximization does not terminate$"):
         pushout._maximize(c, 2, [])
+
+
+def _chains_from_empty(n_max):
+    """Every chain of partitions from () with at most n_max letters, each
+    letter adding 0, 1 or 2 cells."""
+    def grow(lam):
+        ones = {add_cells(lam, [c]) for c in addable_corners(lam)}
+        twos = {add_cells(mu, [c]) for mu in ones for c in addable_corners(mu)}
+        return [lam, *sorted(ones), *sorted(twos)]
+
+    chains = frontier = [((),)]
+    for _ in range(n_max):
+        frontier = [ch + (mu,) for ch in frontier for mu in grow(ch[-1])]
+        chains = chains + frontier
+    return chains
+
+
+def test_full_descent_accepts_exactly_the_standard_young_tableaux():
+    """With n >= 2 letters only the first level's steps check the chain;
+    with fewer, ``make_weak_tableau`` and ``descend`` do.  Either way
+    ``full_descent`` returns, with the classical charge, on exactly the
+    standard Young tableaux and raises ValueError on every other chain."""
+    syt = {ch for n in range(6) for lam in partitions_of(n) for ch in standard_young_tableaux(lam)}
+    chains = _chains_from_empty(5)
+    assert (len(chains), len(syt)) == (19641, 44)
+    for ch in chains:
+        if ch in syt:
+            assert full_descent(ch).total_charge == classical_charge(ch)
+        else:
+            with pytest.raises(ValueError):
+                full_descent(ch)
+
+
+def test_descent_that_runs_no_level_rejects_a_nonstandard_tableau():
+    """One letter with no cell: at k = 1 no level runs, so ``descend``
+    checks the weight itself."""
+    with pytest.raises(ValueError, match="^the weak bijection requires a standard tableau$"):
+        full_descent(((), ()))
+    with pytest.raises(ValueError, match="^the weak bijection requires a standard tableau$"):
+        descend(parse_tableau_text(1, "2"))
+
+
+def test_letter_step_rejects_a_shape_with_a_trailing_zero():
+    """(1, 0) passes ``partition`` but is not the partition it names."""
+    t = WeakTableau(k=2, chain=((), (1, 0)), weight=(1,))
+    with pytest.raises(ValueError, match=r"^letter 1, \(1, 0\)/\(\) at k=2: \(1, 0\) is not a partition$"):
+        weak_bijection_standard(t)
+
+
+@pytest.mark.parametrize(
+    "term, message", [(2, "charge additivity failed"), (3, "cocharge additivity failed")]
+)
+def test_bijection_asserts_its_own_additivity(term, message, monkeypatch):
+    """Letter 1's target charge (or cocharge) term off by one breaks the
+    bijection's additivity assert.  The faulty steps are stored, so the
+    step and state tables are cleared before and after."""
+    step = pushout._Step
+
+    def off_by_one(state, strip, terms):
+        if state.cover.inner == ():
+            terms = tuple(x + (i == term) for i, x in enumerate(terms))
+        return step(state, strip, terms)
+
+    monkeypatch.setattr(pushout, "_Step", off_by_one)
+    t = parse_tableau_text(3, "1 2 / 3")
+    _letter_step.cache_clear()
+    _state.cache_clear()
+    try:
+        with pytest.raises(IntegrityError, match=f"^{message}$"):
+            weak_bijection_standard(t)
+    finally:
+        _letter_step.cache_clear()
+        _state.cache_clear()

@@ -91,6 +91,11 @@ def test_parse_and_format_round_trip():
         parse_tableau_text(4, "2 1")
 
 
+def test_make_weak_tableau_rejects_a_chain_that_shrinks():
+    with pytest.raises(ValueError, match=r"^invalid weak strip \(\)/\(1,\) at k=2$"):
+        make_weak_tableau(2, [(), (1,), ()])
+
+
 def test_weight_23122_example():
     t = parse_tableau_text(3, "1 1 2 2 2 4 5 5 / 2 2 4 5 5 / 3 4 / 4 5")
     assert t.weight == (2, 3, 1, 2, 2)
