@@ -18,6 +18,7 @@ from .partitions import (
     Partition,
     add_cells,
     addable_corners,
+    canonical,
     diag,
     is_p_core,
     k_interior,
@@ -142,7 +143,7 @@ def connected_rows(lam: Partition, k: int) -> Mapping[int, tuple[int, ...]]:
     for r in sorted(corners):
         d = diag(corners[r])
         below = [r2 for r2 in chains if abs(d - diag(corners[r2])) <= k + 1]
-        chains[r] = (r,) + (chains[min(below)] if below else ())
+        chains[r] = canonical((r,) + (chains[min(below)] if below else ()))
     return MappingProxyType(chains)
 
 

@@ -13,9 +13,46 @@ from typing import Iterable, Iterator
 Partition = tuple[int, ...]
 Cell = tuple[int, int]
 
+# The canonical table: one object per shape, profile, cell and cell set
+# that enters a memo table.  Unbounded, like the lru tables.  Never
+# cleared: the lru tables would keep the old objects, and a second copy
+# of each value would come in beside them.
+_CANONICAL: dict = {}
+
+
+def _storable(value) -> bool:
+    """An integer tuple, or a frozenset of integer tuples.  A bool equals
+    1 and hashes like it, so a tuple holding one would stand in for the
+    integer tuple from then on."""
+    if type(value) is frozenset:
+        return all(type(c) is tuple and _storable(c) for c in value)
+    if type(value) is not tuple:
+        return False
+    for x in value:
+        if type(x) is not int:
+            return False
+    return True
+
+
+def canonical(value):
+    """The stored value equal to ``value``: an integer tuple (a shape, a
+    profile or a cell) or a frozenset of cells, stored on first sight
+    with its cells made canonical.  Any other value is handed back
+    unstored."""
+    stored = _CANONICAL.get(value)
+    if stored is not None:
+        return stored
+    if not _storable(value):
+        return value
+    if type(value) is frozenset:
+        value = frozenset(map(canonical, value))
+    _CANONICAL[value] = value
+    return value
+
 
 def partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize a weakly decreasing sequence into a partition tuple."""
+    """Canonicalize a weakly decreasing sequence into a partition tuple,
+    the one ``canonical`` object of its value."""
     p = tuple(map(int, parts))
     while p and p[-1] == 0:
         p = p[:-1]
@@ -23,7 +60,7 @@ def partition(parts: Iterable[int]) -> Partition:
         raise ValueError(f"partition parts must be positive: {p!r}")
     if any(map(lt, p, p[1:])):
         raise ValueError(f"parts must be weakly decreasing: {p!r}")
-    return p
+    return canonical(p)
 
 
 def parse_partition(text: str) -> Partition:
@@ -46,7 +83,7 @@ def conjugate(lam: Partition) -> Partition:
     for part in lam:
         for j in range(part):
             out[j] += 1
-    return tuple(out)
+    return canonical(tuple(out))
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
@@ -56,9 +93,9 @@ def contains(outer: Partition, inner: Partition) -> bool:
 
 @lru_cache(maxsize=None)
 def _row_cells(i: int, width: int) -> tuple[Cell, ...]:
-    """Cells (i, 1) .. (i, width); shared so that the strings held by the
-    cover and move memo tables reuse one tuple per cell."""
-    return tuple((i, j) for j in range(1, width + 1))
+    """Cells (i, 1) .. (i, width), each the canonical one, which every
+    string held by the cover and move memo tables shares."""
+    return tuple(canonical((i, j)) for j in range(1, width + 1))
 
 
 def skew_cells(outer: Partition, inner: Partition) -> tuple[Cell, ...]:
@@ -113,16 +150,16 @@ def k_interior(lam: Partition, k: int) -> Partition:
         if not j:
             break
         rows.append(j)
-    return tuple(rows)
+    return canonical(tuple(rows))
 
 
 @lru_cache(maxsize=None)
 def row_shape(lam: Partition, k: int) -> tuple[int, ...]:
     """Cells of the k-boundary per row, bottom-up; not always a partition."""
     interior = k_interior(lam, k)
-    return tuple(
+    return canonical(tuple(
         lam[i] - (interior[i] if i < len(interior) else 0) for i in range(len(lam))
-    )
+    ))
 
 
 def col_shape(lam: Partition, k: int) -> tuple[int, ...]:
@@ -164,7 +201,7 @@ def addable_corners(lam: Partition) -> tuple[Cell, ...]:
     for i in range(1, len(lam) + 2):
         j = lam[i - 1] + 1 if i <= len(lam) else 1
         if i == 1 or j <= lam[i - 2]:
-            out.append((i, j))
+            out.append(canonical((i, j)))
     return tuple(out)
 
 
@@ -174,7 +211,7 @@ def removable_corners(lam: Partition) -> tuple[Cell, ...]:
     out = []
     for i in range(1, len(lam) + 1):
         if i == len(lam) or lam[i] < lam[i - 1]:
-            out.append((i, lam[i - 1]))
+            out.append(canonical((i, lam[i - 1])))
     return tuple(out)
 
 

@@ -22,6 +22,7 @@ from .partitions import (
     Partition,
     addable_corners,
     boundary_size,
+    canonical,
     col_shape,
     conjugate,
     diag,
@@ -251,7 +252,7 @@ def move_cocharge(m: Move) -> int:
 
 
 def _conjugate_cells(cs) -> tuple[Cell, ...]:
-    return tuple((j, i) for i, j in cs)
+    return tuple(canonical((j, i)) for i, j in cs)
 
 
 def _conjugate_string(s: StringOfCells) -> StringOfCells:
@@ -268,7 +269,7 @@ def _conjugate_move(m: Move) -> Move:
     return Move(
         orientation=COLUMN if m.orientation == ROW else ROW,
         source=conjugate(m.source),
-        cells=frozenset(_conjugate_cells(m.cells)),
+        cells=canonical(frozenset(_conjugate_cells(m.cells))),
         rank=m.rank,
         length=m.length,
         strings=tuple(_conjugate_string(s) for s in m.strings),
@@ -317,7 +318,7 @@ def _grow_row_move(
         outer = list(inner)
         for i, c in chain:  # no row string adds a row
             outer[i - 1] = c
-        s = StringOfCells(cells=chain, inner=inner, outer=tuple(outer), kind=ROW)
+        s = StringOfCells(cells=chain, inner=inner, outer=canonical(tuple(outer)), kind=ROW)
         if r > 1:
             if sig is None:  # computed once a second string is tried
                 sig = _translate_signature(strings[0], row_prof, [*col_shape(lam, k), 0])
@@ -336,7 +337,7 @@ def _grow_row_move(
             yield Move(
                 orientation=ROW,
                 source=lam,
-                cells=frozenset(c for x in strings for c in x.cells),
+                cells=canonical(frozenset(c for x in strings for c in x.cells)),
                 rank=r,
                 length=ell,
                 strings=tuple(strings),
@@ -382,7 +383,7 @@ def _parse_move(source: Partition, cells: frozenset[Cell], orientation: str, k: 
     share one parse.
     """
     if orientation != ROW:
-        cs = frozenset(_conjugate_cells(cells))
+        cs = canonical(frozenset(_conjugate_cells(cells)))
         return _conjugate_move(_parse_move(conjugate(source), cs, ROW, k))
     n = len(cells)
     # a move leaves a k-shape, and its leftmost cell, the top of its first
@@ -405,7 +406,7 @@ def _parse_move(source: Partition, cells: frozenset[Cell], orientation: str, k: 
 def move_from_cells(source: Partition, cells, orientation: str, k: int) -> Move:
     if orientation not in (ROW, COLUMN):
         raise ValueError(f"orientation must be {ROW!r} or {COLUMN!r}: {orientation!r}")
-    cells = frozenset(cells)
+    cells = canonical(frozenset(cells))
     if not cells:
         raise ValueError("a move adds at least one cell; got no cells")
     return _parse_move(source, cells, orientation, k)

@@ -21,6 +21,7 @@ from .partitions import (
     Partition,
     add_cells,
     addable_corners,
+    canonical,
     format_partition,
     partition,
     union_shape,
@@ -36,7 +37,7 @@ from .poset import (
     move_from_cells,
 )
 from .kshape_tableaux import CHARGE, COCHARGE, cover_status, letter_term, make_cover
-from .weak_tableaux import WeakTableau, is_standard_step, make_weak_tableau
+from .weak_tableaux import WeakTableau, _chain_weight, is_standard_step
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,7 +284,7 @@ def _letter_step(before: _State, outer: Partition, k: int) -> _Step:
             letter_term(CHARGE, prev_out, c_out, k),
             letter_term(COCHARGE, prev_out, c_out, k),
         )
-    return _Step(_state(c, c_out, path), strip, terms)
+    return _Step(_state(c, c_out, path), strip, canonical(terms))
 
 
 def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
@@ -413,10 +414,12 @@ def descend(t: WeakTableau) -> DescentRecord:
     """Iterate the weak bijection from level k down to the 1-tableau.
 
     Each level is a fold of ``_letter_step``, whose steps check that the
-    chain they read is a standard tableau at that level.  The weight is
-    checked here, since at k < 2 no level runs.
+    chain they read is a standard tableau at that level.  At k < 2 no
+    level runs, so the chain is checked here (``_chain_weight``), as
+    ``sigma_involution`` checks one; ValueError unless its weak strips
+    have the standard weight.
     """
-    if not t.is_standard():
+    if not t.is_standard() or (t.k < 2 and _chain_weight(t.k, t.chain) != t.weight):
         raise ValueError("the weak bijection requires a standard tableau")
     levels = []
     for _ in range(t.k - 1):
@@ -425,11 +428,9 @@ def descend(t: WeakTableau) -> DescentRecord:
 
 
 def full_descent(chain: Sequence[Partition]) -> DescentRecord:
-    """Descend from an ordinary standard Young tableau given as a chain.
-    The first level's steps check the chain at k = n, so only a chain on
-    which no level runs is validated beforehand."""
+    """Descend from an ordinary standard Young tableau given as a chain:
+    the first level's steps check the chain at k = n, and ``descend``
+    checks a chain of fewer than two letters at k = 1."""
     chain = tuple(map(partition, chain))
     n = len(chain) - 1
-    if n < 2:
-        return descend(make_weak_tableau(1, chain))
-    return descend(WeakTableau(k=n, chain=chain, weight=(1,) * n))
+    return descend(WeakTableau(k=max(n, 1), chain=chain, weight=(1,) * n))

@@ -35,6 +35,7 @@ from .partitions import (
     Partition,
     addable_corners,
     boundary_size,
+    canonical,
     contains,
     diag_count,
     is_p_core,
@@ -207,7 +208,7 @@ def _add_residue(nu: Partition, r: int, k: int) -> Partition | None:
             else:
                 rows[i - 1] = j
     xi = tuple(rows)
-    return xi if xi != nu else None
+    return canonical(xi) if xi != nu else None
 
 
 def _residues_of(cells: Sequence[Cell], k: int) -> list[int]:
@@ -238,7 +239,7 @@ def standard_predecessors(nu: Partition, k: int) -> tuple[Partition, ...]:
         for i, j in corners:
             if residue((i, j), k) == r:
                 rows[i - 1] = j - 1
-        out.append(tuple(x for x in rows if x))
+        out.append(canonical(tuple(x for x in rows if x)))
     out.sort()
     for prev in out:
         if not is_standard_step(prev, nu, k):

@@ -281,6 +281,27 @@ def test_memo_tables_are_listed_in_readme():
     assert not extra, f"README's Memo tables list names that are not memo tables: {extra}"
 
 
+def _dict_tables(tree: ast.Module) -> list[str]:
+    """Names a module binds at top level to an empty dict display."""
+    out = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if isinstance(getattr(node, "value", None), ast.Dict) and not node.value.keys:
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
+def test_module_level_dict_tables_are_named_in_readme():
+    # a module-level dict filled at run time is a table that lives for the
+    # whole process, like the lru tables, so README's "Memo tables" names
+    # it; the canonical table of partitions.py is one
+    tables = [(name, t) for name, tree in MODULES.items() for t in _dict_tables(tree)]
+    assert ("partitions.py", "_CANONICAL") in tables
+    section = README.read_text().split("\n## Memo tables\n", 1)[1].split("\n## ", 1)[0]
+    missing = [f"{name}:{t}" for name, t in tables if f"`{t}`" not in section]
+    assert not missing, f"module-level tables missing from README's Memo tables: {missing}"
+
+
 def _parameters(node: ast.FunctionDef | ast.Lambda) -> list[str]:
     a = node.args
     params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]

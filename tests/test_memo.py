@@ -1,14 +1,18 @@
 """The memo tables are transparent: a cached predicate returns what its
 uncached body returns, never stores an exception, and hands out values
 that are immutable and survive pickling."""
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import types
 from dataclasses import fields, replace
 
 import pytest
 
+from kshape import kshape_tableaux, partitions, poset, weak_tableaux
+from kshape.classical import standard_young_tableaux
 from kshape.errors import IntegrityError
 from kshape.kshape_tableaux import (
     cover_status,
@@ -35,6 +39,7 @@ from kshape.pushout import (
     _letter_step,
     _state,
     _State,
+    full_descent,
     maximal_pushout,
     maximize_above,
     maximize_below,
@@ -352,3 +357,72 @@ def test_cached_value_types_are_frozen_and_slotted(cls, field):
     with pytest.raises((AttributeError, TypeError)):
         value.extra = 1
     assert getattr(value, field) == before
+
+
+MEMO_MODULES = (partitions, poset, kshape_tableaux, pushout, weak_tableaux)
+
+
+def _memo_tables():
+    return [
+        v
+        for m in MEMO_MODULES
+        for v in vars(m).values()
+        if hasattr(v, "cache_info") and v.__module__ == m.__name__
+    ]
+
+
+def _entries(table) -> dict:
+    """The dict an lru_cache table keeps its entries in."""
+    return next(r for r in gc.get_referents(table) if type(r) is dict and r is not table.__dict__)
+
+
+def _reachable(roots) -> list:
+    """Every object reachable from roots, not through a type, module or
+    function (which would reach the whole package)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack = {}, list(roots)
+    while stack:
+        o = stack.pop()
+        if id(o) not in seen and not isinstance(o, skip) and not hasattr(o, "cache_info"):
+            seen[id(o)] = o
+            stack.extend(gc.get_referents(o))
+    return list(seen.values())
+
+
+def _is_int_tuple(x) -> bool:
+    return type(x) is tuple and all(type(i) is int for i in x)
+
+
+def test_memo_tables_hold_one_object_per_shape_cell_and_cell_set():
+    """After descending every standard Young tableau with n <= 7, the
+    shapes and cells of every cover and string, the source, target and
+    cells of every move, and the shapes and cell sets in the keys of the
+    shape tables are each the one object of their value."""
+    tables = _memo_tables()
+    for table in tables:
+        table.cache_clear()
+    chains = [ch for n in range(8) for lam in partitions_of(n) for ch in standard_young_tableaux(lam)]
+    assert len(chains) == 352
+    for ch in chains:
+        full_descent(ch)
+    values = []
+    for table in tables:
+        for key in _entries(table):
+            if type(key) is tuple:
+                values += [x for x in key if _is_int_tuple(x) or type(x) is frozenset]
+    kinds = {StringOfCells: 0, Move: 0}
+    for o in _reachable(map(_entries, tables)):
+        if type(o) is StringOfCells:
+            values += [o.inner, o.outer, *o.cells]
+        elif type(o) is Move:
+            values += [o.source, o.target, o.cells, *o.cells]
+        else:
+            continue
+        kinds[type(o)] += 1
+    assert kinds[StringOfCells] > 500 and kinds[Move] > 100, kinds
+    objects: dict = {}
+    for v in values:
+        objects.setdefault(v, {})[id(v)] = v
+    copies = {v: len(ids) for v, ids in objects.items() if len(ids) > 1}
+    assert not copies, f"{len(copies)} values held as more than one object: {list(copies.items())[:5]}"
+    assert all(partitions.canonical(v) is v for v in values)

@@ -3,9 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kshape.partitions import (
+    _CANONICAL,
     Partition,
     addable_corners,
     boundary_size,
+    canonical,
     col_shape,
     conjugate,
     diag_count,
@@ -86,6 +88,31 @@ def test_partition_canonicalization():
         partition([2, 3])
     with pytest.raises(ValueError):
         partition([2, -1])
+
+
+def test_equal_shapes_cells_and_cell_sets_are_one_object():
+    shape = partition([9, 8, 8, 1, 0])
+    assert partition((9, 8, 8, 1)) is shape is canonical((9, 8, 8, 1))
+    assert conjugate(conjugate(shape)) is shape
+    cells = canonical(frozenset([(7, 1), (1, 9)]))
+    assert canonical(frozenset([(1, 9), (7, 1)])) is cells
+    # the cells of a stored set are the stored cells
+    assert {id(c) for c in cells} == {id(canonical((7, 1))), id(canonical((1, 9)))}
+
+
+def test_only_integer_tuples_and_cell_sets_are_stored():
+    # a bool equals 1 and hashes like it (so does the float 1.0): stored,
+    # (True, 55) would stand in for (1, 55) from then on
+    for odd, plain in [
+        ((True, 55), (1, 55)),
+        ((1.0, 56), (1, 56)),
+        (frozenset({(False, 57)}), frozenset({(0, 57)})),
+    ]:
+        assert canonical(odd) is odd
+        got = canonical(plain)
+        assert got == plain and got is not odd
+    for value in (("a",), frozenset({1, 2})):
+        assert canonical(value) is value and value not in _CANONICAL
 
 
 def test_text_form_round_trip():

@@ -853,7 +853,7 @@ def _chains_from_empty(n_max):
 
 def test_full_descent_accepts_exactly_the_standard_young_tableaux():
     """With n >= 2 letters only the first level's steps check the chain;
-    with fewer, ``make_weak_tableau`` and ``descend`` do.  Either way
+    with fewer, ``descend`` does.  Either way
     ``full_descent`` returns, with the classical charge, on exactly the
     standard Young tableaux and raises ValueError on every other chain."""
     syt = {ch for n in range(6) for lam in partitions_of(n) for ch in standard_young_tableaux(lam)}
@@ -874,6 +874,18 @@ def test_descent_that_runs_no_level_rejects_a_nonstandard_tableau():
         full_descent(((), ()))
     with pytest.raises(ValueError, match="^the weak bijection requires a standard tableau$"):
         descend(parse_tableau_text(1, "2"))
+
+
+def test_descent_that_runs_no_level_checks_the_chain():
+    """At k < 2 no level runs, so ``descend`` checks the chain itself: a
+    hand-built tableau whose one letter fills two cells is rejected."""
+    with pytest.raises(ValueError, match=r"^invalid weak strip \(2,\)/\(\) at k=1$"):
+        descend(WeakTableau(k=1, chain=((), (2,)), weight=(1,)))
+    with pytest.raises(ValueError, match="^the weak bijection requires a standard tableau$"):
+        descend(WeakTableau(k=1, chain=((), ()), weight=(1,)))
+    with pytest.raises(ValueError, match="^k must be at least 1: 0$"):
+        descend(WeakTableau(k=0, chain=((),), weight=()))
+    assert descend(WeakTableau(k=1, chain=((), (1,)), weight=(1,))).levels == ()
 
 
 def test_letter_step_rejects_a_shape_with_a_trailing_zero():
