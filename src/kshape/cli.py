@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 failed gating check, 2 usage or domain error.
 Exit 2 also covers a tableau grid that is not a chain of partitions
 (an entry below 1, a row that decreases, letters that do not stack),
 ``bijection --json`` without ``--descend``, a ``verify`` parameter the
-named check does not take, and a group run (``gating``, ``all``) given
+named check does not take or a parameter set at which it has no
+instance, and a group run (``gating``, ``all``) given
 a parameter no check in it takes.  A group run passes each check only
 the parameters it declares.  KSHAPE_WORKERS sets the sweep worker count.
 """
@@ -131,12 +132,12 @@ def _cmd_bijection(args) -> int:
     return 0
 
 
+# every parameter some check declares, in first-declared order
+_VERIFY_PARAMS = tuple(dict.fromkeys(p for check in CHECKS.values() for p in check.defaults))
+
+
 def _cmd_verify(args) -> int:
-    given = {
-        p: getattr(args, p)
-        for p in ("n_max", "k_max")
-        if getattr(args, p) is not None
-    }
+    given = {p: getattr(args, p) for p in _VERIFY_PARAMS if getattr(args, p) is not None}
     if args.check in ("gating", "all"):
         names = [n for n, c in CHECKS.items() if c.gating or args.check == "all"]
         taken = set().union(*(CHECKS[n].defaults for n in names))
@@ -209,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help=f"one of: gating, all, {', '.join(sorted(CHECKS))}",
     )
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
+    for param in _VERIFY_PARAMS:
+        p.add_argument(f"--{param.replace('_', '-')}", type=int, default=None)
     p.add_argument("--report", metavar="FILE.json")
     p.set_defaults(fn=_cmd_verify)
 

@@ -69,6 +69,8 @@ def cover_status(c: StringOfCells, k: int) -> CoverStatus:
     corner contiguous to the bottom (top) cell of the string; reverse
     continuation asks for a removable corner of the outer shape instead.
     """
+    if k < 2:
+        raise ValueError(f"k must be at least 2: {k}")
     bot, top = c.bottom, c.top
     add = addable_corners(c.inner)
     rem = removable_corners(c.outer)
@@ -138,6 +140,8 @@ def connected_rows(lam: Partition, k: int) -> Mapping[int, tuple[int, ...]]:
     r.  The memo table hands the same mapping to every caller, so it is
     read-only.
     """
+    if k < 2:
+        raise ValueError(f"k must be at least 2: {k}")
     corners = {c[0]: c for c in addable_corners(lam)}
     chains: dict[int, tuple[int, ...]] = {}
     for r in sorted(corners):

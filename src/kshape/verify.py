@@ -2,7 +2,8 @@
 named check registry behind the command line.
 
 Each check is declared once, in ``CHECKS``, with the parameters it takes
-and their defaults; ``run_check`` rejects any other parameter.
+and their defaults; ``run_check`` rejects any other parameter, and any
+parameter set at which the check's item builder gives no item.
 
 Gating checks re-derive both sides of each identity through unrelated
 code paths (classical word charge vs. chain recursions, counting vs.
@@ -14,8 +15,8 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
+from operator import itemgetter
 from typing import Callable
 
 from . import classical
@@ -123,27 +124,6 @@ def _map_instances(fn: Callable, items: list) -> list:
     from concurrent.futures import ProcessPoolExecutor  # loaded only to fan out
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=1))
-
-
-def _run(name, params, instance_fn, instances, conjecture=False) -> VerificationReport:
-    start = time.perf_counter()
-    items = list(instances)
-    failures: list[str] = []
-    count = 0
-    for sub_count, sub_failures in _map_instances(instance_fn, items):
-        count += sub_count
-        failures.extend(sub_failures)
-    if count == 0:
-        failures.append("no instances ran")
-    return VerificationReport(
-        name=name,
-        params=params,
-        instances=count,
-        passed=not failures,
-        failures=failures,
-        elapsed=time.perf_counter() - start,
-        conjecture=conjecture,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +431,27 @@ def _branching_instance(args):
     B_{lam mu} K^{(k-1)}_{mu nu}, where B sums t^charge over the path
     classes from lam to mu; every member of a class has its charge, so
     it is read off the class's first move sequence.  Grading "none"
-    compares both sides at t=1, where B counts the classes."""
+    compares both sides at t=1, where B counts the classes.  A failure
+    names every weight that differs and both sides at the first."""
     k, lam, grading = args
     b = {
         mu: TPoly.from_powers(sum(map(move_charge, g[0])) for g in groups)
         for mu, groups in path_class_groups(lam, k).items()
     }
-    at = (lambda p: p) if grading == "charge" else (lambda p: p(1))
+    at = (lambda p: p) if grading == "charge" else (lambda p: TPoly.of([p(1)]))
     bad = []
     for nu in partitions_of(boundary_size(lam, k), k - 1):
         rhs = sum((b[mu] * kostka_k(mu, nu, k - 1) for mu in b), TPoly())
-        if at(kostka_k(lam, nu, k)) != at(rhs):
-            bad.append(format_partition(nu))
+        sides = at(kostka_k(lam, nu, k)), at(rhs)
+        if sides[0] != sides[1]:
+            bad.append((format_partition(nu), *sides))
     if not bad:
         return 1, []
     rule = "generic-t" if grading == "charge" else "t=1"
     where = f"k={k} shape {format_partition(lam)}"
-    return 1, [f"{rule} branching differs at {where}, weights {' '.join(bad)}"]
+    (nu, lhs, rhs), weights = bad[0], " ".join(w for w, _, _ in bad)
+    first = f"at {nu}: {lhs.text()} vs {rhs.text()}"
+    return 1, [f"{rule} branching differs at {where}, weights {weights}; {first}"]
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +501,13 @@ def _sigma_conjecture_instance(args):
 @dataclass(frozen=True)
 class Check:
     """One named check.  ``items`` receives exactly the parameters in
-    ``defaults``; ``least`` holds the least value of each, the least at
-    which the sweep still runs an instance; ``instance`` maps one item to
-    (count, failures) and is module-level so that worker processes can
-    pickle it."""
+    ``defaults`` and lists the sweep's items; a parameter set at which it
+    lists none is rejected.  ``instance`` maps one item to (count,
+    failures) and is module-level so that worker processes can pickle it."""
 
     instance: Callable[[object], tuple[int, list[str]]]
     items: Callable[..., list]
     defaults: dict[str, int] = field(default_factory=dict)
-    least: dict[str, int] = field(default_factory=dict)
     gating: bool = True
 
 
@@ -537,31 +519,24 @@ def _partitions_up_to(n_max: int) -> list:
     return [lam for n in range(1, n_max + 1) for lam in partitions_of(n)]
 
 
-def _additivity_items(n_max: int) -> list:
+def _shape_walk(n_max: int, k_max: int) -> list:
+    """(k, n, shape) for the shape of every standard k-tableau on n
+    letters, 2 <= k <= k_max and 0 <= n <= n_max, k first."""
     return [
-        (k, lam)
-        for n in range(1, n_max + 1)
-        for k in range(2, n + 1)
-        for lam in standard_shapes(k, n)
-    ]
-
-
-def _standard_shape_items(n_max: int, k_max: int) -> list:
-    return [
-        (k, lam)
-        for k in range(2, k_max + 1)
-        for n in range(1, n_max + 1)
-        for lam in standard_shapes(k, n)
-    ]
-
-
-def _branching_items(n_max: int, k_max: int, grading: str) -> list:
-    return [
-        (k, lam, grading)
+        (k, n, lam)
         for k in range(2, k_max + 1)
         for n in range(0, n_max + 1)
         for lam in standard_shapes(k, n)
     ]
+
+
+def _additivity_items(n_max: int) -> list:
+    walk = sorted(_shape_walk(n_max, n_max), key=itemgetter(1))
+    return [(k, lam) for k, n, lam in walk if k <= n]
+
+
+def _standard_shape_items(n_max: int, k_max: int) -> list:
+    return [(k, lam) for k, n, lam in _shape_walk(n_max, k_max) if n]
 
 
 CHECKS: dict[str, Check] = {
@@ -570,23 +545,17 @@ CHECKS: dict[str, Check] = {
     "paths-fixture": Check(_paths_fixture_instance, _single_item),
     "charge-fixture": Check(_charge_fixture_instance, _single_item),
     "word-charge-fixture": Check(_word_charge_fixture_instance, _single_item),
-    "theorem-additivity": Check(
-        _additivity_instance, _additivity_items, {"n_max": 7}, {"n_max": 2}
-    ),
-    "descent-classical": Check(_descent_instance, _partitions_up_to, {"n_max": 6}, {"n_max": 1}),
+    "theorem-additivity": Check(_additivity_instance, _additivity_items, {"n_max": 7}),
+    "descent-classical": Check(_descent_instance, _partitions_up_to, {"n_max": 6}),
     "charge-cocharge-duality": Check(
         _duality_instance,
         lambda n_max, k_max: [
             (k, n) for k in range(2, k_max + 1) for n in range(1, n_max + 1)
         ],
         {"n_max": 6, "k_max": 3},
-        {"n_max": 1, "k_max": 2},
     ),
     "charge-k-stability": Check(
-        _stability_instance,
-        _standard_shape_items,
-        {"n_max": 7, "k_max": 4},
-        {"n_max": 1, "k_max": 2},
+        _stability_instance, _standard_shape_items, {"n_max": 7, "k_max": 4}
     ),
     "cover-characterization": Check(
         _characterization_instance,
@@ -594,75 +563,83 @@ CHECKS: dict[str, Check] = {
             (k, n) for k in range(2, k_max + 1) for n in range(0, n_max + 1)
         ],
         {"n_max": 6, "k_max": 3},
-        {"n_max": 0, "k_max": 2},
     ),
     "classical-agreement": Check(
-        _classical_agreement_instance, _partitions_up_to, {"n_max": 6}, {"n_max": 1}
+        _classical_agreement_instance, _partitions_up_to, {"n_max": 6}
     ),
     "bijection-counting": Check(
-        _bijection_count_instance,
-        _standard_shape_items,
-        {"n_max": 7, "k_max": 4},
-        {"n_max": 1, "k_max": 2},
+        _bijection_count_instance, _standard_shape_items, {"n_max": 7, "k_max": 4}
     ),
-    "bijection-injectivity": Check(
-        _injectivity_instance, _additivity_items, {"n_max": 7}, {"n_max": 2}
-    ),
+    "bijection-injectivity": Check(_injectivity_instance, _additivity_items, {"n_max": 7}),
     "t1-branching": Check(
         _branching_instance,
-        partial(_branching_items, grading="none"),
+        lambda n_max, k_max: [(k, lam, "none") for k, _, lam in _shape_walk(n_max, k_max)],
         {"n_max": 6, "k_max": 3},
-        {"n_max": 0, "k_max": 2},
     ),
     "sigma-involution": Check(
         _sigma_conjecture_instance,
         lambda n_max, k_max: [
             (k, lam, letters)
-            for k in range(2, k_max + 1)
-            for n in range(1, n_max + 1)
-            for lam in standard_shapes(k, n)
-            for letters in range(1, n + 1)
+            for k, n, lam in _shape_walk(n_max, k_max)
+            for letters in range(2, n + 1)
         ],
         {"n_max": 5, "k_max": 3},
-        {"n_max": 2, "k_max": 2},
         gating=False,
     ),
     "generic-t-branching": Check(
         _branching_instance,
-        partial(_branching_items, grading="charge"),
+        lambda n_max, k_max: [(k, lam, "charge") for k, _, lam in _shape_walk(n_max, k_max)],
         {"n_max": 5, "k_max": 3},
-        {"n_max": 0, "k_max": 2},
         gating=False,
     ),
 }
+
+
+def _resolve(name: str, params: dict) -> tuple[dict, list]:
+    if name not in CHECKS:
+        raise KeyError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
+    check = CHECKS[name]
+    unknown = sorted(set(params) - set(check.defaults))
+    if unknown:
+        takes = ", ".join(check.defaults) or "no parameters"
+        raise ValueError(
+            f"check {name!r} does not take {', '.join(unknown)}; it takes {takes}"
+        )
+    params = {**check.defaults, **params}
+    items = check.items(**params)
+    if not items:
+        at = ", ".join(f"{key}={value}" for key, value in params.items())
+        raise ValueError(f"{name} has no instance at {at}")
+    return params, items
 
 
 def resolve_params(name: str, **params) -> dict:
     """The parameters a run of ``name`` uses: ``params`` over its defaults.
 
     Raises KeyError for an unknown check and ValueError for a parameter
-    the check does not declare or one below its least value, below which
-    the sweep would run no instance.
+    the check does not declare or a parameter set at which its item
+    builder gives no item, so that the sweep would run no instance.
     """
-    if name not in CHECKS:
-        raise KeyError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
-    defaults, least = CHECKS[name].defaults, CHECKS[name].least
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        takes = ", ".join(defaults) or "no parameters"
-        raise ValueError(
-            f"check {name!r} does not take {', '.join(unknown)}; it takes {takes}"
-        )
-    params = {**defaults, **params}
-    for key, value in params.items():
-        if value < least[key]:
-            raise ValueError(f"{key} must be at least {least[key]} for {name}: {value}")
-    return params
+    return _resolve(name, params)[0]
 
 
 def run_check(name: str, **params) -> VerificationReport:
-    params = resolve_params(name, **params)
+    params, items = _resolve(name, params)
     check = CHECKS[name]
-    return _run(
-        name, params, check.instance, check.items(**params), conjecture=not check.gating
+    start = time.perf_counter()
+    failures: list[str] = []
+    count = 0
+    for sub_count, sub_failures in _map_instances(check.instance, items):
+        count += sub_count
+        failures.extend(sub_failures)
+    if count == 0:
+        failures.append("no instances ran")
+    return VerificationReport(
+        name=name,
+        params=params,
+        instances=count,
+        passed=not failures,
+        failures=failures,
+        elapsed=time.perf_counter() - start,
+        conjecture=not check.gating,
     )

@@ -407,12 +407,13 @@ def test_verify_unknown_check(capsys):
 
 
 def test_verify_zero_instances_fails(capsys, monkeypatch):
-    # every value the CLI accepts gives an instance, so the gate's own
-    # check is reached with an item builder that gives none
+    # every parameter set the CLI accepts has items, so the gate's own
+    # check is reached with an instance function that counts none of them
     from kshape import verify
 
-    empty = replace(verify.CHECKS["theorem-additivity"], items=lambda n_max: [])
-    monkeypatch.setitem(verify.CHECKS, "theorem-additivity", empty)
+    monkeypatch.setenv("KSHAPE_WORKERS", "1")
+    none = replace(verify.CHECKS["theorem-additivity"], instance=lambda item: (0, []))
+    monkeypatch.setitem(verify.CHECKS, "theorem-additivity", none)
     code, out, _ = run(capsys, "verify", "--check", "theorem-additivity")
     assert code == 1
     assert "FAIL theorem-additivity instances=0" in out
@@ -423,20 +424,38 @@ def _options(params):
     return [x for key, value in params.items() for x in (f"--{key.replace('_', '-')}", str(value))]
 
 
+# the least value of each parameter at which each check's sweep still has
+# an item; the fixture checks take no parameters
+LEAST = {
+    "theorem-additivity": {"n_max": 2},
+    "descent-classical": {"n_max": 1},
+    "charge-cocharge-duality": {"n_max": 1, "k_max": 2},
+    "charge-k-stability": {"n_max": 1, "k_max": 2},
+    "cover-characterization": {"n_max": 0, "k_max": 2},
+    "classical-agreement": {"n_max": 1},
+    "bijection-counting": {"n_max": 1, "k_max": 2},
+    "bijection-injectivity": {"n_max": 2},
+    "t1-branching": {"n_max": 0, "k_max": 2},
+    "sigma-involution": {"n_max": 2, "k_max": 2},
+    "generic-t-branching": {"n_max": 0, "k_max": 2},
+}
+
+
 @pytest.mark.parametrize("name", list(cli.CHECKS))
 def test_verify_least_values_run_an_instance(capsys, name):
     # each check's least values run an instance; one below any of them is
     # rejected with exit 2 before any sweep, as no instance could run
-    check = cli.CHECKS[name]
-    assert set(check.least) == set(check.defaults)
-    code, out, _ = run(capsys, "verify", "--check", name, *_options(check.least))
+    least = LEAST.get(name, {})
+    assert set(least) == set(cli.CHECKS[name].defaults)
+    code, out, _ = run(capsys, "verify", "--check", name, *_options(least))
     assert code == 0
     assert int(re.search(r" instances=(\d+) ", out).group(1)) > 0
-    for key in check.least:
-        below = {p: v - (p == key) for p, v in check.least.items()}
+    for key in least:
+        below = {p: v - (p == key) for p, v in least.items()}
         code, out, err = run(capsys, "verify", "--check", name, *_options(below))
         assert code == 2
-        assert f"{key} must be at least {check.least[key]}" in err
+        at = ", ".join(f"{p}={v}" for p, v in below.items())
+        assert f"{name} has no instance at {at}" in err
         assert out == ""
 
 
@@ -445,7 +464,7 @@ def test_verify_group_below_a_least_value_runs_nothing(capsys, group):
     # n_max 1 is the least value of some checks and below that of others
     code, out, err = run(capsys, "verify", "--check", group, "--n-max", "1")
     assert code == 2
-    assert "n_max must be at least 2 for theorem-additivity" in err
+    assert "theorem-additivity has no instance at n_max=1" in err
     assert out == ""
 
 

@@ -12,6 +12,7 @@ from kshape.kshape_tableaux import (
     COCHARGE,
     _interval,
     chain_characterization,
+    connected_rows,
     cover_status,
     enumerate_covers,
     letter_term,
@@ -810,6 +811,8 @@ PUBLIC_RAISES = [
     (enumerate_covers, ((2, 2, 1), 2), r"\(2, 2, 1\) is not a 2-shape"),
     (k_interior, ((1,), 0), "k must be at least 1: 0"),
     (residue, ((1, 1), 0), "k must be at least 1: 0"),
+    (connected_rows, ((2, 1), 0), "k must be at least 2: 0"),
+    (cover_status, (make_cover((), (1,), 2), 1), "k must be at least 2: 1"),
     (add_cells, ((1,), [(1, 3)]), r"cell \(1,3\) does not extend row of length 1"),
 ]
 

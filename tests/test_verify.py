@@ -1,5 +1,6 @@
 import dataclasses
 import os
+from functools import partial
 import re
 import subprocess
 import sys
@@ -80,13 +81,114 @@ def test_undeclared_parameter_rejected(name):
 )
 def test_parameters_below_least_value_rejected(name, params):
     key = next(iter(params))
-    with pytest.raises(ValueError, match=f"{key} must be at least"):
+    with pytest.raises(ValueError, match=f"^{name} has no instance at .*{key}={params[key]}"):
         resolve_params(name, **params)
 
 
 def test_least_values_accepted():
     assert resolve_params("bijection-counting", n_max=1, k_max=2)["k_max"] == 2
     assert resolve_params("classical-agreement", n_max=1) == {"n_max": 1}
+
+
+def _grid(check, n_range, k_range):
+    """Every parameter set of ``check`` with n_max in n_range and k_max in
+    k_range, counting each one once."""
+    sets = {
+        tuple((p, v) for p, v in (("n_max", n), ("k_max", k)) if p in check.defaults)
+        for n in n_range
+        for k in k_range
+    }
+    return [dict(s) for s in sorted(sets)]
+
+
+@pytest.mark.parametrize("name", list(DEFAULTS))
+def test_accepted_parameters_are_those_with_items(name):
+    # resolve_params accepts a parameter set exactly when the check's item
+    # builder gives an item there, and each least accepted set (one below
+    # in any parameter is rejected) runs an instance
+    check = CHECKS[name]
+    accepted = []
+    for params in _grid(check, range(-1, 5), range(0, 5)):
+        has_items = bool(check.items(**{**check.defaults, **params}))
+        try:
+            resolve_params(name, **params)
+        except ValueError:
+            assert not has_items, params
+        else:
+            assert has_items, params
+            accepted.append(params)
+    least = [
+        params
+        for params in accepted
+        if all({**params, p: params[p] - 1} not in accepted for p in params)
+    ]
+    assert least
+    for params in least:
+        assert run_check(name, **params).instances > 0, params
+
+
+# the nested-loop item builders the shape walk replaced
+def _additivity_oracle(n_max):
+    return [
+        (k, lam)
+        for n in range(1, n_max + 1)
+        for k in range(2, n + 1)
+        for lam in standard_shapes(k, n)
+    ]
+
+
+def _standard_shape_oracle(n_max, k_max):
+    return [
+        (k, lam)
+        for k in range(2, k_max + 1)
+        for n in range(1, n_max + 1)
+        for lam in standard_shapes(k, n)
+    ]
+
+
+def _branching_oracle(grading):
+    return lambda n_max, k_max: [
+        (k, lam, grading)
+        for k in range(2, k_max + 1)
+        for n in range(0, n_max + 1)
+        for lam in standard_shapes(k, n)
+    ]
+
+
+def _sigma_oracle(n_max, k_max, first_letters=1):
+    return [
+        (k, lam, letters)
+        for k in range(2, k_max + 1)
+        for n in range(1, n_max + 1)
+        for lam in standard_shapes(k, n)
+        for letters in range(first_letters, n + 1)
+    ]
+
+
+ITEM_ORACLES = {
+    "theorem-additivity": _additivity_oracle,
+    "bijection-injectivity": _additivity_oracle,
+    "charge-k-stability": _standard_shape_oracle,
+    "bijection-counting": _standard_shape_oracle,
+    "t1-branching": _branching_oracle("none"),
+    "generic-t-branching": _branching_oracle("charge"),
+    "sigma-involution": partial(_sigma_oracle, first_letters=2),
+}
+
+
+@pytest.mark.parametrize("name", list(ITEM_ORACLES))
+def test_shape_walk_items_match_nested_loops(name):
+    check = CHECKS[name]
+    for params in _grid(check, range(-2, 9), range(-1, 7)):
+        assert check.items(**params) == ITEM_ORACLES[name](**params), params
+
+
+def test_sigma_items_on_one_letter_count_nothing():
+    # the sigma sweep starts at two letters: a one-letter item holds no
+    # index i, so dropping those items loses no instance
+    one_letter = [item for item in _sigma_oracle(5, 3) if item[2] == 1]
+    assert one_letter
+    assert all(verify._sigma_conjecture_instance(item) == (0, []) for item in one_letter)
 
 
 def test_unknown_check_rejected():
@@ -170,6 +272,11 @@ def test_branching_checks_fail_when_classes_are_wrong(monkeypatch):
     report = run_check("generic-t-branching", n_max=7, k_max=4)
     assert not report.passed and report.instances == len(report.failures) == 89
     assert all("generic-t branching differs" in f for f in report.failures)
+    # both sides at the first weight that differs: the right side gains a t
+    differs = "generic-t branching differs at k=2 shape"
+    assert f"{differs} 1, weights 1; at 1: 1 vs t" in report.failures
+    assert f"{differs} 2, weights 1,1; at 1,1: t vs t^2" in report.failures
+    assert all(re.search(r"; at [\d,-]+: .+ vs .+$", f) for f in report.failures)
     assert run_check("t1-branching", n_max=7, k_max=4).passed
     monkeypatch.setattr(
         verify, "path_class_groups", lambda lam, k: {mu: g[1:] for mu, g in real(lam, k).items()}
@@ -177,6 +284,9 @@ def test_branching_checks_fail_when_classes_are_wrong(monkeypatch):
     report = run_check("t1-branching", n_max=7, k_max=4)
     assert not report.passed and report.instances == 89
     assert all("t=1 branching differs" in f for f in report.failures)
+    # at t=1 the sides are integers; the lost class leaves the right side 0
+    assert "t=1 branching differs at k=2 shape 2, weights 1,1; at 1,1: 1 vs 0" in report.failures
+    assert all(re.search(r"; at [\d,-]+: \d+ vs \d+$", f) for f in report.failures)
 
 
 # one fault per gating check, injected into verify's namespace: the name
