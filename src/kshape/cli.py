@@ -91,7 +91,7 @@ def _cmd_paths(args) -> int:
     for p in paths:
         print(f"  {p.text()}  | charge {p.charge()} cocharge {p.cocharge()}")
     if args.classes:
-        classes = equivalence_classes(paths)
+        classes = equivalence_classes(src, dst, args.k)
         print(f"{len(classes)} equivalence classes")
         # each class is shown by its least path
         sizes = {min(c, key=Path.sort_key): len(c) for c in classes}

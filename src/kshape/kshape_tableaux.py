@@ -120,8 +120,10 @@ def chain_characterization(chain: Sequence[Partition], k: int) -> tuple[bool, bo
 
 
 def enumerate_kshape_tableaux(n: int, k: int) -> tuple[ChainTableau, ...]:
-    """All standard k-shape tableaux on n letters: the chains grown upward
-    one cover per letter, in cover order."""
+    """All standard k-shape tableaux on n letters, n nonnegative: the
+    chains grown upward one cover per letter, in cover order."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative: {n}")
     chains = _grow_chains((), n, lambda _, nu: [c.outer for c in enumerate_covers(nu, k)])
     return tuple(ChainTableau(k=k, chain=ch) for ch in chains)
 
@@ -138,10 +140,13 @@ def connected_rows(lam: Partition, k: int) -> Mapping[int, tuple[int, ...]]:
     Each step of a chain goes from row r to its successor: the lowest such
     row whose corner is within diagonal distance k+1 of the corner of row
     r.  The memo table hands the same mapping to every caller, so it is
-    read-only.
+    read-only; a k below 2 or a lam that is not a partition raises, and
+    is not stored.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2: {k}")
+    if partition(lam) != lam:  # partition() raises for a part below 1 or a rise
+        raise ValueError(f"{lam} is not a partition")
     corners = {c[0]: c for c in addable_corners(lam)}
     chains: dict[int, tuple[int, ...]] = {}
     for r in sorted(corners):

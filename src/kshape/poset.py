@@ -584,25 +584,17 @@ def _diamond_groups(seqs: list[tuple[Move, ...]]) -> tuple[tuple[tuple[Move, ...
     return tuple(map(tuple, groups.values()))
 
 
-def equivalence_classes(paths) -> tuple[tuple[Path, ...], ...]:
-    """Partition paths under the closure of single diamond rewrites.
-
-    ``paths`` must be all the paths between two shapes, as
-    ``enumerate_paths`` returns them.  A rewrite replaces a window of one
-    or two moves by another window with the same endpoints and the same
-    charge.  The paths share both endpoints, so two of them are one
-    rewrite apart exactly when they agree before and after a window and
-    have the same charge inside it: each path files itself under
-    (prefix, suffix, window charge) for every window, and paths that
-    share a key are joined (``_diamond_groups``).  Classes are tuples of
-    the given paths, in the order of their first paths; duplicates are dropped.
-    """
-    paths = list(dict.fromkeys(paths))
-    if not paths:
-        return ()
-    if len({p.start for p in paths}) != 1 or len({p.end for p in paths}) != 1:
-        raise ValueError("paths must share both endpoints")
-    by_moves = {p.moves: p for p in paths}
+def equivalence_classes(lam: Partition, mu: Partition, k: int) -> tuple[tuple[Path, ...], ...]:
+    """The paths from lam to mu, as ``enumerate_paths`` lists them, under
+    the closure of single diamond rewrites.  A rewrite replaces a window
+    of one or two moves by another window with the same endpoints and the
+    same charge, so two paths are one rewrite apart exactly when they
+    agree before and after a window and have the same charge inside it:
+    each path files itself under (prefix, suffix, window charge) for
+    every window, and paths that share a key are joined
+    (``_diamond_groups``).  Classes and their members keep the order of
+    ``enumerate_paths``."""
+    by_moves = {p.moves: p for p in enumerate_paths(lam, mu, k)}
     return tuple(tuple(map(by_moves.__getitem__, g)) for g in _diamond_groups(list(by_moves)))
 
 

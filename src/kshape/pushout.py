@@ -221,15 +221,10 @@ class _State:
     cover_out: StringOfCells | None
     path: Path
 
-    def __reduce__(self):
-        return _state, (self.cover, self.cover_out, self.path)
-
 
 @lru_cache(maxsize=None)
 def _state(cover: StringOfCells | None, cover_out: StringOfCells | None, path: Path) -> _State:
-    """The one ``_State`` of these fields.  A def, not ``lru_cache(_State)``:
-    that wrapper takes the class's name and ``__reduce__``, so pickle
-    could not name it."""
+    """The one ``_State`` of these fields."""
     return _State(cover, cover_out, path)
 
 

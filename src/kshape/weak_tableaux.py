@@ -326,9 +326,12 @@ def enumerate_weak_tableaux(
 ) -> tuple[WeakTableau, ...]:
     """All weak tableaux of shape lam, a (k+1)-core, and the given weight:
     letter i is each strip s_A over the core below it with |A| = weight[i]
-    that lies inside lam."""
+    that lies inside lam.  A weight part is a nonnegative integer; a part
+    0 is an empty letter, and a part above k gives no tableau."""
     _require_core(lam, k)
     weight = tuple(weight)
+    if any(type(w) is not int or w < 0 for w in weight):
+        raise ValueError(f"weight parts must be nonnegative integers: {weight!r}")
 
     def strips(i: int, nu: Partition) -> list[Partition]:
         over = _strips_over(nu, k).items()
@@ -341,7 +344,10 @@ def enumerate_weak_tableaux(
 @lru_cache(maxsize=None)
 def kostka_k(lam: Partition, mu: Partition, k: int) -> TPoly:
     """K^{(k)}_{lam mu}(t): the sum of t^charge over the weak tableaux of
-    shape lam, a (k+1)-core, and partition weight mu."""
+    shape lam, a (k+1)-core, and partition weight mu; a weight that is not
+    a partition raises before the table stores anything."""
+    if partition(mu) != mu:  # partition() raises for a part below 1 or a rise
+        raise ValueError(f"{mu} is not a partition")
     return TPoly.from_powers(
         charge_dominant_semistandard(t) for t in enumerate_weak_tableaux(lam, k, mu)
     )

@@ -91,6 +91,14 @@ def test_paths_command(capsys):
             "  [1 paths, charge 3] rep 3,1,1; r:1:2@(2,2); c:1:3@(4,1)\n"
             "  [1 paths, charge 2] rep 3,1,1; c:1:2@(4,1); r:1:3@(3,2)\n",
         ),
+        # no path between the two shapes: no class
+        ("2", "4,2", "2,2,1,1", "0 equivalence classes\n"),
+        # a shape to itself: one class, holding the empty path
+        (
+            "2", "3,1,1", "3,1,1",
+            "1 equivalence classes\n"
+            "  [1 paths, charge 0] rep 3,1,1\n",
+        ),
     ],
 )
 def test_paths_classes_text(capsys, k, src, dst, classes):

@@ -15,6 +15,7 @@ from kshape import kshape_tableaux, partitions, poset, weak_tableaux
 from kshape.classical import standard_young_tableaux
 from kshape.errors import IntegrityError
 from kshape.kshape_tableaux import (
+    connected_rows,
     cover_status,
     enumerate_covers,
     enumerate_kshape_tableaux,
@@ -284,6 +285,8 @@ BAD_CALLS = [
     (_parse_move, ((2, 2, 1), frozenset({(1, 3)}), ROW, 2), IntegrityError),  # not a 2-shape
     (kostka_k, ((2, 1), (2, 1), 2), ValueError),  # (2,1) is not a 3-core
     (_sigma_window, ((2, 1), (2, 1), (2, 1), 2), ValueError),  # (2,1) is not a 3-core
+    (kostka_k, ((2, 1, 1), (1, 2), 2), ValueError),  # the weight (1,2) is not a partition
+    (connected_rows, ((1, 2), 2), ValueError),  # (1,2) is not a partition
 ]
 
 
@@ -310,7 +313,8 @@ def _values():
     return [cover, column, move, move.strings[0], Path(start=move.source, moves=(move,)), path, square, state]
 
 
-@pytest.mark.parametrize("index", range(8))
+# every value but the last, a step state, which nothing pickles
+@pytest.mark.parametrize("index", range(7))
 def test_cached_values_pickle(index):
     value = _values()[index]
     back = pickle.loads(pickle.dumps(value))
@@ -318,8 +322,6 @@ def test_cached_values_pickle(index):
     assert back == value
     if isinstance(value, Move):
         assert _same_move(back, value)
-    if isinstance(value, _State):  # unpickling re-interns it
-        assert back is value
 
 
 def test_pickled_hash_holds_under_another_hash_seed():

@@ -707,11 +707,14 @@ def test_paths_fixtures():
         ((2, 2), (2, 2), 2, "(2, 2) is not a 2-shape"),
         ((3,), (2,), 2, "(3,) is not a 2-shape"),
         ((1,), (1,), 1, "k must be at least 2: 1"),
+        ((1,), (2,), 2, "boundary sizes differ: (1,) vs (2,) at k=2"),
     ],
 )
 def test_paths_reject_endpoints_that_are_not_k_shapes(lam, mu, k, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
-        enumerate_paths(lam, mu, k)
+    # the classes are those of ``enumerate_paths``, so they raise what it raises
+    for fn in (enumerate_paths, equivalence_classes):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fn(lam, mu, k)
 
 
 def targeted_paths(lam: Partition, mu: Partition, k: int) -> tuple[Path, ...]:
@@ -748,7 +751,7 @@ def test_grouped_walk_matches_targeted_oracle(k):
                 assert enumerate_paths(lam, mu, k) == want
                 if want and is_p_core(mu, k):
                     reached.add(mu)
-                    grouped = equivalence_classes(want)
+                    grouped = equivalence_classes(lam, mu, k)
                     assert classes[mu] == tuple(tuple(p.moves for p in c) for c in grouped)
                 pairs += bool(want)
             assert set(classes) == reached
@@ -819,7 +822,7 @@ def test_grouped_classes_match_rewrite_search_oracle():
     # same classes in the same order, with the same members, on every pair
     # of shapes joined by a path and on every ``path_class_groups`` entry,
     # for k=2..5 and boundary size <= 9; ``equivalence_classes`` keeps the
-    # given order inside each class
+    # walk's order inside each class
     pairs = entries = 0
     for k in range(2, 6):
         for n in range(0, 10):
@@ -830,7 +833,7 @@ def test_grouped_classes_match_rewrite_search_oracle():
                 for mu, seqs in ends.items():
                     paths = [Path(start=lam, moves=ms) for ms in seqs]
                     want = rewrite_search_classes(paths, k)
-                    classes = equivalence_classes(paths)
+                    classes = equivalence_classes(lam, mu, k)
                     assert tuple(map(frozenset, classes)) == want, (k, lam, mu)
                     for c in classes:
                         assert sorted(c, key=paths.index) == list(c)
@@ -846,7 +849,7 @@ def test_composite_move_is_equivalent_to_factorization():
     paths = enumerate_paths((3, 1, 1, 1), (4, 2, 1, 1), 3)
     lengths = sorted(len(p.moves) for p in paths)
     assert lengths == [1, 2]
-    assert len(equivalence_classes(paths)) == 1
+    assert len(equivalence_classes((3, 1, 1, 1), (4, 2, 1, 1), 3)) == 1
 
 
 def test_charge_constant_on_classes():
@@ -858,20 +861,13 @@ def test_charge_constant_on_classes():
             by_end = path_class_groups(a, k)
             assert set(by_end) <= bots
             for b in bots:
-                want = equivalence_classes(targeted_paths(a, b, k))
+                want = equivalence_classes(a, b, k)
                 assert len(by_end.get(b, ())) == len(want)
                 for g in by_end.get(b, ()):
                     members = [Path(start=a, moves=ms) for ms in g]
                     charges = {q.charge() for q in members}
                     cocharges = {q.cocharge() for q in members}
                     assert len(charges) == 1 and len(cocharges) == 1
-
-
-def test_equivalence_requires_common_endpoints():
-    p1 = enumerate_paths((3, 1, 1), (4, 3, 2, 1), 2)
-    p2 = enumerate_paths((2, 2, 1, 1), (4, 3, 2, 1), 2)
-    with pytest.raises(ValueError):
-        equivalence_classes(list(p1) + list(p2))
 
 
 def test_corner_chain_strings_have_unique_continuation():

@@ -15,6 +15,7 @@ from kshape.kshape_tableaux import (
     connected_rows,
     cover_status,
     enumerate_covers,
+    enumerate_kshape_tableaux,
     letter_term,
     make_cover,
     make_kshape_tableau,
@@ -812,6 +813,8 @@ PUBLIC_RAISES = [
     (k_interior, ((1,), 0), "k must be at least 1: 0"),
     (residue, ((1, 1), 0), "k must be at least 1: 0"),
     (connected_rows, ((2, 1), 0), "k must be at least 2: 0"),
+    (connected_rows, ((1, 2), 2), r"parts must be weakly decreasing: \(1, 2\)"),
+    (enumerate_kshape_tableaux, (-3, 2), "n must be nonnegative: -3"),
     (cover_status, (make_cover((), (1,), 2), 1), "k must be at least 2: 1"),
     (add_cells, ((1,), [(1, 3)]), r"cell \(1,3\) does not extend row of length 1"),
 ]

@@ -41,6 +41,7 @@ from kshape.weak_tableaux import (
     enumerate_weak_tableaux,
     is_standard_step,
     is_weak_strip,
+    kostka_k,
     make_weak_tableau,
     parse_tableau_text,
     sigma_involution,
@@ -718,3 +719,27 @@ def oracle_triples(n, k_max):
 def test_weight_directed_enumeration_matches_all_weight_oracle(sizes, k_max, triples):
     # past k = n the tableaux of boundary n no longer change
     assert sum(oracle_triples(n, min(n, k_max)) for n in sizes) == triples
+
+
+@pytest.mark.parametrize("weight", [(3, -1), (-1, 3), (1.5, 0.5), (1.0, 1), (True, 1)])
+def test_weight_parts_are_nonnegative_integers(weight):
+    with pytest.raises(ValueError, match=r"^weight parts must be nonnegative integers: \("):
+        enumerate_weak_tableaux((2,), 2, weight)
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 1), (3, 1)])
+@pytest.mark.parametrize(
+    "mu, message",
+    [
+        ((1, 2), r"parts must be weakly decreasing: \(1, 2\)"),
+        ((2, -1, 2), r"partition parts must be positive: \(2, -1, 2\)"),
+        ((2, 1, 0), r"\(2, 1, 0\) is not a partition"),
+    ],
+)
+def test_kostka_k_rejects_a_weight_that_is_not_a_partition(lam, mu, message):
+    # (1,2) is the weight of no tableau of shape (2,1,1) and of one of shape
+    # (3,1); both raise the same error, and the table stores nothing
+    size = kostka_k.cache_info().currsize
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        kostka_k(lam, mu, 2)
+    assert kostka_k.cache_info().currsize == size
