@@ -140,13 +140,11 @@ def connected_rows(lam: Partition, k: int) -> Mapping[int, tuple[int, ...]]:
     Each step of a chain goes from row r to its successor: the lowest such
     row whose corner is within diagonal distance k+1 of the corner of row
     r.  The memo table hands the same mapping to every caller, so it is
-    read-only; a k below 2 or a lam that is not a partition raises, and
-    is not stored.
+    read-only; a k below 2 or a lam that is not a partition
+    (``addable_corners``) raises, and is not stored.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2: {k}")
-    if partition(lam) != lam:  # partition() raises for a part below 1 or a rise
-        raise ValueError(f"{lam} is not a partition")
     corners = {c[0]: c for c in addable_corners(lam)}
     chains: dict[int, tuple[int, ...]] = {}
     for r in sorted(corners):

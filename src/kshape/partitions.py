@@ -50,16 +50,24 @@ def canonical(value):
     return value
 
 
+def _require_partition(p: tuple[int, ...]) -> None:
+    """Raise ValueError unless p is weakly decreasing with positive parts:
+    one pass when it is, since a weakly decreasing p is positive iff its
+    last part is."""
+    rises = any(map(lt, p, p[1:]))
+    if p and (min(p) if rises else p[-1]) <= 0:
+        raise ValueError(f"partition parts must be positive: {p!r}")
+    if rises:
+        raise ValueError(f"parts must be weakly decreasing: {p!r}")
+
+
 def partition(parts: Iterable[int]) -> Partition:
     """Canonicalize a weakly decreasing sequence into a partition tuple,
     the one ``canonical`` object of its value."""
     p = tuple(map(int, parts))
     while p and p[-1] == 0:
         p = p[:-1]
-    if p and min(p) <= 0:
-        raise ValueError(f"partition parts must be positive: {p!r}")
-    if any(map(lt, p, p[1:])):
-        raise ValueError(f"parts must be weakly decreasing: {p!r}")
+    _require_partition(p)
     return canonical(p)
 
 
@@ -77,6 +85,7 @@ def format_partition(lam: Partition) -> str:
 
 @lru_cache(maxsize=None)
 def conjugate(lam: Partition) -> Partition:
+    _require_partition(lam)
     if not lam:
         return ()
     out = [0] * lam[0]
@@ -126,6 +135,7 @@ def is_p_core(lam: Partition, p: int) -> bool:
     """
     if p < 2:
         raise ValueError(f"p must be at least 2: {p}")
+    _require_partition(lam)
     n = len(lam)
     beads = {part + n - i for i, part in enumerate(lam, start=1)}
     return all(b < p or b - p in beads for b in beads)
@@ -197,6 +207,7 @@ def diag_count(b1: Cell, b2: Cell, e: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def addable_corners(lam: Partition) -> tuple[Cell, ...]:
     """Cells whose addition keeps a partition, sorted bottom-up."""
+    _require_partition(lam)
     out = []
     for i in range(1, len(lam) + 2):
         j = lam[i - 1] + 1 if i <= len(lam) else 1
@@ -208,6 +219,7 @@ def addable_corners(lam: Partition) -> tuple[Cell, ...]:
 @lru_cache(maxsize=None)
 def removable_corners(lam: Partition) -> tuple[Cell, ...]:
     """Cells whose removal keeps a partition, sorted bottom-up."""
+    _require_partition(lam)
     out = []
     for i in range(1, len(lam) + 1):
         if i == len(lam) or lam[i] < lam[i - 1]:

@@ -40,13 +40,6 @@ COVER = "cover"
 COCOVER = "cocover"
 
 
-def _cached_hash(value) -> int:
-    """``__hash__`` of the value types below: computed once, in
-    ``__post_init__``, from fields that hold no string (string hashes
-    change from process to process, and a pickled value keeps its hash)."""
-    return value._hash
-
-
 @dataclass(frozen=True, slots=True)
 class StringOfCells:
     """A contiguity chain of cells between two shapes, with its type."""
@@ -55,12 +48,6 @@ class StringOfCells:
     inner: Partition
     outer: Partition
     kind: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.cells, self.inner, self.outer)))
-
-    __hash__ = _cached_hash
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -230,12 +217,6 @@ class Move:
     length: int = field(compare=False)
     strings: tuple[StringOfCells, ...] = field(compare=False)
     target: Partition = field(compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.orientation == ROW, self.source, self.cells)))
-
-    __hash__ = _cached_hash
 
     def sort_key(self):
         s1 = self.strings[0]
@@ -418,9 +399,6 @@ class Path:
 
     start: Partition
     moves: tuple[Move, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
-    _charge: int = field(init=False, repr=False, compare=False)
-    _cocharge: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cur = self.start
@@ -428,21 +406,16 @@ class Path:
             if m.source != cur:
                 raise ValueError(f"move from {m.source} does not compose at {cur}")
             cur = m.target
-        object.__setattr__(self, "_hash", hash((self.start, self.moves)))
-        object.__setattr__(self, "_charge", sum(map(move_charge, self.moves)))
-        object.__setattr__(self, "_cocharge", sum(map(move_cocharge, self.moves)))
-
-    __hash__ = _cached_hash
 
     @property
     def end(self) -> Partition:
         return self.moves[-1].target if self.moves else self.start
 
     def charge(self) -> int:
-        return self._charge
+        return sum(map(move_charge, self.moves))
 
     def cocharge(self) -> int:
-        return self._cocharge
+        return sum(map(move_cocharge, self.moves))
 
     def sort_key(self):
         return tuple(m.sort_key() + (m.target,) for m in self.moves)

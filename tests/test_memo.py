@@ -21,7 +21,14 @@ from kshape.kshape_tableaux import (
     enumerate_kshape_tableaux,
     make_cover,
 )
-from kshape.partitions import _row_cells, is_p_core, partitions_of
+from kshape.partitions import (
+    _row_cells,
+    addable_corners,
+    conjugate,
+    is_p_core,
+    partitions_of,
+    removable_corners,
+)
 from kshape.poset import (
     ROW,
     Move,
@@ -287,6 +294,15 @@ BAD_CALLS = [
     (_sigma_window, ((2, 1), (2, 1), (2, 1), 2), ValueError),  # (2,1) is not a 3-core
     (kostka_k, ((2, 1, 1), (1, 2), 2), ValueError),  # the weight (1,2) is not a partition
     (connected_rows, ((1, 2), 2), ValueError),  # (1,2) is not a partition
+    # shapes that are not partitions, rejected by the shape tables
+    (is_p_core, ((1, 2), 3), ValueError),
+    (is_p_core, ((2, 0, 1), 3), ValueError),
+    (addable_corners, ((1, 2),), ValueError),
+    (removable_corners, ((1, 2),), ValueError),
+    (conjugate, ((2, 0, 1),), ValueError),
+    (conjugate, ((1, 2),), ValueError),
+    (kostka_k, ((1, 2), (1, 1, 1), 2), ValueError),
+    (standard_successors, ((1, 2), 2), ValueError),
 ]
 
 
@@ -325,8 +341,8 @@ def test_cached_values_pickle(index):
 
 
 def test_pickled_hash_holds_under_another_hash_seed():
-    # a cached hash reads no string, so a value unpickled in a process
-    # with other string hashes hashes like one built there
+    # pickle carries no hash, so a value unpickled in a process with
+    # other string hashes hashes there again, like one built there
     values = [v for v in _values() if isinstance(v, (StringOfCells, Move, Path))]
     assert {type(v) for v in values} == {StringOfCells, Move, Path}
     seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
@@ -343,6 +359,13 @@ def test_pickled_hash_holds_under_another_hash_seed():
         check=True,
     )
     assert done.stdout.decode().strip() == str([True] * len(values))
+
+
+@pytest.mark.parametrize("cls", [StringOfCells, Move, Path])
+def test_value_types_carry_only_constructor_fields(cls):
+    # no cached hash or charge: the generated __hash__ reads the compare
+    # fields, and a path sums its moves' charges when asked
+    assert all(f.init for f in fields(cls))
 
 
 @pytest.mark.parametrize(

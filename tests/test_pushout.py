@@ -21,7 +21,7 @@ from kshape.kshape_tableaux import (
     make_kshape_tableau,
 )
 from kshape import pushout
-from kshape.partitions import add_cells, conjugate, k_interior, residue
+from kshape.partitions import add_cells, conjugate, is_p_core, k_interior, residue
 from kshape.poset import (
     COLUMN,
     ROW,
@@ -57,11 +57,14 @@ from kshape.weak_tableaux import (
     charge_standard,
     cocharge_standard,
     enumerate_standard_k_tableaux,
+    enumerate_weak_tableaux,
     is_standard_step,
+    kostka_k,
     make_weak_tableau,
     parse_tableau_text,
     sigma_involution,
     standard_shapes,
+    standard_successors,
 )
 
 
@@ -817,6 +820,15 @@ PUBLIC_RAISES = [
     (enumerate_kshape_tableaux, (-3, 2), "n must be nonnegative: -3"),
     (cover_status, (make_cover((), (1,), 2), 1), "k must be at least 2: 1"),
     (add_cells, ((1,), [(1, 3)]), r"cell \(1,3\) does not extend row of length 1"),
+    (is_p_core, ((1, 2), 3), r"parts must be weakly decreasing: \(1, 2\)"),
+    (is_p_core, ((2, 0, 1), 3), r"partition parts must be positive: \(2, 0, 1\)"),
+    (addable_corners, ((1, 2),), r"parts must be weakly decreasing: \(1, 2\)"),
+    (removable_corners, ((1, 2),), r"parts must be weakly decreasing: \(1, 2\)"),
+    (conjugate, ((2, 0, 1),), r"partition parts must be positive: \(2, 0, 1\)"),
+    (conjugate, ((1, 2),), r"parts must be weakly decreasing: \(1, 2\)"),
+    (kostka_k, ((1, 2), (1, 1, 1), 2), r"parts must be weakly decreasing: \(1, 2\)"),
+    (enumerate_weak_tableaux, ((1, 2), 2, (1, 1, 1)), r"parts must be weakly decreasing: \(1, 2\)"),
+    (standard_successors, ((1, 2), 2), r"parts must be weakly decreasing: \(1, 2\)"),
 ]
 
 
