@@ -93,6 +93,8 @@ def enumerate_covers(lam: Partition, k: int) -> tuple[StringOfCells, ...]:
 
 def make_kshape_tableau(k: int, chain: Sequence[Partition]) -> ChainTableau:
     """A k-shape tableau: a chain of covers between k-shapes, one per letter."""
+    if k < 2:
+        raise ValueError(f"k must be at least 2: {k}")
     chain = tuple(map(partition, chain))
     if not chain or chain[0] != ():
         raise ValueError("chain must start at the empty partition")
@@ -108,6 +110,8 @@ def chain_characterization(chain: Sequence[Partition], k: int) -> tuple[bool, bo
     every cover is reverse-maximal; it is a standard (k-1)-tableau iff
     every cover is maximal.
     """
+    if k < 2:
+        raise ValueError(f"k must be at least 2: {k}")
     chain = tuple(map(partition, chain))
     if not chain:
         raise ValueError("a chain needs at least one shape")
@@ -122,6 +126,8 @@ def chain_characterization(chain: Sequence[Partition], k: int) -> tuple[bool, bo
 def enumerate_kshape_tableaux(n: int, k: int) -> tuple[ChainTableau, ...]:
     """All standard k-shape tableaux on n letters, n nonnegative: the
     chains grown upward one cover per letter, in cover order."""
+    if k < 2:
+        raise ValueError(f"k must be at least 2: {k}")
     if n < 0:
         raise ValueError(f"n must be nonnegative: {n}")
     chains = _grow_chains((), n, lambda _, nu: [c.outer for c in enumerate_covers(nu, k)])

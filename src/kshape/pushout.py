@@ -37,7 +37,7 @@ from .poset import (
     move_from_cells,
 )
 from .kshape_tableaux import CHARGE, COCHARGE, cover_status, letter_term, make_cover
-from .weak_tableaux import WeakTableau, _chain_weight, is_standard_step
+from .weak_tableaux import WeakTableau, _chain_weight, _fold, is_standard_step
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,11 +287,11 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
 
     One pass of ``_letter_step`` over the chain: every cover is pushed
     through the path produced so far, and the maximal covers it yields
-    form the output chain.  A letter's charge is the running sum of the
-    terms up to it, and a tableau's charge sums those, as in
-    ``kshape_tableaux._letter_statistic``; likewise for cocharge and for
-    the target.  Additivity across the square diagram is asserted on
-    these sums.
+    form the output chain.  Each letter gives four terms, in the charge
+    and cocharge of the source and of the target, and each of the four
+    sums is the ``weak_tableaux._fold`` of its column of terms, as for
+    the weak charge.  Additivity across the square diagram is asserted
+    on these sums.
 
     Each letter's step is looked up at the level min(k, λ₁ + ℓ) of the
     shape μ after it.  Suppose λ₁(μ) + ℓ(μ) ≤ k.  Then every hook of μ,
@@ -321,10 +321,7 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
     state = _ROOT
     chain_out = [()]
     squares = []
-    # a letter's charge and cocharge, in the source (c, cc) and in the
-    # target (tc, tcc), are running sums of the terms; the tableau's sum those
-    letter_c = letter_cc = letter_tc = letter_tcc = 0
-    charge = cocharge = target_charge = target_cocharge = 0
+    columns = ([], [], [], [])  # each letter's four terms, one column each
     for n, outer in enumerate(t.chain[1:], start=1):
         try:
             # () has no bound; a shape that is not a partition gets some
@@ -339,15 +336,9 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
         state = step.state
         chain_out.append(state.cover_out.outer)
         squares += step.strip
-        c, cc, tc, tcc = step.terms
-        letter_c += c
-        letter_cc += cc
-        letter_tc += tc
-        letter_tcc += tcc
-        charge += letter_c
-        cocharge += letter_cc
-        target_charge += letter_tc
-        target_cocharge += letter_tcc
+        for column, term in zip(columns, step.terms):
+            column.append(term)
+    charge, cocharge, target_charge, target_cocharge = map(_fold, columns)
     path = state.path
     if charge != target_charge + path.charge():
         raise IntegrityError("charge additivity failed")

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import IntegrityError
 from .partitions import (
@@ -180,6 +180,8 @@ def parse_tableau_text(k: int, text: str) -> WeakTableau:
 @lru_cache(maxsize=None)
 def is_standard_step(inner: Partition, outer: Partition, k: int) -> bool:
     """Vertical-and-horizontal strip between cores growing the boundary by 1."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1: {k}")
     if not contains(outer, inner) or inner == outer:
         return False
     if not (is_p_core(inner, k + 1) and is_p_core(outer, k + 1)):
@@ -193,6 +195,8 @@ def is_standard_step(inner: Partition, outer: Partition, k: int) -> bool:
 
 
 def _require_core(nu: Partition, k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be at least 1: {k}")
     if not is_p_core(nu, k + 1):
         raise ValueError(f"{nu} is not a {k + 1}-core")
 
@@ -272,6 +276,8 @@ def enumerate_standard_k_tableaux(lam: Partition, k: int) -> tuple[WeakTableau, 
 def count_standard_k_tableaux(lam: Partition, k: int) -> int:
     """The number of standard k-tableaux of shape lam, a (k+1)-core: the
     chains down to the empty core, counted through ``standard_predecessors``."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1: {k}")
     if lam == ():
         return 1
     return sum(count_standard_k_tableaux(prev, k) for prev in standard_predecessors(lam, k))
@@ -279,6 +285,8 @@ def count_standard_k_tableaux(lam: Partition, k: int) -> int:
 
 def standard_shapes(k: int, n: int) -> tuple[Partition, ...]:
     """Shapes of standard k-tableaux on n letters ((k+1)-cores, boundary n)."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1: {k}")
     if n < 0:
         raise ValueError(f"n must be nonnegative: {n}")
     shapes = {()}
@@ -360,22 +368,25 @@ def kostka_k(lam: Partition, mu: Partition, k: int) -> TPoly:
 # first cell its lowermost.
 
 
-def _up_marker_charge(k: int, ups: Sequence[Cell]) -> int:
-    """Sum of the running charges of consecutive uppermost markers.
+def _marker_term(k: int, prev: Cell, cur: Cell) -> int:
+    """The charge term of a marker after the marker before it: one plus
+    the diagonals of the earlier marker's residue between the two when
+    the later marker is weakly below, minus the diagonals of the later
+    marker's residue when it is above."""
+    if prev[0] >= cur[0]:  # weakly above
+        return diag_count(prev, cur, residue(prev, k), k) + 1
+    return -diag_count(cur, prev, residue(cur, k), k)
 
-    Each step adds one plus the diagonals of the earlier marker's residue
-    between the two when the later marker is weakly below, and subtracts
-    the diagonals of the later marker's residue when it is above.
-    """
-    total = 0
-    ch = 0
-    for prev_up, cur_up in zip(ups, ups[1:]):
-        if prev_up[0] >= cur_up[0]:  # weakly above
-            ch = ch + diag_count(prev_up, cur_up, residue(prev_up, k), k) + 1
-        else:
-            ch = ch - diag_count(cur_up, prev_up, residue(cur_up, k), k)
-        total += ch
-    return total
+
+def _fold(terms: Iterable[int]) -> int:
+    """The sum over letters of each letter's statistic, the running sum
+    of the terms up to it."""
+    return sum(accumulate(terms))
+
+
+def _up_marker_charge(k: int, ups: Sequence[Cell]) -> int:
+    """The fold of the marker terms of consecutive uppermost markers."""
+    return _fold(_marker_term(k, prev, cur) for prev, cur in zip(ups, ups[1:]))
 
 
 def charge_standard(t: WeakTableau) -> int:

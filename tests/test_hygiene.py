@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: unused imports,
 module-level functions or classes that nothing in the package uses,
 memo tables that README does not list, parameters that their
-function never reads, and verify options that no check declares."""
+function never reads, verify options that no check declares, and
+syntax newer than the Python that pyproject.toml declares."""
 import argparse
 import ast
 import re
@@ -340,3 +341,26 @@ def test_verify_options_are_the_declared_check_parameters():
     verify = sub.choices["verify"]
     options = {a.dest for a in verify._actions if a.option_strings} - {"help", "check", "report"}
     assert options == {p for check in CHECKS.values() for p in check.defaults}
+
+
+def _python_floor() -> tuple[int, int]:
+    """The (major, minor) of ``requires-python = ">=X.Y"`` in pyproject.toml,
+    read with a regex because ``tomllib`` needs Python 3.11."""
+    text = (SRC.parents[1] / "pyproject.toml").read_text()
+    major, minor = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', text, flags=re.M).groups()
+    return int(major), int(minor)
+
+
+def test_floor_parse_rejects_newer_syntax():
+    floor = _python_floor()
+    assert floor == (3, 10)
+    for source in ("try:\n    pass\nexcept* ValueError:\n    pass\n", "type X = int\n"):
+        with pytest.raises(SyntaxError):
+            ast.parse(source, feature_version=floor)
+
+
+@pytest.mark.parametrize("name", list(MODULES))
+def test_source_parses_at_the_declared_python_floor(name):
+    # the package must run on the oldest Python it declares, so no module
+    # may use syntax that only a newer one parses
+    ast.parse((SRC / name).read_text(), filename=name, feature_version=_python_floor())

@@ -303,6 +303,9 @@ BAD_CALLS = [
     (conjugate, ((1, 2),), ValueError),
     (kostka_k, ((1, 2), (1, 1, 1), 2), ValueError),
     (standard_successors, ((1, 2), 2), ValueError),
+    # a k below 1 with empty input, rejected before the empty-input answer
+    (count_standard_k_tableaux, ((), 0), ValueError),
+    (is_standard_step, ((), (), 0), ValueError),
 ]
 
 

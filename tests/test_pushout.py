@@ -56,6 +56,7 @@ from kshape.weak_tableaux import (
     charge_any_weight,
     charge_standard,
     cocharge_standard,
+    count_standard_k_tableaux,
     enumerate_standard_k_tableaux,
     enumerate_weak_tableaux,
     is_standard_step,
@@ -829,6 +830,14 @@ PUBLIC_RAISES = [
     (kostka_k, ((1, 2), (1, 1, 1), 2), r"parts must be weakly decreasing: \(1, 2\)"),
     (enumerate_weak_tableaux, ((1, 2), 2, (1, 1, 1)), r"parts must be weakly decreasing: \(1, 2\)"),
     (standard_successors, ((1, 2), 2), r"parts must be weakly decreasing: \(1, 2\)"),
+    # k out of range with empty input
+    (count_standard_k_tableaux, ((), -3), "k must be at least 1: -3"),
+    (enumerate_standard_k_tableaux, ((), 0), "k must be at least 1: 0"),
+    (standard_shapes, (0, 0), "k must be at least 1: 0"),
+    (standard_shapes, (0, 1), "k must be at least 1: 0"),
+    (enumerate_kshape_tableaux, (0, 1), "k must be at least 2: 1"),
+    (make_kshape_tableau, (1, [()]), "k must be at least 2: 1"),
+    (chain_characterization, ([()], 1), "k must be at least 2: 1"),
 ]
 
 

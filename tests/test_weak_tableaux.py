@@ -27,6 +27,7 @@ from kshape.partitions import (
 from kshape.weak_tableaux import (
     WeakTableau,
     _extract_words,
+    _marker_term,
     _residues_of,
     _sigma_step,
     _sigma_window,
@@ -522,6 +523,34 @@ def test_cocharge_matches_mirrored_recursion():
                     assert cocharge_standard(t) == mirrored_cocharge(t)
                     seen += 1
     assert seen == 1244
+
+
+def _weighted_marker_terms(k, markers):
+    """The sum over letters i = 2..n of (n - i + 1) * d_i, where d_i is
+    the marker term of markers i - 1 and i."""
+    n = len(markers)
+    return sum(
+        (n - i + 1) * _marker_term(k, markers[i - 2], markers[i - 1]) for i in range(2, n + 1)
+    )
+
+
+def test_charge_is_the_marker_terms_weighted_by_the_letters_after_them():
+    """Letter i's marker term is in the running charge of letters i..n, so
+    charge = sum over i of (n - i + 1) * d_i; this sum does not call the
+    fold that ``charge_standard`` and ``cocharge_standard`` run."""
+    shapes = seen = 0
+    for k in range(2, 9):
+        for n in range(0, 9):
+            for lam in standard_shapes(k, n):
+                shapes += 1
+                for t in enumerate_standard_k_tableaux(lam, k):
+                    ups = [t.cells_of_letter(i)[-1] for i in range(1, n + 1)]
+                    downs = [t.cells_of_letter(i)[0] for i in range(1, n + 1)]
+                    co = n * (n - 1) // 2 - _weighted_marker_terms(k, downs)
+                    assert charge_standard(t) == _weighted_marker_terms(k, ups)
+                    assert cocharge_standard(t) == co
+                    seen += 1
+    assert (shapes, seen) == (376, 4302)
 
 
 # ---------------------------------------------------------------------------
