@@ -25,7 +25,6 @@ from .poset import (
     Move,
     Path,
     StringOfCells,
-    build_poset,
     classify_string,
     enumerate_moves,
     enumerate_paths,
@@ -35,6 +34,7 @@ from .poset import (
     move_charge,
     move_cocharge,
     path_class_groups,
+    poset_dot,
 )
 from .weak_tableaux import (
     ChainTableau,

@@ -19,7 +19,8 @@ from contextlib import contextmanager, suppress
 
 from .errors import IntegrityError
 from .partitions import format_partition, parse_partition
-from .poset import Path, build_poset, enumerate_paths, equivalence_classes
+from .poset import Path, enumerate_moves, enumerate_paths, equivalence_classes
+from .poset import kshapes_of_size, poset_dot
 from .kshape_tableaux import charge_kshape, cocharge_kshape, make_kshape_tableau
 from .pushout import descend, weak_bijection_standard
 from .verify import CHECKS, resolve_params, run_check
@@ -66,18 +67,18 @@ def _output_file(path: str | None):
 
 def _cmd_poset(args) -> int:
     with _output_file(args.dot) as fh:
-        poset = build_poset(args.k, args.size)
+        vertices = kshapes_of_size(args.k, args.size)
+        moves = [m for v in vertices for m in enumerate_moves(v, args.k)]
         print(f"poset of {args.k}-shapes, boundary size {args.size}")
-        print(f"vertices: {len(poset.vertices)}  edges: {poset.edge_count}")
-        for v in poset.vertices:
-            for m in poset.edges[v]:
-                o = "r" if m.orientation == "row" else "c"
-                print(
-                    f"  {format_partition(v)} -> {format_partition(m.target)}"
-                    f"  {o} (rank {m.rank}, len {m.length})"
-                )
+        print(f"vertices: {len(vertices)}  edges: {len(moves)}")
+        for m in moves:
+            o = "r" if m.orientation == "row" else "c"
+            print(
+                f"  {format_partition(m.source)} -> {format_partition(m.target)}"
+                f"  {o} (rank {m.rank}, len {m.length})"
+            )
         if args.dot:
-            fh.write(poset.to_dot() + "\n")
+            fh.write(poset_dot(args.k, args.size) + "\n")
     if args.dot:
         print(f"dot written to {args.dot}")
     return 0

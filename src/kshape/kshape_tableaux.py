@@ -226,6 +226,8 @@ def letter_cocharges(t: ChainTableau) -> tuple[int, ...]:
 def _letter_statistic(t: ChainTableau, stat) -> tuple[int, ...]:
     """Running sums of ``letter_term`` over the letters, 0 for letter 1."""
     k = t.k
+    if k < 2:
+        raise ValueError(f"k must be at least 2: {k}")
     covers = [make_cover(a, b, k) for a, b in zip(t.chain, t.chain[1:])]
     terms = (letter_term(stat, prev, c, k) for prev, c in zip(covers, covers[1:]))
     return tuple(accumulate(terms, initial=0))

@@ -49,9 +49,6 @@ class StringOfCells:
     outer: Partition
     kind: str
 
-    def __len__(self) -> int:
-        return len(self.cells)
-
     @property
     def top(self) -> Cell:
         return self.cells[0]
@@ -407,10 +404,6 @@ class Path:
                 raise ValueError(f"move from {m.source} does not compose at {cur}")
             cur = m.target
 
-    @property
-    def end(self) -> Partition:
-        return self.moves[-1].target if self.moves else self.start
-
     def charge(self) -> int:
         return sum(map(move_charge, self.moves))
 
@@ -430,41 +423,6 @@ class Path:
         return "; ".join(parts)
 
 
-@dataclass
-class KShapePoset:
-    k: int
-    size: int
-    vertices: tuple[Partition, ...]
-    edges: dict[Partition, tuple[Move, ...]] = field(repr=False)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.edges.values())
-
-    def maximal_vertices(self) -> tuple[Partition, ...]:
-        """Vertices no move reaches; these should be the (k+1)-cores."""
-        targets = {m.target for ms in self.edges.values() for m in ms}
-        return tuple(v for v in self.vertices if v not in targets)
-
-    def minimal_vertices(self) -> tuple[Partition, ...]:
-        """Vertices with no move out; these should be the k-cores."""
-        return tuple(v for v in self.vertices if not self.edges.get(v))
-
-    def to_dot(self) -> str:
-        lines = ["digraph kshapes {"]
-        for v in self.vertices:
-            lines.append(f'  "{format_partition(v)}";')
-        for v in self.vertices:
-            for m in self.edges.get(v, ()):
-                o = "r" if m.orientation == ROW else "c"
-                lines.append(
-                    f'  "{format_partition(v)}" -> "{format_partition(m.target)}"'
-                    f' [label="{o} ({m.rank},{m.length})"];'
-                )
-        lines.append("}")
-        return "\n".join(lines)
-
-
 @lru_cache(maxsize=None)
 def kshapes_of_size(k: int, size: int) -> tuple[Partition, ...]:
     """All k-shapes with k-boundary of the given size.
@@ -480,8 +438,6 @@ def kshapes_of_size(k: int, size: int) -> tuple[Partition, ...]:
         raise ValueError(f"k must be at least 2: {k}")
     if size < 0:
         raise ValueError(f"size must be nonnegative: {size}")
-    if size == 0:
-        return ((),)
     found = set(standard_shapes(k, size))
     frontier = list(found)
     while frontier:
@@ -497,10 +453,23 @@ def kshapes_of_size(k: int, size: int) -> tuple[Partition, ...]:
     return tuple(sorted(found))
 
 
-def build_poset(k: int, size: int) -> KShapePoset:
-    verts = kshapes_of_size(k, size)
-    edges = {v: enumerate_moves(v, k) for v in verts}
-    return KShapePoset(k=k, size=size, vertices=verts, edges=edges)
+def poset_dot(k: int, size: int) -> str:
+    """The poset of k-shapes of one boundary size in Graphviz DOT: the
+    vertices ``kshapes_of_size``, and each vertex's ``enumerate_moves`` as
+    edges labelled with orientation, rank and length."""
+    vertices = kshapes_of_size(k, size)
+    lines = ["digraph kshapes {"]
+    for v in vertices:
+        lines.append(f'  "{format_partition(v)}";')
+    for v in vertices:
+        for m in enumerate_moves(v, k):
+            o = "r" if m.orientation == ROW else "c"
+            lines.append(
+                f'  "{format_partition(v)}" -> "{format_partition(m.target)}"'
+                f' [label="{o} ({m.rank},{m.length})"];'
+            )
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def _suffixes_by_end(lam: Partition, k: int) -> dict[Partition, list[tuple[Move, ...]]]:

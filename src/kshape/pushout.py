@@ -206,7 +206,7 @@ class WeakBijectionResult:
     squares: tuple[PushoutSquare, ...] = field(repr=False)
 
 
-# built once: a Path checks its moves and hashes itself when built
+# built once: a Path checks that its moves compose when built
 _EMPTY_PATH = Path(start=())
 
 

@@ -386,6 +386,8 @@ def _fold(terms: Iterable[int]) -> int:
 
 def _up_marker_charge(k: int, ups: Sequence[Cell]) -> int:
     """The fold of the marker terms of consecutive uppermost markers."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1: {k}")
     return _fold(_marker_term(k, prev, cur) for prev, cur in zip(ups, ups[1:]))
 
 
@@ -546,9 +548,14 @@ def sigma_involution(t: WeakTableau, i: int) -> WeakTableau:
     and its weight must be the boundary growth (ValueError otherwise);
     then ``_sigma_step`` swaps the letters.
     """
+    _require_chain_weight(t)
+    return _sigma_step(t, i)
+
+
+def _require_chain_weight(t: WeakTableau) -> None:
+    """ValueError unless t's chain is valid and its weight the boundary growth."""
     if _chain_weight(t.k, t.chain) != t.weight:
         raise ValueError(f"weight {t.weight} is not the boundary growth of {t.chain}")
-    return _sigma_step(t, i)
 
 
 def _sigma_step(t: WeakTableau, i: int) -> WeakTableau:
@@ -564,12 +571,15 @@ def _sigma_step(t: WeakTableau, i: int) -> WeakTableau:
 
 def sort_to_dominant(t: WeakTableau) -> WeakTableau:
     """Apply adjacent swaps, leftmost inversion first, until dominant.  The
-    first swap validates t; the later ones act on its checked chain."""
+    first swap validates t, and the later ones act on its checked chain; a
+    t with no inversion is validated as that swap would validate it."""
     cur, swap = t, sigma_involution
     while True:
         w = cur.weight
         idx = next((i for i in range(len(w) - 1) if w[i] < w[i + 1]), None)
         if idx is None:
+            if cur is t:
+                _require_chain_weight(t)
             return cur
         cur, swap = swap(cur, idx + 1), _sigma_step
 

@@ -26,7 +26,6 @@ from kshape.poset import (
     _grow_row_move,
     _pushed_column,
     _suffixes_by_end,
-    build_poset,
     classify_string,
     corner_chains,
     corner_run,
@@ -41,6 +40,7 @@ from kshape.poset import (
     move_from_cells,
     next_corner,
     path_class_groups,
+    poset_dot,
     row_shape,
 )
 from kshape.weak_tableaux import standard_shapes
@@ -123,10 +123,10 @@ def test_closure_rejects_move_that_changes_boundary_size(monkeypatch):
 
 def test_classify_string_examples():
     s = classify_string((4, 2, 1), (5, 3, 1, 1), 3)
-    assert s is not None and len(s) == 3
+    assert s is not None and len(s.cells) == 3
     assert s.cells == ((4, 1), (2, 3), (1, 5))
     s2 = classify_string((), (1,), 2)
-    assert s2 is not None and s2.kind == COVER and len(s2) == 1
+    assert s2 is not None and s2.kind == COVER and len(s2.cells) == 1
     s3 = classify_string((1, 1), (2, 1), 2)
     assert s3 is not None and s3.kind == ROW
     # not a string: two cells in one row
@@ -648,40 +648,41 @@ def test_move_cells():
 
 
 def test_poset_2_4():
-    p = build_poset(2, 4)
-    assert len(p.vertices) == 6 and p.edge_count == 6
-    assert set(p.vertices) == {
+    verts = kshapes_of_size(2, 4)
+    moves = [m for v in verts for m in enumerate_moves(v, 2)]
+    assert len(verts) == 6 and len(moves) == 6
+    assert set(verts) == {
         (2, 2, 1, 1), (3, 1, 1), (4, 2), (3, 2, 1, 1), (4, 2, 1), (4, 3, 2, 1),
     }
-    assert set(p.maximal_vertices()) == {(2, 2, 1, 1), (3, 1, 1), (4, 2)}
-    assert p.minimal_vertices() == ((4, 3, 2, 1),)
+    assert set(verts) - {m.target for m in moves} == {(2, 2, 1, 1), (3, 1, 1), (4, 2)}
+    assert [v for v in verts if not enumerate_moves(v, 2)] == [(4, 3, 2, 1)]
 
 
 def test_poset_extremes_are_cores():
+    """The maximal vertices, which no move reaches, are the (k+1)-cores;
+    the minimal ones, which no move leaves, are the k-cores."""
     for k in (2, 3, 4):
         for size in range(0, 9):
-            p = build_poset(k, size)
-            assert set(p.maximal_vertices()) == {
-                v for v in p.vertices if is_p_core(v, k + 1)
-            }
-            assert set(p.minimal_vertices()) == {
-                v for v in p.vertices if is_p_core(v, k)
+            verts = kshapes_of_size(k, size)
+            targets = {m.target for v in verts for m in enumerate_moves(v, k)}
+            assert set(verts) - targets == {v for v in verts if is_p_core(v, k + 1)}
+            assert {v for v in verts if not enumerate_moves(v, k)} == {
+                v for v in verts if is_p_core(v, k)
             }
 
 
 def test_poset_acyclic():
     # moves strictly add cells, so any path strictly increases the degree
     for k, size in ((2, 5), (3, 5)):
-        p = build_poset(k, size)
-        for v in p.vertices:
-            for m in p.edges[v]:
+        for v in kshapes_of_size(k, size):
+            for m in enumerate_moves(v, k):
                 assert sum(m.target) > sum(v)
 
 
 def test_poset_trivial_and_dot():
-    p = build_poset(2, 0)
-    assert p.vertices == ((),) and p.edge_count == 0
-    dot = build_poset(2, 4).to_dot()
+    for k in range(2, 9):
+        assert kshapes_of_size(k, 0) == ((),) and not enumerate_moves((), k)
+    dot = poset_dot(2, 4)
     assert dot.startswith("digraph")
     assert '"3,1,1" -> "4,2,1" [label="r (1,2)"];' in dot
 
@@ -796,7 +797,8 @@ def rewrite_search_classes(paths, k: int) -> tuple[frozenset[Path], ...]:
     paths = list(paths)
     if not paths:
         return ()
-    if len({p.start for p in paths}) != 1 or len({p.end for p in paths}) != 1:
+    ends = {p.moves[-1].target if p.moves else p.start for p in paths}
+    if len({p.start for p in paths}) != 1 or len(ends) != 1:
         raise ValueError("paths must share both endpoints")
     index = {p: None for p in paths}
     classes = []
@@ -854,9 +856,9 @@ def test_composite_move_is_equivalent_to_factorization():
 
 def test_charge_constant_on_classes():
     for k, size in ((2, 6), (3, 6)):
-        p = build_poset(k, size)
-        tops = [v for v in p.vertices if is_p_core(v, k + 1)]
-        bots = {v for v in p.vertices if is_p_core(v, k)}
+        verts = kshapes_of_size(k, size)
+        tops = [v for v in verts if is_p_core(v, k + 1)]
+        bots = {v for v in verts if is_p_core(v, k)}
         for a in tops:
             by_end = path_class_groups(a, k)
             assert set(by_end) <= bots

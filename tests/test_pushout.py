@@ -12,6 +12,9 @@ from kshape.kshape_tableaux import (
     COCHARGE,
     _interval,
     chain_characterization,
+    charge_cocharge_residual,
+    charge_kshape,
+    cocharge_kshape,
     connected_rows,
     cover_status,
     enumerate_covers,
@@ -52,6 +55,7 @@ from kshape.classical import (
 )
 from kshape.partitions import addable_corners, partition, partitions_of, removable_corners
 from kshape.weak_tableaux import (
+    ChainTableau,
     WeakTableau,
     charge_any_weight,
     charge_standard,
@@ -243,7 +247,7 @@ def test_push_through_empty_path():
     assert cover_status(out, 2).maximal
     assert len(path.moves) == 1
     assert [sq.kind for sq in squares] in (["max-below"], ["max-above"])
-    assert path.start == (1, 1) and path.end == out.outer
+    assert path.start == (1, 1) and path.moves[-1].target == out.outer
 
 
 def class_index(lam, k) -> dict:
@@ -260,7 +264,7 @@ def class_index(lam, k) -> dict:
 def test_weak_bijection_shape_3_1():
     t = enumerate_standard_k_tableaux((3, 1), 2)[0]
     res = weak_bijection_standard(t)
-    assert res.path.start == (3, 1) and res.path.end == (3, 2, 1)
+    assert res.path.start == (3, 1) and res.path.moves[-1].target == (3, 2, 1)
     assert res.path.charge() == 2
     assert res.target.chain == ((), (1,), (2, 1), (3, 2, 1))
     assert charge_standard(t) == 2
@@ -803,6 +807,8 @@ def test_target_tableau_matches_validated_chain():
 _MOVE_211 = move_from_cells((2, 1, 1), {(1, 3), (2, 2)}, ROW, 2)
 
 _TWO_ONES = parse_tableau_text(3, "1 1")  # one letter of weight 2
+_ONE_LETTER_K0 = WeakTableau(0, ((), (1,)), (1,))
+_NO_LETTER_K1 = ChainTableau(1, ((),))
 
 PUBLIC_RAISES = [
     (weak_bijection_standard, (WeakTableau(1, ((), (1,)), (1,)),), "descent requires k >= 2"),
@@ -838,6 +844,12 @@ PUBLIC_RAISES = [
     (enumerate_kshape_tableaux, (0, 1), "k must be at least 2: 1"),
     (make_kshape_tableau, (1, [()]), "k must be at least 2: 1"),
     (chain_characterization, ([()], 1), "k must be at least 2: 1"),
+    # k out of range with no second letter, whose term would check it
+    (charge_standard, (_ONE_LETTER_K0,), "k must be at least 1: 0"),
+    (cocharge_standard, (_ONE_LETTER_K0,), "k must be at least 1: 0"),
+    (charge_kshape, (_NO_LETTER_K1,), "k must be at least 2: 1"),
+    (cocharge_kshape, (_NO_LETTER_K1,), "k must be at least 2: 1"),
+    (charge_cocharge_residual, (_NO_LETTER_K1,), "k must be at least 2: 1"),
 ]
 
 

@@ -224,6 +224,40 @@ def test_sigma_rejects_bad_input(chain, weight):
         sigma_involution(WeakTableau(k=2, chain=chain, weight=weight), 1)
 
 
+def value_error_message(fn, *args):
+    """The message of the ValueError that fn(*args) raises; None if it returns."""
+    try:
+        fn(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_charge_any_weight_rejects_what_sigma_rejects():
+    """Every two-letter chain to a shape of at most 5 cells that
+    ``make_weak_tableau`` rejects, weighted by the residues of its letters
+    (no letter empty, the weight k-bounded): ``charge_any_weight`` raises
+    the ValueError of ``sigma_involution``, also on a dominant weight,
+    where no swap runs."""
+    shapes = [lam for n in range(1, 6) for lam in partitions_of(n)]
+    rejected = dominant = 0
+    for k in (2, 3):
+        for lam, mu in itertools.product(shapes, shapes):
+            if mu == lam or not contains(lam, mu):
+                continue
+            chain = ((), mu, lam)
+            weight = tuple(len(_residues_of(skew_cells(b, a), k)) for a, b in zip(chain, chain[1:]))
+            if max(weight) > k or value_error_message(make_weak_tableau, k, chain) is None:
+                continue
+            t = WeakTableau(k=k, chain=chain, weight=weight)
+            want = value_error_message(sigma_involution, t, 1)
+            assert want is not None
+            assert value_error_message(charge_any_weight, t) == want
+            rejected += 1
+            dominant += weight[0] >= weight[1]
+    assert (rejected, dominant) == (71, 50)
+
+
 def test_sigma_involution_sweep():
     for k in (2, 3):
         for n in range(1, 6):
