@@ -24,6 +24,8 @@ from .partitions import (
     k_interior,
     partition,
     removable_corners,
+    require_k,
+    require_size,
 )
 from .poset import COVER, StringOfCells, classify_string, corner_chains, is_k_shape
 from .poset import next_corner
@@ -69,8 +71,7 @@ def cover_status(c: StringOfCells, k: int) -> CoverStatus:
     corner contiguous to the bottom (top) cell of the string; reverse
     continuation asks for a removable corner of the outer shape instead.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2: {k}")
+    require_k(k, 2)
     bot, top = c.bottom, c.top
     add = addable_corners(c.inner)
     rem = removable_corners(c.outer)
@@ -93,8 +94,7 @@ def enumerate_covers(lam: Partition, k: int) -> tuple[StringOfCells, ...]:
 
 def make_kshape_tableau(k: int, chain: Sequence[Partition]) -> ChainTableau:
     """A k-shape tableau: a chain of covers between k-shapes, one per letter."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2: {k}")
+    require_k(k, 2)
     chain = tuple(map(partition, chain))
     if not chain or chain[0] != ():
         raise ValueError("chain must start at the empty partition")
@@ -104,20 +104,15 @@ def make_kshape_tableau(k: int, chain: Sequence[Partition]) -> ChainTableau:
 
 
 def chain_characterization(chain: Sequence[Partition], k: int) -> tuple[bool, bool]:
-    """(is k-tableau, is (k-1)-tableau) for a chain of covers.
+    """(is k-tableau, is (k-1)-tableau) for a chain of covers, validated
+    by ``make_kshape_tableau``.
 
     The chain is a standard k-tableau iff it ends at a (k+1)-core and
     every cover is reverse-maximal; it is a standard (k-1)-tableau iff
     every cover is maximal.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2: {k}")
-    chain = tuple(map(partition, chain))
-    if not chain:
-        raise ValueError("a chain needs at least one shape")
-    statuses = []
-    for inner, outer in zip(chain, chain[1:]):
-        statuses.append(cover_status(make_cover(inner, outer, k), k))
+    chain = make_kshape_tableau(k, chain).chain
+    statuses = [cover_status(make_cover(a, b, k), k) for a, b in zip(chain, chain[1:])]
     is_k = is_p_core(chain[-1], k + 1) and all(s.reverse_maximal for s in statuses)
     is_km1 = all(s.maximal for s in statuses)
     return is_k, is_km1
@@ -126,10 +121,8 @@ def chain_characterization(chain: Sequence[Partition], k: int) -> tuple[bool, bo
 def enumerate_kshape_tableaux(n: int, k: int) -> tuple[ChainTableau, ...]:
     """All standard k-shape tableaux on n letters, n nonnegative: the
     chains grown upward one cover per letter, in cover order."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2: {k}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative: {n}")
+    require_k(k, 2)
+    require_size(n, "n")
     chains = _grow_chains((), n, lambda _, nu: [c.outer for c in enumerate_covers(nu, k)])
     return tuple(ChainTableau(k=k, chain=ch) for ch in chains)
 
@@ -149,8 +142,7 @@ def connected_rows(lam: Partition, k: int) -> Mapping[int, tuple[int, ...]]:
     read-only; a k below 2 or a lam that is not a partition
     (``addable_corners``) raises, and is not stored.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2: {k}")
+    require_k(k, 2)
     corners = {c[0]: c for c in addable_corners(lam)}
     chains: dict[int, tuple[int, ...]] = {}
     for r in sorted(corners):
@@ -226,8 +218,7 @@ def letter_cocharges(t: ChainTableau) -> tuple[int, ...]:
 def _letter_statistic(t: ChainTableau, stat) -> tuple[int, ...]:
     """Running sums of ``letter_term`` over the letters, 0 for letter 1."""
     k = t.k
-    if k < 2:
-        raise ValueError(f"k must be at least 2: {k}")
+    require_k(k, 2)
     covers = [make_cover(a, b, k) for a, b in zip(t.chain, t.chain[1:])]
     terms = (letter_term(stat, prev, c, k) for prev, c in zip(covers, covers[1:]))
     return tuple(accumulate(terms, initial=0))

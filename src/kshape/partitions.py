@@ -50,10 +50,28 @@ def canonical(value):
     return value
 
 
+def require_k(k: int, least: int) -> None:
+    """The one check of k: raise ValueError unless k is an int of at
+    least ``least``, a bool not counting as an int."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an integer: {k!r}")
+    if k < least:
+        raise ValueError(f"k must be at least {least}: {k}")
+
+
+def require_size(n: int, name: str) -> None:
+    """Raise ValueError unless the count ``name``, n, is a nonnegative int."""
+    if type(n) is not int:
+        raise ValueError(f"{name} must be an integer: {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative: {n}")
+
+
 def _require_partition(p: tuple[int, ...]) -> None:
-    """Raise ValueError unless p is weakly decreasing with positive parts:
-    one pass when it is, since a weakly decreasing p is positive iff its
-    last part is."""
+    """Raise ValueError unless p has int parts, positive and weakly
+    decreasing: a weakly decreasing p is positive iff its last part is."""
+    if not all(type(x) is int for x in p):
+        raise ValueError(f"partition parts must be integers: {p!r}")
     rises = any(map(lt, p, p[1:]))
     if p and (min(p) if rises else p[-1]) <= 0:
         raise ValueError(f"partition parts must be positive: {p!r}")
@@ -62,10 +80,10 @@ def _require_partition(p: tuple[int, ...]) -> None:
 
 
 def partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize a weakly decreasing sequence into a partition tuple,
-    the one ``canonical`` object of its value."""
-    p = tuple(map(int, parts))
-    while p and p[-1] == 0:
+    """Canonicalize a weakly decreasing sequence of ints, checked and not
+    converted, into a partition tuple, the one ``canonical`` object."""
+    p = tuple(parts)
+    while p and type(p[-1]) is int and p[-1] == 0:  # a 0.0 stays, for the check
         p = p[:-1]
     _require_partition(p)
     return canonical(p)
@@ -144,8 +162,7 @@ def is_p_core(lam: Partition, p: int) -> bool:
 @lru_cache(maxsize=None)
 def k_interior(lam: Partition, k: int) -> Partition:
     """Subpartition of cells with hook length larger than k."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1: {k}")
+    require_k(k, 1)
     # Hooks strictly decrease left to right along a row and bottom to top
     # up a column, so the interior is a staircase: each row's width is at
     # most the width of the row below, and one walk down the widths finds
@@ -183,8 +200,7 @@ def boundary_size(lam: Partition, k: int) -> int:
 
 def residue(cell: Cell, k: int) -> int:
     """(col - row) mod (k+1), normalized to 0..k."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1: {k}")
+    require_k(k, 1)
     return (cell[1] - cell[0]) % (k + 1)
 
 

@@ -29,6 +29,8 @@ from .partitions import (
     format_partition,
     is_p_core,
     k_interior,
+    require_k,
+    require_size,
     row_shape,
     skew_cells,
 )
@@ -65,8 +67,7 @@ def _weakly_decreasing(profile) -> bool:
 @lru_cache(maxsize=None)
 def is_k_shape(lam: Partition, k: int) -> bool:
     """True iff both k-boundary profiles of lam are partitions."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2: {k}")
+    require_k(k, 2)
     return _weakly_decreasing(row_shape(lam, k)) and _weakly_decreasing(col_shape(lam, k))
 
 
@@ -146,7 +147,9 @@ def next_corner(corners, cell: Cell, k: int, down: bool = True) -> Cell | None:
 
     Contiguous means at diagonal distance k or k+1.  ``corners`` are the
     addable or the removable corners of one partition; these sit at least
-    two diagonals apart, so at most one of them qualifies.
+    two diagonals apart, so at most one of them qualifies.  The step is
+    hot and does not check k; its callers ``corner_run`` and
+    ``cover_status`` do.
     """
     lo = cell[1] - cell[0] + k if down else cell[1] - cell[0] - k - 1
     for c in corners:
@@ -158,7 +161,9 @@ def next_corner(corners, cell: Cell, k: int, down: bool = True) -> Cell | None:
 
 def corner_run(corners, cell: Cell, k: int, down: bool = True) -> tuple[Cell, ...]:
     """The corners reached from ``cell`` by repeated ``next_corner`` steps,
-    nearest first, excluding ``cell`` itself."""
+    nearest first, excluding ``cell`` itself.  k is checked first: at
+    k = 0 or -1 a step can return its own cell, and the walk never ends."""
+    require_k(k, 2)
     run = []
     while (cell := next_corner(corners, cell, k, down)) is not None:
         run.append(cell)
@@ -434,10 +439,8 @@ def kshapes_of_size(k: int, size: int) -> tuple[Partition, ...]:
     The vertex set is built as that closure, at a cost that tracks the
     vertices and edges returned.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2: {k}")
-    if size < 0:
-        raise ValueError(f"size must be nonnegative: {size}")
+    require_k(k, 2)
+    require_size(size, "size")
     found = set(standard_shapes(k, size))
     frontier = list(found)
     while frontier:

@@ -2,8 +2,9 @@
 named check registry behind the command line.
 
 Each check is declared once, in ``CHECKS``, with the parameters it takes
-and their defaults; ``run_check`` rejects any other parameter, and any
-parameter set at which the check's item builder gives no item.
+and their defaults; ``run_check`` rejects any other parameter, a value
+that is not an int, and any parameter set at which the check's item
+builder gives no item.
 
 Gating checks re-derive both sides of each identity through unrelated
 code paths (classical word charge vs. chain recursions, counting vs.
@@ -595,6 +596,9 @@ def _resolve(name: str, params: dict) -> tuple[dict, list]:
             f"check {name!r} does not take {', '.join(unknown)}; it takes {takes}"
         )
     params = {**check.defaults, **params}
+    for key, value in params.items():
+        if type(value) is not int:
+            raise ValueError(f"{key} must be an integer: {value!r}")
     items = check.items(**params)
     if not items:
         at = ", ".join(f"{key}={value}" for key, value in params.items())
@@ -606,8 +610,9 @@ def resolve_params(name: str, **params) -> dict:
     """The parameters a run of ``name`` uses: ``params`` over its defaults.
 
     Raises KeyError for an unknown check and ValueError for a parameter
-    the check does not declare or a parameter set at which its item
-    builder gives no item, so that the sweep would run no instance.
+    the check does not declare, a value that is not an int, or a
+    parameter set at which its item builder gives no item, so that the
+    sweep would run no instance.
     """
     return _resolve(name, params)[0]
 

@@ -41,6 +41,8 @@ from .partitions import (
     is_p_core,
     partition,
     removable_corners,
+    require_k,
+    require_size,
     residue,
     row_shape,
     skew_cells,
@@ -118,8 +120,7 @@ class WeakTableau(ChainTableau):
 def _chain_weight(k: int, chain: tuple[Partition, ...]) -> tuple[int, ...]:
     """The weight of a chain of (k+1)-cores grown by weak strips from the
     empty partition; ValueError for any other chain."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1: {k}")
+    require_k(k, 1)
     if not chain or chain[0] != ():
         raise ValueError("chain must start at the empty partition")
     for inner, outer in zip(chain, chain[1:]):
@@ -180,8 +181,7 @@ def parse_tableau_text(k: int, text: str) -> WeakTableau:
 @lru_cache(maxsize=None)
 def is_standard_step(inner: Partition, outer: Partition, k: int) -> bool:
     """Vertical-and-horizontal strip between cores growing the boundary by 1."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1: {k}")
+    require_k(k, 1)
     if not contains(outer, inner) or inner == outer:
         return False
     if not (is_p_core(inner, k + 1) and is_p_core(outer, k + 1)):
@@ -195,8 +195,7 @@ def is_standard_step(inner: Partition, outer: Partition, k: int) -> bool:
 
 
 def _require_core(nu: Partition, k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be at least 1: {k}")
+    require_k(k, 1)
     if not is_p_core(nu, k + 1):
         raise ValueError(f"{nu} is not a {k + 1}-core")
 
@@ -276,8 +275,7 @@ def enumerate_standard_k_tableaux(lam: Partition, k: int) -> tuple[WeakTableau, 
 def count_standard_k_tableaux(lam: Partition, k: int) -> int:
     """The number of standard k-tableaux of shape lam, a (k+1)-core: the
     chains down to the empty core, counted through ``standard_predecessors``."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1: {k}")
+    require_k(k, 1)
     if lam == ():
         return 1
     return sum(count_standard_k_tableaux(prev, k) for prev in standard_predecessors(lam, k))
@@ -285,10 +283,8 @@ def count_standard_k_tableaux(lam: Partition, k: int) -> int:
 
 def standard_shapes(k: int, n: int) -> tuple[Partition, ...]:
     """Shapes of standard k-tableaux on n letters ((k+1)-cores, boundary n)."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1: {k}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative: {n}")
+    require_k(k, 1)
+    require_size(n, "n")
     shapes = {()}
     for _ in range(n):
         shapes = {nxt for nu in shapes for nxt in standard_successors(nu, k)}
@@ -386,8 +382,7 @@ def _fold(terms: Iterable[int]) -> int:
 
 def _up_marker_charge(k: int, ups: Sequence[Cell]) -> int:
     """The fold of the marker terms of consecutive uppermost markers."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1: {k}")
+    require_k(k, 1)
     return _fold(_marker_term(k, prev, cur) for prev, cur in zip(ups, ups[1:]))
 
 
@@ -561,7 +556,7 @@ def _require_chain_weight(t: WeakTableau) -> None:
 def _sigma_step(t: WeakTableau, i: int) -> WeakTableau:
     """``sigma_involution`` on a tableau whose chain is already valid:
     chain[i] becomes the ``_sigma_window`` core and weights i, i+1 swap."""
-    if not 1 <= i < t.letters:
+    if type(i) is not int or not 1 <= i < t.letters:
         raise ValueError(f"index {i} out of range 1..{t.letters - 1}")
     chain, weight = list(t.chain), list(t.weight)
     chain[i] = _sigma_window(*t.chain[i - 1 : i + 2], t.k)

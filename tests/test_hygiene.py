@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: unused imports,
 module-level functions or classes that nothing in the package uses,
 memo tables that README does not list, parameters that their
-function never reads, verify options that no check declares, and
-syntax newer than the Python that pyproject.toml declares."""
+function never reads, verify options that no check declares, syntax
+newer than the Python that pyproject.toml declares, and input rules
+checked outside ``partitions.py``."""
 import argparse
 import ast
 import re
@@ -364,3 +365,54 @@ def test_source_parses_at_the_declared_python_floor(name):
     # the package must run on the oldest Python it declares, so no module
     # may use syntax that only a newer one parses
     ast.parse((SRC / name).read_text(), filename=name, feature_version=_python_floor())
+
+
+# The input rules checked in one place, ``partitions.require_k``,
+# ``require_size`` and ``_require_partition``: no other module may raise
+# a message of theirs, since a hand-written copy is one that can drift.
+RULE_MESSAGES = ("k must be", "partition parts must be", "n must be", "size must be")
+
+
+def _raise_messages(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, text) of each raise whose exception takes a string or an
+    f-string first; an f-string's text ends at its first field."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            msg = node.exc.args[0]
+            if isinstance(msg, ast.JoinedStr):
+                msg = msg.values[0] if msg.values else ast.Constant("")
+            if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+                out.append((node.lineno, msg.value))
+    return out
+
+
+def _rule_checks_outside_partitions(modules: dict[str, ast.Module]) -> list[str]:
+    return [
+        f"{name}:{line} {text}"
+        for name, tree in modules.items()
+        if name != "partitions.py"
+        for line, text in _raise_messages(tree)
+        if text.startswith(RULE_MESSAGES)
+    ]
+
+
+def test_the_rule_scan_finds_a_planted_check():
+    source = (
+        "def f(lam, k):\n"
+        "    if k < 2:\n"
+        "        raise ValueError(f'k must be at least 2: {k}')\n"
+        "    if not all(type(x) is int for x in lam):\n"
+        "        raise ValueError('partition parts must be integers')\n"
+        "    raise ValueError(f'{k} must be at least 2')\n"
+    )
+    tree = ast.parse(source)
+    assert _rule_checks_outside_partitions({"poset.py": tree, "partitions.py": tree}) == [
+        "poset.py:3 k must be at least 2: ",
+        "poset.py:5 partition parts must be integers",
+    ]
+
+
+def test_each_input_rule_is_checked_in_partitions_only():
+    found = _rule_checks_outside_partitions(MODULES)
+    assert not found, f"input rules checked outside partitions.py: {found}"

@@ -306,6 +306,10 @@ BAD_CALLS = [
     # a k below 1 with empty input, rejected before the empty-input answer
     (count_standard_k_tableaux, ((), 0), ValueError),
     (is_standard_step, ((), (), 0), ValueError),
+    # parts and k that are not ints, which no conversion reads as ints
+    (is_p_core, ((2.5,), 3), ValueError),
+    (conjugate, ((2.5,),), ValueError),
+    (is_k_shape, ((2, 1), 2.5), ValueError),
 ]
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -30,9 +33,11 @@ from kshape.poset import (
     ROW,
     Path,
     enumerate_moves,
+    is_k_shape,
     kshapes_of_size,
     move_charge,
     move_from_cells,
+    next_corner,
     path_class_groups,
 )
 from kshape.pushout import (
@@ -150,7 +155,6 @@ def test_interference_matches_profile_criterion():
     # for disjoint pairs, the union fails to be a k-shape exactly when
     # the complementary boundary profile of the move breaks the cover's
     from kshape.partitions import col_shape, row_shape, union_shape
-    from kshape.poset import is_k_shape
 
     def is_weakly_decreasing(seq):
         return all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
@@ -771,6 +775,9 @@ def test_letter_steps_are_keyed_exactly_at_the_hook_bound():
         ((), (1,), (1, -1)),  # a negative part
         ((), (1,), "ab"),  # not integers
         (),  # no shape at all
+        ((1,), (2,)),  # not from the empty partition
+        ((), (1.5,)),  # a part that is not an int
+        ((), (True,)),  # a bool part, which equals 1
     ],
 )
 def test_malformed_chain_raises_value_error(entry, chain):
@@ -850,6 +857,15 @@ PUBLIC_RAISES = [
     (charge_kshape, (_NO_LETTER_K1,), "k must be at least 2: 1"),
     (cocharge_kshape, (_NO_LETTER_K1,), "k must be at least 2: 1"),
     (charge_cocharge_residual, (_NO_LETTER_K1,), "k must be at least 2: 1"),
+    # chains, parts and k checked by their one rule
+    (chain_characterization, ([(1,), (2,)], 2), "chain must start at the empty partition"),
+    (partition, ([2.5, 1],), r"partition parts must be integers: \(2\.5, 1\)"),
+    (partition, ([2, 0.0],), r"partition parts must be integers: \(2, 0\.0\)"),  # not dropped as a 0
+    (is_k_shape, ((2, 1), 2.5), r"k must be an integer: 2\.5"),
+    # sizes that are not ints, which reached range() as a TypeError
+    (standard_shapes, (2, 2.5), r"n must be an integer: 2\.5"),
+    (kshapes_of_size, (2, 2.5), r"size must be an integer: 2\.5"),
+    (enumerate_kshape_tableaux, (2.5, 2), r"n must be an integer: 2\.5"),
 ]
 
 
@@ -859,6 +875,50 @@ PUBLIC_RAISES = [
 def test_public_input_checks_raise_value_error(fn, args, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         fn(*args)
+
+
+_CORNER_WALKS_BELOW_K_2 = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from kshape.kshape_tableaux import make_cover
+from kshape.partitions import addable_corners
+from kshape.poset import corner_chains, corner_run
+from kshape.pushout import maximize_above, maximize_below
+c = make_cover((), (1,), 2)
+for call in (
+    lambda: maximize_below(c, 0),
+    lambda: maximize_above(c, -1),
+    lambda: list(corner_chains((2, 1), 0)),
+    lambda: corner_run(addable_corners((2, 1)), (1, 3), -1),
+):
+    try:
+        call()
+        print("returned")
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_corner_walks_reject_k_below_2_in_a_bounded_child():
+    """At k = 0 or -1 the contiguity window holds a corner's own diagonal,
+    so ``next_corner`` hands back its cell and an unchecked walk appends
+    it forever.  The walks run in a child capped at 1 GB of address space
+    and 20 s, so that one that loops fails this test instead of hanging
+    the suite or exhausting memory."""
+    assert next_corner(addable_corners((2, 1)), (1, 3), 0) == (1, 3)
+    done = subprocess.run(
+        [sys.executable, "-c", _CORNER_WALKS_BELOW_K_2],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.stdout.splitlines() == [
+        "k must be at least 2: 0",
+        "k must be at least 2: -1",
+        "k must be at least 2: 0",
+        "k must be at least 2: -1",
+    ], done.stderr
 
 
 def test_maximize_guard_stops_a_maximizer_that_adds_nothing(monkeypatch):

@@ -85,6 +85,13 @@ def test_parameters_below_least_value_rejected(name, params):
         resolve_params(name, **params)
 
 
+@pytest.mark.parametrize("n_max", [2.5, True])
+def test_parameters_that_are_not_ints_rejected(n_max):
+    # 2.5 reached range() as a TypeError, and True ran as 1
+    with pytest.raises(ValueError, match=f"^n_max must be an integer: {n_max}$"):
+        run_check("bijection-counting", n_max=n_max, k_max=3)
+
+
 def test_least_values_accepted():
     assert resolve_params("bijection-counting", n_max=1, k_max=2)["k_max"] == 2
     assert resolve_params("classical-agreement", n_max=1) == {"n_max": 1}

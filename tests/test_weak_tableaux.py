@@ -224,6 +224,13 @@ def test_sigma_rejects_bad_input(chain, weight):
         sigma_involution(WeakTableau(k=2, chain=chain, weight=weight), 1)
 
 
+@pytest.mark.parametrize("i", [1.5, True])
+def test_sigma_rejects_an_index_that_is_not_an_int(i):
+    # 1.5 reached a slice as a TypeError, and True swapped letters 1 and 2
+    with pytest.raises(ValueError, match=rf"^index {i} out of range 1\.\.1$"):
+        sigma_involution(parse_tableau_text(3, "1 2"), i)
+
+
 def value_error_message(fn, *args):
     """The message of the ValueError that fn(*args) raises; None if it returns."""
     try:
