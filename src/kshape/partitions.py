@@ -151,6 +151,8 @@ def is_p_core(lam: Partition, p: int) -> bool:
     lam are the pairs of a bead b and a free position c < b, of length
     b - c; so lam has a p-hook iff some bead b >= p has b - p free.
     """
+    if type(p) is not int:
+        raise ValueError(f"p must be an integer: {p!r}")
     if p < 2:
         raise ValueError(f"p must be at least 2: {p}")
     _require_partition(lam)

@@ -206,10 +206,6 @@ class WeakBijectionResult:
     squares: tuple[PushoutSquare, ...] = field(repr=False)
 
 
-# built once: a Path checks that its moves compose when built
-_EMPTY_PATH = Path(start=())
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class _State:
     """The weak bijection after a letter: the letter's cover in the source
@@ -228,9 +224,6 @@ def _state(cover: StringOfCells | None, cover_out: StringOfCells | None, path: P
     return _State(cover, cover_out, path)
 
 
-_ROOT = _state(None, None, _EMPTY_PATH)
-
-
 class _Step(NamedTuple):
     """One letter of the weak bijection: the state after it, the squares
     of its strip, and its terms in the charge and cocharge of the source
@@ -239,6 +232,10 @@ class _Step(NamedTuple):
     state: _State
     strip: tuple[PushoutSquare, ...]
     terms: tuple[int, int, int, int]
+
+
+_ROOT = _state(None, None, Path(start=()))
+_START = _Step(_ROOT, (), (0, 0, 0, 0))  # before letter 1: no squares, zero terms
 
 
 @lru_cache(maxsize=None)
@@ -285,13 +282,13 @@ def _letter_step(before: _State, outer: Partition, k: int) -> _Step:
 def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
     """Map a standard k-tableau to a standard (k-1)-tableau and a path.
 
-    One pass of ``_letter_step`` over the chain: every cover is pushed
-    through the path produced so far, and the maximal covers it yields
-    form the output chain.  Each letter gives four terms, in the charge
-    and cocharge of the source and of the target, and each of the four
-    sums is the ``weak_tableaux._fold`` of its column of terms, as for
-    the weak charge.  Additivity across the square diagram is asserted
-    on these sums.
+    One pass of ``_letter_step`` over the chain, kept as one list of
+    steps: every cover is pushed through the path so far, and the
+    maximal covers it yields form the output chain.  The squares are the
+    steps' strips, and each of the four sums (charge and cocharge of the
+    source and of the target) is the ``weak_tableaux._fold`` of one
+    position of the steps' terms, as for the weak charge.  Additivity
+    across the square diagram is asserted on these sums.
 
     Each letter's step is looked up at the level min(k, λ₁ + ℓ) of the
     shape μ after it.  Suppose λ₁(μ) + ℓ(μ) ≤ k.  Then every hook of μ,
@@ -318,34 +315,27 @@ def weak_bijection_standard(t: WeakTableau) -> WeakBijectionResult:
         raise ValueError("descent requires k >= 2")
     if t.chain[:1] != ((),):
         raise ValueError("chain must start at the empty partition")
-    state = _ROOT
-    chain_out = [()]
-    squares = []
-    columns = ([], [], [], [])  # each letter's four terms, one column each
-    for n, outer in enumerate(t.chain[1:], start=1):
+    steps = [_START]
+    for n, (shape, outer) in enumerate(zip(t.chain, t.chain[1:]), start=1):
         try:
             # () has no bound; a shape that is not a partition gets some
             # level and is rejected by the step's first check, or fails
             # the sum here with TypeError, reported as bad input
             level = min(k, outer[0] + len(outer)) if outer else k
-            step = _letter_step(state, outer, level)
+            steps.append(_letter_step(steps[-1].state, outer, level))
         except (TypeError, ValueError, IntegrityError) as exc:
-            shape = () if state.cover is None else state.cover.outer
             kind = ValueError if isinstance(exc, TypeError) else type(exc)
             raise kind(f"letter {n}, {outer}/{shape} at k={k}: {exc}") from exc
-        state = step.state
-        chain_out.append(state.cover_out.outer)
-        squares += step.strip
-        for column, term in zip(columns, step.terms):
-            column.append(term)
-    charge, cocharge, target_charge, target_cocharge = map(_fold, columns)
-    path = state.path
+    states, strips, terms = zip(*steps)
+    path = states[-1].path
+    charge, cocharge, target_charge, target_cocharge = map(_fold, zip(*terms))
     if charge != target_charge + path.charge():
         raise IntegrityError("charge additivity failed")
     if cocharge != target_cocharge + path.cocharge():
         raise IntegrityError("cocharge additivity failed")
-    target = WeakTableau(k=k - 1, chain=tuple(chain_out), weight=t.weight)
-    return WeakBijectionResult(source=t, target=target, path=path, squares=tuple(squares))
+    chain = ((),) + tuple(s.cover_out.outer for s in states[1:])
+    target = WeakTableau(k=k - 1, chain=chain, weight=t.weight)
+    return WeakBijectionResult(source=t, target=target, path=path, squares=sum(strips, ()))
 
 
 @dataclass(frozen=True)

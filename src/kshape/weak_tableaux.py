@@ -62,6 +62,7 @@ def _is_horizontal_strip(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
 @lru_cache(maxsize=None)
 def is_weak_strip(inner: Partition, outer: Partition, k: int) -> bool:
     """True iff outer/inner is a valid single-letter step between cores."""
+    require_k(k, 1)
     if not contains(outer, inner):
         return False
     if not is_p_core(outer, k + 1):
@@ -114,7 +115,8 @@ class WeakTableau(ChainTableau):
     weight: tuple[int, ...]
 
     def is_standard(self) -> bool:
-        return self.weight == (1,) * len(self.weight)
+        """One letter per step of the chain, each of weight 1."""
+        return self.weight == (1,) * self.letters
 
 
 def _chain_weight(k: int, chain: tuple[Partition, ...]) -> tuple[int, ...]:

@@ -310,6 +310,9 @@ BAD_CALLS = [
     (is_p_core, ((2.5,), 3), ValueError),
     (conjugate, ((2.5,),), ValueError),
     (is_k_shape, ((2, 1), 2.5), ValueError),
+    # 2.5, not 3.0: a table that holds p = 3 answers 3.0 from that entry
+    (is_p_core, ((2,), 2.5), ValueError),
+    (is_weak_strip, ((), (1,), 2.5), ValueError),
 ]
 
 
@@ -323,6 +326,16 @@ def test_invalid_input_raises_every_time(fn, args, exc):
     assert type(first.value) is type(second.value)
     assert str(first.value) == str(second.value)
     assert fn.cache_info().currsize == size
+
+
+def test_weak_strip_checks_k_before_the_core_table():
+    """A k that is not an int is rejected before ``is_p_core`` stores an
+    entry at p = k + 1.  The k is one no other test passes, so no earlier
+    call can have stored that entry."""
+    size = is_p_core.cache_info().currsize
+    with pytest.raises(ValueError, match=r"^k must be an integer: 3\.5"):
+        is_weak_strip((), (1,), 3.5)
+    assert is_p_core.cache_info().currsize == size
 
 
 def _values():

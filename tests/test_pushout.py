@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -816,6 +817,9 @@ _MOVE_211 = move_from_cells((2, 1, 1), {(1, 3), (2, 2)}, ROW, 2)
 _TWO_ONES = parse_tableau_text(3, "1 1")  # one letter of weight 2
 _ONE_LETTER_K0 = WeakTableau(0, ((), (1,)), (1,))
 _NO_LETTER_K1 = ChainTableau(1, ((),))
+# a standard chain of two letters with a weight that names one, or three
+_SHORT_WEIGHT = WeakTableau(3, ((), (1,), (2,)), (1,))
+_LONG_WEIGHT = WeakTableau(3, ((), (1,), (2,)), (1, 1, 1))
 
 PUBLIC_RAISES = [
     (weak_bijection_standard, (WeakTableau(1, ((), (1,)), (1,)),), "descent requires k >= 2"),
@@ -866,6 +870,15 @@ PUBLIC_RAISES = [
     (standard_shapes, (2, 2.5), r"n must be an integer: 2\.5"),
     (kshapes_of_size, (2, 2.5), r"size must be an integer: 2\.5"),
     (enumerate_kshape_tableaux, (2.5, 2), r"n must be an integer: 2\.5"),
+    # a standard tableau has one letter of weight 1 per step of its chain
+    (weak_bijection_standard, (_SHORT_WEIGHT,), "the weak bijection requires a standard tableau"),
+    (weak_bijection_standard, (_LONG_WEIGHT,), "the weak bijection requires a standard tableau"),
+    (descend, (_SHORT_WEIGHT,), "the weak bijection requires a standard tableau"),
+    (descend, (_LONG_WEIGHT,), "the weak bijection requires a standard tableau"),
+    (charge_standard, (_SHORT_WEIGHT,), "charge_standard requires a standard tableau"),
+    (charge_standard, (_LONG_WEIGHT,), "charge_standard requires a standard tableau"),
+    (cocharge_standard, (_SHORT_WEIGHT,), "cocharge_standard requires a standard tableau"),
+    (cocharge_standard, (_LONG_WEIGHT,), "cocharge_standard requires a standard tableau"),
 ]
 
 
@@ -1018,3 +1031,50 @@ def test_bijection_asserts_its_own_additivity(term, message, monkeypatch):
     finally:
         _letter_step.cache_clear()
         _state.cache_clear()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_weak_bijection_of_a_chain_with_no_letters(k):
+    res = weak_bijection_standard(WeakTableau(k, ((),), ()))
+    assert res.target == WeakTableau(k - 1, ((),), ())
+    assert res.path == Path(start=())
+    assert res.squares == ()
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\0")
+    return h.hexdigest()
+
+
+def _kinds(res) -> str:
+    return " ".join(sq.kind for sq in res.squares)
+
+
+# SHA-256 digests of the bijection's outputs; a change that alters any
+# output updates them and says why in CHANGES.md
+_PINNED_DESCENTS = "cf78db105b4af9fc5843be8dee11e2865a70ccafe0a76c75140bc1198b2a84da"
+_PINNED_LEVELS = "9343b9b15dea8ee9ebe054c71861619726ef46bab8e84897fd2ead7ecde5d3b7"
+
+
+def test_bijection_outputs_are_pinned():
+    """Every full descent of a standard Young tableau with n <= 7 (its
+    JSON and each level's square kinds), and every single level on a
+    standard k-tableau with 2 <= k <= n <= 7 (target chain, path and
+    square kinds), hashed in a fixed order."""
+    descents = [
+        "\n".join([rec.to_json(), *map(_kinds, rec.levels)])
+        for n in range(8)
+        for lam in partitions_of(n)
+        for rec in map(full_descent, standard_young_tableaux(lam))
+    ]
+    levels = [
+        repr((res.target.chain, res.path.text(), _kinds(res)))
+        for n in range(2, 8)
+        for k in range(2, n + 1)
+        for lam in standard_shapes(k, n)
+        for res in map(weak_bijection_standard, enumerate_standard_k_tableaux(lam, k))
+    ]
+    assert (len(descents), _digest(descents)) == (352, _PINNED_DESCENTS)
+    assert (len(levels), _digest(levels)) == (1024, _PINNED_LEVELS)
